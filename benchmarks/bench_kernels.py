@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
-"""Timing comparison of the compiled and numpy kernel flavours.
+"""Timing of the Dijkstra and GF(2)-rank kernels.
 
-Usage: python benchmarks/bench_kernels.py [--repeats N] [--seed S]
+Usage: python benchmarks/bench_kernels.py [--repeats N] [--seed S] [--skip-end-to-end]
 
-The numba flavour is timed only when numba imports and
-DIVPROTECT_NO_NUMBA is unset; compilation happens during warmup so the
-table reflects steady state. The end-to-end row times a full plan and
-failure sweep of the largest bundled fixture in two subprocesses, one
-per flavour, so the import-time kernel selection applies to each.
+Dijkstra runs on seeded ring-plus-chord graphs of 20, 60 and 120 nodes;
+the rank on random binary matrices from decode-matrix size (5x4) up.
+The end-to-end row times a full dc plan and failure sweep of the largest
+bundled fixture.
 """
 import argparse
-import os
 import statistics
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 from divprotect import kernels
-from divprotect.topology import Topology
+from divprotect.cli import fixture_path
+from divprotect.coding import algorithm_one
+from divprotect.failsim import sweep
+from divprotect.topology import Topology, load_scenario
 
 
 def random_graph(rng, n: int, extra: int) -> Topology:
@@ -38,7 +37,7 @@ def random_graph(rng, n: int, extra: int) -> Topology:
 
 
 def bench(fn, calls, repeats: int) -> tuple[float, float]:
-    for args in calls:  # warmup; first numba call compiles here
+    for args in calls:  # warmup
         fn(*args)
     times = []
     for _ in range(repeats):
@@ -49,32 +48,8 @@ def bench(fn, calls, repeats: int) -> tuple[float, float]:
     return min(times), statistics.mean(times)
 
 
-def end_to_end_s(no_numba: bool) -> float:
-    code = (
-        "import time\n"
-        "from divprotect.cli import fixture_path\n"
-        "from divprotect.topology import load_scenario\n"
-        "from divprotect.coding import algorithm_one\n"
-        "from divprotect.failsim import sweep\n"
-        "sc = load_scenario(open(fixture_path('uslong-reconstruction')).read())\n"
-        "algorithm_one(sc.topology, sc.demands)  # warmup\n"
-        "t0 = time.perf_counter()\n"
-        "for _ in range(5):\n"
-        "    plan = algorithm_one(sc.topology, sc.demands)\n"
-        "    sweep(sc.topology, plan)\n"
-        "print((time.perf_counter() - t0) / 5)\n"
-    )
-    env = dict(os.environ)
-    if no_numba:
-        env["DIVPROTECT_NO_NUMBA"] = "1"
-    else:
-        env.pop("DIVPROTECT_NO_NUMBA", None)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    if out.returncode != 0:
-        raise RuntimeError(out.stderr)
-    return float(out.stdout.strip())
+def plan_and_sweep(sc) -> None:
+    sweep(sc.topology, algorithm_one(sc.topology, sc.demands))
 
 
 def main(argv=None) -> int:
@@ -92,37 +67,24 @@ def main(argv=None) -> int:
         for t in graphs
         for _ in range(10)
     ]
-    mats = [
-        np.ascontiguousarray(rng.integers(0, 2, size=(r, c), dtype=np.uint8))
-        for r, c in ((24, 32), (64, 96), (128, 192))
+    gf2_calls = [
+        (rng.integers(0, 2, size=(r, c), dtype=np.uint8).tolist(),)
+        for r, c in ((5, 4), (24, 32), (64, 96))
         for _ in range(10)
     ]
-    gf2_calls = [(m,) for m in mats]
 
-    flavours = [("numpy", kernels._dijkstra_numpy, kernels._gf2_rank_numpy)]
-    if kernels.NUMBA_ENABLED:
-        flavours.insert(0, ("numba", kernels._dijkstra_jit, kernels._gf2_rank_jit))
-    else:
-        print("numba flavour unavailable (DIVPROTECT_NO_NUMBA set or not installed)")
-
-    rows = []
-    for name, dij, gf2 in flavours:
-        best, mean = bench(dij, dij_calls, args.repeats)
-        rows.append(("dijkstra", name, best, mean))
-        best, mean = bench(gf2, gf2_calls, args.repeats)
-        rows.append(("gf2_rank", name, best, mean))
+    rows = [
+        ("dijkstra", *bench(kernels.dijkstra_distances, dij_calls, args.repeats)),
+        ("gf2_rank", *bench(kernels.gf2_rank, gf2_calls, args.repeats)),
+    ]
     if not args.skip_end_to_end:
-        rows.append(("plan+sweep", "numba", end_to_end_s(False), float("nan")))
-        rows.append(("plan+sweep", "numpy", end_to_end_s(True), float("nan")))
+        with open(fixture_path("uslong-reconstruction"), encoding="utf-8") as fh:
+            sc = load_scenario(fh.read())
+        rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
 
-    print(f"{'kernel':<12}{'flavour':<9}{'best ms':>10}{'mean ms':>10}{'rel speed':>10}")
-    base: dict = {}
-    for kernel, name, best, mean in rows:
-        base.setdefault(kernel, best)
-        rel = base[kernel] / best if best else float("nan")
-        print(
-            f"{kernel:<12}{name:<9}{best * 1e3:>10.3f}{mean * 1e3:>10.3f}{rel:>10.2f}"
-        )
+    print(f"{'kernel':<12}{'best ms':>10}{'mean ms':>10}")
+    for kernel, best, mean in rows:
+        print(f"{kernel:<12}{best * 1e3:>10.3f}{mean * 1e3:>10.3f}")
     return 0
 
 

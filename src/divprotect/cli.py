@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -50,9 +51,13 @@ def fixture_path(name: str) -> str | None:
 def fixture_names() -> list[str]:
     override = os.environ.get(FIXTURES_ENV)
     if override:
-        return sorted(
-            f[:-5] for f in os.listdir(override) if f.endswith(".yaml")
-        )
+        try:
+            names = os.listdir(override)
+        except OSError as exc:
+            raise ScenarioError(
+                f"cannot list fixtures in {FIXTURES_ENV}={override!r}: {exc.strerror}"
+            )
+        return sorted(f[:-5] for f in names if f.endswith(".yaml"))
     ref = resources.files("divprotect").joinpath("fixtures")
     return sorted(f.name[:-5] for f in ref.iterdir() if f.name.endswith(".yaml"))
 
@@ -71,8 +76,14 @@ def _resolve_scenario(arg: str) -> str:
 
 def _load(arg: str) -> Scenario:
     path = _resolve_scenario(arg)
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario {path!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario {path!r} is not UTF-8 text: {exc.reason}")
+    return load_scenario(text)
 
 
 def build_plan(scheme: str, sc: Scenario):
@@ -91,8 +102,11 @@ def _fmt_ms(c_s: float) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write --out {out!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -112,8 +126,13 @@ def _parse_common(args) -> RunConfig:
         )
     except ValueError:
         raise ScenarioError(f"bad --switch-time-ms value {args.switch_time_ms!r}")
-    if not switch or any(c <= 0 for c in switch):
-        raise ScenarioError("--switch-time-ms needs positive comma-separated values")
+    if not switch or not all(math.isfinite(c) and c > 0 for c in switch):
+        raise ScenarioError(
+            "--switch-time-ms needs finite positive comma-separated values"
+        )
+    for flag, value in (("--detect-us", args.detect_us), ("--proc-us", args.proc_us)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ScenarioError(f"{flag} needs a finite non-negative value, got {value:g}")
     return RunConfig(
         scenario=args.scenario,
         schemes=schemes,

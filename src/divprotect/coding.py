@@ -195,19 +195,6 @@ def find_group(topo: Topology, flows, flow_ids=None) -> CodingGroup | None:
     )
 
 
-def _aps_pair(topo: Topology, flow: Flow):
-    """1+1 working/backup pair; working stays on the unconstrained
-    shortest path unless only a jointly routed pair is disjoint."""
-    w = routing.shortest_path(topo, flow.src, flow.dst)
-    if w is None:
-        return None
-    b = routing.shortest_path(topo, flow.src, flow.dst, excluded=w.links)
-    if b is not None:
-        return w, b
-    pair = routing.disjoint_path_pair(topo, flow.src, flow.dst)
-    return pair
-
-
 def _ratio_fraction(threshold: float) -> Fraction:
     return Fraction(str(threshold))
 
@@ -245,7 +232,7 @@ def algorithm_one(
         # capacity-distance the flow costs if left to the 1+1 fallback;
         # unpairable flows count as unbounded so any group beats them
         if i not in aps_mm:
-            pr = _aps_pair(topo, flows[i])
+            pr = routing.protected_pair(topo, flows[i].src, flows[i].dst)
             aps_mm[i] = (
                 pr[0].length_mm + pr[1].length_mm if pr is not None else int(1 << 62)
             )
@@ -303,7 +290,7 @@ def algorithm_one(
     for i in range(nf):
         if not alive[i]:
             continue
-        pr = _aps_pair(topo, flows[i])
+        pr = routing.protected_pair(topo, flows[i].src, flows[i].dst)
         if pr is None:
             w = routing.shortest_path(topo, flows[i].src, flows[i].dst)
             working_paths[i] = w

@@ -115,7 +115,6 @@ def _detour_arcs(topo, plan, lid):
         ring = sel.nodes
         size = len(ring)
         if lid in sel.links:
-            i = sel.links.index(lid)
             hops = size - 1
             length = sel.length_mm - int(topo.link_mm[lid])
             arcs.extend([(length, hops)] * sel.copies)

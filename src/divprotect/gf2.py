@@ -30,7 +30,7 @@ class Gf2Matrix:
         return np.array(self.rows, dtype=np.uint8)
 
     def rank(self) -> int:
-        return kernels.gf2_rank(self.to_array())
+        return kernels.gf2_rank(self.rows)
 
     def full_column_rank(self) -> bool:
         return self.rank() == self.shape[1]

@@ -1,144 +1,73 @@
-"""Hot numeric kernels: Dijkstra scans over CSR adjacency and GF(2) rank.
+"""Hot kernels: Dijkstra over CSR adjacency and GF(2) rank.
 
-Both kernels ship in two functionally identical flavours: a loop version
-compiled with numba when available, and a vectorised numpy fallback.
-Set ``DIVPROTECT_NO_NUMBA=1`` to force the numpy path (useful while
-debugging and for the benchmark in ``benchmarks/bench_kernels.py``).
+Both are plain Python. Dijkstra is a binary-heap scan over the CSR lists
+of a ``Topology``; the rank is elimination over rows packed into int
+bitmasks, which suits the small decode matrices (at most a handful of
+rows and columns) the planners and the failure sweep check.
 """
 from __future__ import annotations
 
-import os
-
-import numpy as np
+from heapq import heappop, heappush
 
 # Sentinel for "unreachable"; large enough that sums of real distances
-# (millimetres, int64) never get close.
-INF_MM = np.int64(2**62)
+# (millimetres) never get close.
+INF_MM = 2**62
+
+# Read by divbench/run.py's metadata(), which records the kernel flavour
+# and refuses to compare results across flavours. There is one flavour.
+NUMBA_ENABLED = False
 
 
-def _dijkstra_loops(indptr, nbr_node, nbr_link, link_mm, src, blocked):
-    n = indptr.shape[0] - 1
-    dist = np.full(n, INF_MM, dtype=np.int64)
-    done = np.zeros(n, dtype=np.uint8)
+def dijkstra_distances(indptr, nbr_node, nbr_link, link_mm, src, blocked) -> list[int]:
+    """Distance (mm) from src to every node, INF_MM where unreachable.
+
+    The first four arguments are a topology's CSR arrays (row pointers,
+    neighbour node, neighbour link, link length) and ``blocked`` is a
+    per-link mask from ``Topology.blocked_mask``; links with a non-zero
+    entry are skipped. All five are numpy arrays.
+    """
+    indptr = indptr.tolist()
+    nbr_node = nbr_node.tolist()
+    nbr_link = nbr_link.tolist()
+    link_mm = link_mm.tolist()
+    blocked = blocked.tolist()
+    dist = [INF_MM] * (len(indptr) - 1)
     dist[src] = 0
-    for _ in range(n):
-        u = -1
-        best = INF_MM
-        for v in range(n):
-            if done[v] == 0 and dist[v] < best:
-                best = dist[v]
-                u = v
-        if u < 0:
-            break
-        done[u] = 1
+    heap = [(0, src)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry: u was settled at a shorter distance
         for k in range(indptr[u], indptr[u + 1]):
             lk = nbr_link[k]
-            if blocked[lk] != 0:
+            if blocked[lk]:
                 continue
+            nd = d + link_mm[lk]
             w = nbr_node[k]
-            nd = best + link_mm[lk]
             if nd < dist[w]:
                 dist[w] = nd
+                heappush(heap, (nd, w))
     return dist
 
 
-def _dijkstra_numpy(indptr, nbr_node, nbr_link, link_mm, src, blocked):
-    n = indptr.shape[0] - 1
-    dist = np.full(n, INF_MM, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    dist[src] = 0
-    for _ in range(n):
-        u = int(np.argmin(np.where(done, INF_MM, dist)))
-        if done[u] or dist[u] == INF_MM:
-            break
-        done[u] = True
-        ks = slice(indptr[u], indptr[u + 1])
-        lks = nbr_link[ks]
-        ok = blocked[lks] == 0
-        if not ok.any():
-            continue
-        tgt = nbr_node[ks][ok]
-        cand = dist[u] + link_mm[lks[ok]]
-        np.minimum.at(dist, tgt, cand)
-    return dist
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of a binary matrix given as a sequence of rows.
 
-
-def _gf2_rank_loops(mat):
-    a = mat.copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        pivot = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        if pivot != r:
-            for j in range(cols):
-                tmp = a[r, j]
-                a[r, j] = a[pivot, j]
-                a[pivot, j] = tmp
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                for j in range(cols):
-                    a[i, j] ^= a[r, j]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _gf2_rank_numpy(mat):
-    a = mat.copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pivot = r + int(hits[0])
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        elim = a[:, c].astype(bool)
-        elim[r] = False
-        a[elim] ^= a[r]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-_FORCE_NUMPY = os.environ.get("DIVPROTECT_NO_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
-
-NUMBA_ENABLED = False
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        _dijkstra_jit = njit(cache=True)(_dijkstra_loops)
-        _gf2_rank_jit = njit(cache=True)(_gf2_rank_loops)
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if NUMBA_ENABLED:
-    dijkstra_distances = _dijkstra_jit
-    gf2_rank_raw = _gf2_rank_jit
-else:
-    dijkstra_distances = _dijkstra_numpy
-    gf2_rank_raw = _gf2_rank_numpy
-
-
-def gf2_rank(mat: np.ndarray) -> int:
-    """Rank of a binary matrix over GF(2).
-
-    Accepts any integer dtype; entries are reduced mod 2.
+    Accepts nested sequences or a 2-D integer array; entries are reduced
+    mod 2. Each row becomes an int bitmask and is reduced against the
+    rows kept so far, keyed by their highest set bit; a row that does
+    not reduce to zero adds one to the rank.
     """
-    a = np.ascontiguousarray(np.asarray(mat, dtype=np.uint8) & 1)
-    if a.ndim != 2 or a.size == 0:
-        return 0
-    return int(gf2_rank_raw(a))
+    pivots: dict[int, int] = {}
+    for row in rows:
+        mask = 0
+        for j, x in enumerate(row):
+            if int(x) & 1:
+                mask |= 1 << j
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = mask
+                break
+            mask ^= pivots[top]
+    return len(pivots)

@@ -59,7 +59,7 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     out = []
     path = []
 
-    def dfs(anchor: int, v: int, min_allowed: int):
+    def dfs(anchor: int, v: int):
         for w, _ in topo.neighbors(v):
             if w == anchor and len(path) >= 3:
                 out.append(_canonical(topo, path))
@@ -68,14 +68,14 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
                 # exactly once, rooted at its smallest node
                 path.append(w)
                 on_path.add(w)
-                dfs(anchor, w, min_allowed)
+                dfs(anchor, w)
                 on_path.remove(w)
                 path.pop()
 
     for anchor in range(topo.n):
         path = [anchor]
         on_path = {anchor}
-        dfs(anchor, anchor, anchor)
+        dfs(anchor, anchor)
 
     # anchor-rooted DFS visits each cycle in both directions; canonical
     # form collapses them

@@ -15,7 +15,7 @@ from .kernels import INF_MM
 from .topology import Path, Topology
 
 
-def shortest_distances(topo: Topology, src: int, excluded=()) -> np.ndarray:
+def shortest_distances(topo: Topology, src: int, excluded=()) -> list[int]:
     """Distance (mm) from src to every node, INF_MM where unreachable."""
     blocked = topo.blocked_mask(excluded)
     return kernels.dijkstra_distances(
@@ -211,3 +211,20 @@ def disjoint_path_pair(topo: Topology, src: int, dst: int, excluded=()):
         return None
     a, b = sorted(routes, key=lambda p: (p.length_mm, p.nodes))
     return a, b
+
+
+def protected_pair(topo: Topology, src: int, dst: int):
+    """Working path plus a link-disjoint backup, as (working, backup).
+
+    The working path stays on the unconstrained shortest path when a
+    disjoint backup exists around it; otherwise both come from the
+    jointly routed disjoint pair. Returns None when src and dst have no
+    two link-disjoint routes.
+    """
+    w = shortest_path(topo, src, dst)
+    if w is None:
+        return None
+    b = shortest_path(topo, src, dst, excluded=w.links)
+    if b is not None:
+        return w, b
+    return disjoint_path_pair(topo, src, dst)

@@ -22,17 +22,15 @@ def sr_design(topo: Topology, demand) -> ProtectionPlan:
     pairs = []
     unprotected = []
     for i, f in enumerate(flows):
-        w = routing.shortest_path(topo, f.src, f.dst)
-        if w is None:  # pragma: no cover - connected topologies
-            raise ValueError(f"no route {f.src}->{f.dst}")
-        b = routing.shortest_path(topo, f.src, f.dst, excluded=w.links)
-        if b is None:
-            pr = routing.disjoint_path_pair(topo, f.src, f.dst)
-            if pr is None:
-                working_paths.append(w)
-                unprotected.append(i)
-                continue
-            w, b = pr
+        pr = routing.protected_pair(topo, f.src, f.dst)
+        if pr is None:
+            w = routing.shortest_path(topo, f.src, f.dst)
+            if w is None:  # pragma: no cover - connected topologies
+                raise ValueError(f"no route {f.src}->{f.dst}")
+            working_paths.append(w)
+            unprotected.append(i)
+            continue
+        w, b = pr
         working_paths.append(w)
         pairs.append(BackupPair(flow_id=i, working=w, backup=b))
 

@@ -167,6 +167,48 @@ def test_exit_error_cases(tmp_path, capsys):
     assert main(["validate", "--scenario", str(bad)]) == 1
 
 
+def test_missing_fixture_dir_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(FIXTURES_ENV, str(tmp_path / "missing"))
+    assert main(["validate", "--scenario", "example2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and FIXTURES_ENV in err
+
+
+def test_non_utf8_scenario_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes("name: caf\xe9\n".encode("latin-1"))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_into_missing_dir_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["compare", "--scenario", "example2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1000000", "nan", "inf"])
+def test_detect_us_must_be_finite_non_negative(value, capsys):
+    argv = ["compare", "--scenario", "example2", f"--detect-us={value}"]
+    assert main(argv) == 1
+    assert "--detect-us" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-100", "nan", "inf"])
+def test_proc_us_must_be_finite_non_negative(value, capsys):
+    argv = ["compare", "--scenario", "example2", f"--proc-us={value}"]
+    assert main(argv) == 1
+    assert "--proc-us" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
+def test_switch_time_ms_must_be_finite_positive(value, capsys):
+    argv = ["compare", "--scenario", "example2", f"--switch-time-ms={value}"]
+    assert main(argv) == 1
+    assert "--switch-time-ms" in capsys.readouterr().err
+
+
 def _validate_example2_bytes(tmp_path, monkeypatch) -> bytes:
     """What in-process `main` writes for `validate --scenario example2`."""
     monkeypatch.delenv(FIXTURES_ENV, raising=False)
