@@ -62,8 +62,7 @@ def main(argv=None) -> int:
 
     graphs = [random_graph(rng, n, extra) for n in (20, 60, 120) for extra in (n,)]
     dij_calls = [
-        (t.adj_indptr, t.adj_node, t.adj_link, t.link_mm, 0,
-         np.zeros(t.m, dtype=np.uint8))
+        (t.adj_indptr, t.adj_node, t.adj_link, t.link_mm, 0, t.blocked_mask())
         for t in graphs
         for _ in range(10)
     ]

@@ -21,6 +21,7 @@ from .plan import (
     BackupPair,
     CodingGroup,
     ProtectionPlan,
+    shortest_working_capacity_mm,
     split_unit_flows,
 )
 from .topology import Flow, Path, Route, Topology
@@ -72,16 +73,6 @@ def group_capacity_mm(group: CodingGroup) -> int:
     return sum(w.length_mm for w in group.working) + group.parity.length_mm
 
 
-def baseline_capacity_mm(topo: Topology, flows) -> int:
-    total = 0
-    for f in flows:
-        p = routing.shortest_path(topo, f.src, f.dst)
-        if p is None:  # pragma: no cover - connected topologies
-            raise ValueError(f"no route {f.src}->{f.dst}")
-        total += p.length_mm
-    return total
-
-
 def redundancy_ratio(topo: Topology, group: CodingGroup) -> float:
     """Consumed capacity-distance over the unconstrained shortest floor.
 
@@ -89,7 +80,7 @@ def redundancy_ratio(topo: Topology, group: CodingGroup) -> float:
     length. Flows in a group carry equal rates, so rates cancel.
     """
     flows = [Flow(w.src, w.dst, 1) for w in group.working]
-    return group_capacity_mm(group) / baseline_capacity_mm(topo, flows)
+    return group_capacity_mm(group) / shortest_working_capacity_mm(topo, flows)
 
 
 def _parity_route(topo: Topology, sources: list[int], dst: int, blocked: set[int]) -> Route | None:
@@ -125,7 +116,7 @@ def _parity_route(topo: Topology, sources: list[int], dst: int, blocked: set[int
             for w, lid in zip(p.nodes[1:], p.links):
                 nodes.append(w)
                 links.append(lid)
-                segs.append(int(topo.link_mm[lid]))
+                segs.append(topo.link_mm[lid])
                 used.add(lid)
             cur = u
             remaining.remove(u)
@@ -137,7 +128,7 @@ def _parity_route(topo: Topology, sources: list[int], dst: int, blocked: set[int
         for w, lid in zip(tail.nodes[1:], tail.links):
             nodes.append(w)
             links.append(lid)
-            segs.append(int(topo.link_mm[lid]))
+            segs.append(topo.link_mm[lid])
         segs.append(0)
         route = Route(tuple(nodes), tuple(links), sum(segs), tuple(segs))
         key = (route.length_mm, route.nodes)
@@ -226,17 +217,18 @@ def algorithm_one(
 
     cache: dict[frozenset, tuple[CodingGroup, int, int] | None] = {}
 
-    aps_mm: dict[int, int] = {}
+    aps: dict[int, tuple[Path, Path | None]] = {}
+
+    def aps_pair(i: int) -> tuple[Path, Path | None]:
+        if i not in aps:
+            aps[i] = routing.protected_pair(topo, flows[i].src, flows[i].dst)
+        return aps[i]
 
     def fallback_mm(i: int) -> int:
         # capacity-distance the flow costs if left to the 1+1 fallback;
         # unpairable flows count as unbounded so any group beats them
-        if i not in aps_mm:
-            pr = routing.protected_pair(topo, flows[i].src, flows[i].dst)
-            aps_mm[i] = (
-                pr[0].length_mm + pr[1].length_mm if pr is not None else int(1 << 62)
-            )
-        return aps_mm[i]
+        w, b = aps_pair(i)
+        return w.length_mm + b.length_mm if b is not None else 1 << 62
 
     def evaluate(combo) -> tuple[CodingGroup, int, int] | None:
         key = frozenset(combo)
@@ -248,7 +240,7 @@ def algorithm_one(
                 cache[key] = (
                     g,
                     group_capacity_mm(g),
-                    baseline_capacity_mm(topo, [flows[i] for i in combo]),
+                    shortest_working_capacity_mm(topo, [flows[i] for i in combo]),
                 )
         return cache[key]
 
@@ -290,15 +282,12 @@ def algorithm_one(
     for i in range(nf):
         if not alive[i]:
             continue
-        pr = routing.protected_pair(topo, flows[i].src, flows[i].dst)
-        if pr is None:
-            w = routing.shortest_path(topo, flows[i].src, flows[i].dst)
-            working_paths[i] = w
-            unprotected.append(i)
-            continue
-        w, b = pr
+        w, b = aps_pair(i)
         working_paths[i] = w
-        pairs.append(BackupPair(flow_id=i, working=w, backup=b))
+        if b is None:
+            unprotected.append(i)
+        else:
+            pairs.append(BackupPair(flow_id=i, working=w, backup=b))
 
     working_cap = np.zeros(topo.m, dtype=np.int64)
     spare_cap = np.zeros(topo.m, dtype=np.int64)

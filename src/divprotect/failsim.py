@@ -44,7 +44,7 @@ def _delay(length_mm: int, p: RtParams) -> float:
 
 def _notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
     # worst case: break at mid-span, detected at the nearer end
-    return _delay(int(topo.link_mm[lid]) // 2, p)
+    return _delay(topo.link_mm[lid] // 2, p)
 
 
 def _sweep_dc(topo, plan, lid, affected, p):
@@ -86,7 +86,7 @@ def _sweep_sr(topo, plan, lid, affected, p):
             continue
         w, b = pair.working, pair.backup
         i = w.links.index(lid)
-        prefix_mm = sum(int(topo.link_mm[l]) for l in w.links[:i])
+        prefix_mm = sum(topo.link_mm[l] for l in w.links[:i])
         geoms.append(
             FailureGeometry(
                 backup_hops=b.hops,
@@ -116,12 +116,12 @@ def _detour_arcs(topo, plan, lid):
         size = len(ring)
         if lid in sel.links:
             hops = size - 1
-            length = sel.length_mm - int(topo.link_mm[lid])
+            length = sel.length_mm - topo.link_mm[lid]
             arcs.extend([(length, hops)] * sel.copies)
         elif a in ring and b in ring:
             ia, ib = ring.index(a), ring.index(b)
             lo, hi = min(ia, ib), max(ia, ib)
-            seg1 = sum(int(topo.link_mm[sel.links[k]]) for k in range(lo, hi))
+            seg1 = sum(topo.link_mm[sel.links[k]] for k in range(lo, hi))
             hops1 = hi - lo
             arcs.extend([(seg1, hops1)] * sel.copies)
             arcs.extend([(sel.length_mm - seg1, size - hops1)] * sel.copies)

@@ -1,6 +1,6 @@
 """Hot kernels: Dijkstra over CSR adjacency and GF(2) rank.
 
-Both are plain Python. Dijkstra is a binary-heap scan over the CSR lists
+Both are plain Python. Dijkstra is a binary-heap scan over the CSR tuples
 of a ``Topology``; the rank is elimination over rows packed into int
 bitmasks, which suits the small decode matrices (at most a handful of
 rows and columns) the planners and the failure sweep check.
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-# Sentinel for "unreachable"; large enough that sums of real distances
-# (millimetres) never get close.
+# Sentinel for "unreachable". Topology keeps the total link length below
+# INF_MM // 4, so no sum of real distances (millimetres) gets close.
 INF_MM = 2**62
 
 # Read by divbench/run.py's metadata(), which records the kernel flavour
@@ -21,16 +21,11 @@ NUMBA_ENABLED = False
 def dijkstra_distances(indptr, nbr_node, nbr_link, link_mm, src, blocked) -> list[int]:
     """Distance (mm) from src to every node, INF_MM where unreachable.
 
-    The first four arguments are a topology's CSR arrays (row pointers,
-    neighbour node, neighbour link, link length) and ``blocked`` is a
-    per-link mask from ``Topology.blocked_mask``; links with a non-zero
-    entry are skipped. All five are numpy arrays.
+    The first four arguments are a topology's CSR int tuples (row
+    pointers, neighbour node, neighbour link, link length) and
+    ``blocked`` is a per-link mask such as ``Topology.blocked_mask``'s
+    byte array; links with a non-zero entry are skipped.
     """
-    indptr = indptr.tolist()
-    nbr_node = nbr_node.tolist()
-    nbr_link = nbr_link.tolist()
-    link_mm = link_mm.tolist()
-    blocked = blocked.tolist()
     dist = [INF_MM] * (len(indptr) - 1)
     dist[src] = 0
     heap = [(0, src)]

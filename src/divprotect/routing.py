@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from . import kernels
 from .kernels import INF_MM
 from .topology import Path, Topology
@@ -53,7 +51,7 @@ def shortest_path(topo: Topology, src: int, dst: int, excluded=()) -> Path | Non
                 break
         else:  # pragma: no cover - dist[src] finite guarantees progress
             raise AssertionError("shortest-path walk stalled")
-    return Path(tuple(nodes), tuple(links), int(dist[src]))
+    return Path(tuple(nodes), tuple(links), dist[src])
 
 
 def path_delay(path, speed_km_s: float = 2.0e5) -> float:
@@ -61,9 +59,9 @@ def path_delay(path, speed_km_s: float = 2.0e5) -> float:
     return path.length_mm * 1e-6 / speed_km_s
 
 
-def hop_distances(topo: Topology, src: int) -> np.ndarray:
+def hop_distances(topo: Topology, src: int) -> list[int]:
     """BFS hop counts from src (ignores link lengths)."""
-    dist = np.full(topo.n, -1, dtype=np.int64)
+    dist = [-1] * topo.n
     dist[src] = 0
     q = deque([src])
     while q:
@@ -93,9 +91,8 @@ def disjoint_routes(
     if any(s == dst for s in sources):
         raise ValueError("a source equals the destination")
     base_blocked = topo.blocked_mask(excluded)
-    m = topo.m
     # orient[l]: 0 unused, +1 carries flow a->b, -1 carries flow b->a
-    orient = np.zeros(m, dtype=np.int8)
+    orient = [0] * topo.m
     supply: dict[int, int] = {}
     for s in sources:
         supply[s] = supply.get(s, 0) + 1
@@ -120,41 +117,43 @@ def disjoint_routes(
     return _decompose(topo, orient, sources, dst)
 
 
+# Starting distance of the residual search. Topology keeps the total
+# link length below 2**60, so every node the search reaches ends far
+# below this value.
+_UNREACHED = (2**63 - 1) // 4
+
+
 def _augment(topo, base_blocked, orient, supply, dst):
     """Bellman-Ford over the residual graph; reverse arcs cost -length."""
+    if not supply:
+        return None, None
     n = topo.n
-    dist = np.full(n, np.iinfo(np.int64).max // 4, dtype=np.int64)
-    parent_node = np.full(n, -1, dtype=np.int64)
-    parent_link = np.full(n, -1, dtype=np.int64)
-    active = False
+    dist = [_UNREACHED] * n
+    parent_node = [-1] * n
+    parent_link = [-1] * n
     for s in supply:
         dist[s] = 0
-        active = True
-    if not active:
-        return None, None
+    arcs = [
+        (l.id, l.a, l.b, topo.link_mm[l.id]) for l in topo.links if not base_blocked[l.id]
+    ]
     for _ in range(n):
         changed = False
-        for l in topo.links:
-            if base_blocked[l.id]:
-                continue
-            w = topo.link_mm[l.id]
-            o = orient[l.id]
+        for lid, a, b, w in arcs:
+            o = orient[lid]
             # forward a->b allowed unless already a->b; cost -w if cancelling b->a
             if o != 1:
-                cost = -w if o == -1 else w
-                nd = dist[l.a] + cost
-                if nd < dist[l.b]:
-                    dist[l.b] = nd
-                    parent_node[l.b] = l.a
-                    parent_link[l.b] = l.id
+                nd = dist[a] + (-w if o == -1 else w)
+                if nd < dist[b]:
+                    dist[b] = nd
+                    parent_node[b] = a
+                    parent_link[b] = lid
                     changed = True
             if o != -1:
-                cost = -w if o == 1 else w
-                nd = dist[l.b] + cost
-                if nd < dist[l.a]:
-                    dist[l.a] = nd
-                    parent_node[l.a] = l.b
-                    parent_link[l.a] = l.id
+                nd = dist[b] + (-w if o == 1 else w)
+                if nd < dist[a]:
+                    dist[a] = nd
+                    parent_node[a] = b
+                    parent_link[a] = lid
                     changed = True
         if not changed:
             break
@@ -191,7 +190,7 @@ def _decompose(topo, orient, sources, dst):
                 raise AssertionError("flow decomposition stalled")
             used.add(nxt[0])
             links.append(nxt[0])
-            total += int(topo.link_mm[nxt[0]])
+            total += topo.link_mm[nxt[0]]
             nodes.append(nxt[1])
             v = nxt[1]
         paths.append(Path(tuple(nodes), tuple(links), total))
@@ -218,13 +217,11 @@ def protected_pair(topo: Topology, src: int, dst: int):
 
     The working path stays on the unconstrained shortest path when a
     disjoint backup exists around it; otherwise both come from the
-    jointly routed disjoint pair. Returns None when src and dst have no
-    two link-disjoint routes.
+    jointly routed disjoint pair. When src and dst have no two
+    link-disjoint routes, returns (shortest path, None).
     """
     w = shortest_path(topo, src, dst)
-    if w is None:
-        return None
     b = shortest_path(topo, src, dst, excluded=w.links)
     if b is not None:
         return w, b
-    return disjoint_path_pair(topo, src, dst)
+    return disjoint_path_pair(topo, src, dst) or (w, None)

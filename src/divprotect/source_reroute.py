@@ -22,17 +22,12 @@ def sr_design(topo: Topology, demand) -> ProtectionPlan:
     pairs = []
     unprotected = []
     for i, f in enumerate(flows):
-        pr = routing.protected_pair(topo, f.src, f.dst)
-        if pr is None:
-            w = routing.shortest_path(topo, f.src, f.dst)
-            if w is None:  # pragma: no cover - connected topologies
-                raise ValueError(f"no route {f.src}->{f.dst}")
-            working_paths.append(w)
-            unprotected.append(i)
-            continue
-        w, b = pr
+        w, b = routing.protected_pair(topo, f.src, f.dst)
         working_paths.append(w)
-        pairs.append(BackupPair(flow_id=i, working=w, backup=b))
+        if b is None:
+            unprotected.append(i)
+        else:
+            pairs.append(BackupPair(flow_id=i, working=w, backup=b))
 
     working_cap = np.zeros(topo.m, dtype=np.int64)
     for f, w in zip(flows, working_paths):

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
-import numpy as np
 import yaml
+
+from .kernels import INF_MM
 
 # Millimetres per declared file unit. "10mi" shows up in older long-haul
 # studies whose span tables are given in tens of miles.
@@ -121,8 +124,8 @@ class Route:
 class Topology:
     """Connected undirected graph with positive integer-mm span lengths.
 
-    Exposes CSR adjacency (sorted by neighbour id) for the routing
-    kernels plus convenience lookups for everything else.
+    Exposes CSR adjacency (sorted by neighbour id) as int tuples for the
+    routing kernels plus convenience lookups for everything else.
     """
 
     def __init__(
@@ -164,27 +167,25 @@ class Topology:
         for l in self.links:
             adj[l.a].append((l.b, l.id))
             adj[l.b].append((l.a, l.id))
-        for row in adj:
-            row.sort()
-        self.adj_indptr = np.zeros(n + 1, dtype=np.int64)
-        self.adj_node = np.zeros(2 * self.m, dtype=np.int64)
-        self.adj_link = np.zeros(2 * self.m, dtype=np.int64)
-        k = 0
-        for v in range(n):
-            for nbr, lid in adj[v]:
-                self.adj_node[k] = nbr
-                self.adj_link[k] = lid
-                k += 1
-            self.adj_indptr[v + 1] = k
-        self.link_mm = np.array([l.length_mm for l in self.links], dtype=np.int64)
-        for arr in (self.adj_indptr, self.adj_node, self.adj_link, self.link_mm):
-            arr.setflags(write=False)
+        self._nbrs = tuple(tuple(sorted(row)) for row in adj)
+        self.adj_indptr = tuple(accumulate(map(len, self._nbrs), initial=0))
+        self.adj_node = tuple(w for row in self._nbrs for w, _ in row)
+        self.adj_link = tuple(lid for row in self._nbrs for _, lid in row)
+        self.link_mm = tuple(l.length_mm for l in self.links)
+        # keeps every path sum and every residual distance in the
+        # disjoint-route search clear of the INF_MM sentinels
+        total_mm = sum(self.link_mm)
+        if total_mm >= INF_MM // 4:
+            raise ScenarioError(
+                f"total link length {total_mm * KM_PER_MM:.6g} km is too large "
+                f"(limit {INF_MM // 4 * KM_PER_MM:.6g} km)"
+            )
 
         self.warnings: list[str] = []
         self._validate_connectivity()
         for v in range(n):
             if self.degree(v) == 1:
-                lid = int(self.adj_link[self.adj_indptr[v]])
+                lid = self._nbrs[v][0][1]
                 self.warnings.append(
                     f"node {self.label(v)} has degree 1; link {lid} cannot be protected"
                 )
@@ -199,18 +200,18 @@ class Topology:
         return f"{v} ({name})" if name else str(v)
 
     def degree(self, v: int) -> int:
-        return int(self.adj_indptr[v + 1] - self.adj_indptr[v])
+        return len(self._nbrs[v])
 
-    def neighbors(self, v: int):
-        """Yield (neighbor, link_id) sorted by neighbor id."""
-        for k in range(self.adj_indptr[v], self.adj_indptr[v + 1]):
-            yield int(self.adj_node[k]), int(self.adj_link[k])
+    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
+        """(neighbor, link_id) pairs sorted by neighbor id."""
+        return self._nbrs[v]
 
     def link_between(self, a: int, b: int) -> Link | None:
         return self._link_by_pair.get((min(a, b), max(a, b)))
 
-    def blocked_mask(self, excluded=()) -> np.ndarray:
-        mask = np.zeros(self.m, dtype=np.uint8)
+    def blocked_mask(self, excluded=()) -> array:
+        """Per-link bytes, 1 for each excluded link id or Link."""
+        mask = array("B", bytes(self.m))
         for e in excluded:
             lid = e.id if isinstance(e, Link) else int(e)
             mask[lid] = 1
@@ -248,7 +249,7 @@ class Topology:
         return Route(tuple(nodes), tuple(links), total, tuple(segs))
 
     def _validate_connectivity(self) -> None:
-        seen = np.zeros(self.n, dtype=bool)
+        seen = [False] * self.n
         stack = [0]
         seen[0] = True
         while stack:
@@ -257,8 +258,8 @@ class Topology:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        if not seen.all():
-            missing = [self.label(v) for v in np.nonzero(~seen)[0][:5]]
+        if not all(seen):
+            missing = [self.label(v) for v in range(self.n) if not seen[v]][:5]
             raise ScenarioError(f"topology is disconnected; unreachable nodes: {', '.join(missing)}")
 
     @classmethod
@@ -344,7 +345,10 @@ def load_scenario(text: str) -> Scenario:
         dist = _req(ld, "distance", ctx)
         if isinstance(dist, bool) or not isinstance(dist, (int, float)):
             raise ScenarioError(f"{ctx}.distance: expected a number, got {dist!r}")
-        mm = int(round(float(dist) * mm_per))
+        try:
+            mm = int(round(float(dist) * mm_per))
+        except (OverflowError, ValueError):  # nan, inf, or too large for a float
+            raise ScenarioError(f"{ctx}.distance: must be a finite number, got {dist!r}") from None
         if mm <= 0:
             raise ScenarioError(f"{ctx}.distance: must be positive, got {dist!r}")
         rows.append((a, b, mm))

@@ -64,7 +64,7 @@ def all_simple_paths(topo: Topology, src: int, dst: int, excluded=frozenset()):
             if lid in excluded or w in nodes:
                 continue
             stack.append((w, nodes + (w,), links + (lid,),
-                          dist + int(topo.link_mm[lid])))
+                          dist + topo.link_mm[lid]))
     return out
 
 

@@ -3,13 +3,13 @@ import pytest
 from divprotect.coding import (
     SearchParams,
     algorithm_one,
-    baseline_capacity_mm,
     decode_matrix,
     find_group,
     group_capacity_mm,
     redundancy_ratio,
     verify_decodable,
 )
+from divprotect.plan import shortest_working_capacity_mm
 from divprotect.topology import Flow, Topology
 from helpers import load_fixture, random_scenario
 
@@ -48,7 +48,7 @@ def test_find_group_star():
     assert [p.nodes for p in g.working] == [(0, 1, 5), (0, 2, 5), (0, 3, 5)]
     assert g.parity.nodes == (0, 4, 5)
     assert group_capacity_mm(g) == 800 * KM
-    assert baseline_capacity_mm(topo, flows) == 600 * KM
+    assert shortest_working_capacity_mm(topo, flows) == 600 * KM
     assert redundancy_ratio(topo, g) == pytest.approx(4 / 3, abs=1e-15)
 
 

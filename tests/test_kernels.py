@@ -39,16 +39,18 @@ def test_dijkstra_matches_path_enumeration():
         cut = int(rng.integers(0, topo.m))
         blocked[cut] = 1  # one blocked link
         for src in range(topo.n):
-            dist = kernels.dijkstra_distances(
-                topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm,
-                src, blocked,
-            )
             want = [
                 min((p[0] for p in all_simple_paths(topo, src, dst, {cut})),
                     default=INF_MM)
                 for dst in range(topo.n)
             ]
-            assert list(dist) == want, (seed, src)
+            # any per-link mask works; the planners pass blocked_mask's
+            for mask in (blocked, topo.blocked_mask([cut])):
+                dist = kernels.dijkstra_distances(
+                    topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm,
+                    src, mask,
+                )
+                assert list(dist) == want, (seed, src, type(mask))
 
 
 def test_dijkstra_unreachable_is_inf():

@@ -1,5 +1,6 @@
 import pytest
 
+from divprotect.kernels import INF_MM
 from divprotect.topology import (
     MM_PER_UNIT,
     Flow,
@@ -125,6 +126,12 @@ def test_make_path_and_route():
         (lambda t: t.replace("distance: 2.5", "distance: 0"), "must be positive"),
         (lambda t: t.replace("distance: 2.5", "distance: -1"), "must be positive"),
         (lambda t: t.replace("distance: 2.5", "distance: fast"), "expected a number"),
+        (lambda t: t.replace("distance: 2.5", "distance: .nan"), "must be a finite number"),
+        (lambda t: t.replace("distance: 2.5", "distance: .inf"), "must be a finite number"),
+        # reaches the INF_MM "unreachable" sentinel on its own
+        (lambda t: t.replace("distance: 2.5", "distance: 4611686018428"), "too large"),
+        # beyond the int64 range
+        (lambda t: t.replace("distance: 2.5", "distance: 10000000000000"), "too large"),
         (lambda t: t.replace("{a: 0, b: 2", "{a: 0, b: 9"), "endpoint out of range"),
         (lambda t: t.replace("{a: 0, b: 2", "{a: 2, b: 2"), "self-loop"),
         (lambda t: t.replace("{a: 0, b: 2", "{a: 1, b: 0"), "duplicate span 0-1"),
@@ -143,6 +150,14 @@ def test_scenario_errors_carry_context(mutate, phrase):
     with pytest.raises(ScenarioError) as err:
         load_scenario(mutate(TRIANGLE))
     assert phrase in str(err.value)
+
+
+def test_total_link_length_stays_below_the_sentinels():
+    limit = INF_MM // 4
+    topo = Topology(3, [(0, 1, limit - 3), (1, 2, 1), (0, 2, 1)])
+    assert sum(topo.link_mm) == limit - 1
+    with pytest.raises(ScenarioError, match="too large"):
+        Topology(3, [(0, 1, limit - 2), (1, 2, 1), (0, 2, 1)])
 
 
 def test_disconnected_topology_rejected():
@@ -177,6 +192,8 @@ def test_blocked_mask_accepts_ids_and_links():
     topo = sc.topology
     mask = topo.blocked_mask([0, topo.links[3]])
     assert list(mask) == [1, 0, 0, 1, 0, 0, 0]
+    # divbench's tracer keys each Dijkstra call on the mask's bytes
+    assert mask.tobytes() == bytes([1, 0, 0, 1, 0, 0, 0])
 
 
 def test_dump_quotes_names_only_when_needed():
