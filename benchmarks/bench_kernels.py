@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Timing of the Dijkstra and GF(2)-rank kernels.
+"""Timing of the Dijkstra and GF(2)-rank kernels and of cycle enumeration.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N] [--seed S] [--skip-end-to-end]
 
 Dijkstra runs on seeded ring-plus-chord graphs of 20, 60 and 120 nodes;
 the rank on random binary matrices from decode-matrix size (5x4) up.
+Cycle enumeration runs on one 16-node, 30-link graph, the shape of the
+benchmark's rings meshes (2,054 cycles of at most 12 hops at the
+default seed).
 The end-to-end row times a full dc plan and failure sweep of the largest
 bundled fixture.
 """
@@ -18,6 +21,7 @@ from divprotect import kernels
 from divprotect.cli import fixture_path
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep
+from divprotect.pcycle import enumerate_cycles
 from divprotect.topology import Topology, load_scenario
 
 
@@ -71,10 +75,12 @@ def main(argv=None) -> int:
         for r, c in ((5, 4), (24, 32), (64, 96))
         for _ in range(10)
     ]
+    cycle_calls = [(random_graph(rng, 16, 14),)]
 
     rows = [
         ("dijkstra", *bench(kernels.dijkstra_distances, dij_calls, args.repeats)),
         ("gf2_rank", *bench(kernels.gf2_rank, gf2_calls, args.repeats)),
+        ("cycles", *bench(enumerate_cycles, cycle_calls, args.repeats)),
     ]
     if not args.skip_end_to_end:
         with open(fixture_path("uslong-reconstruction"), encoding="utf-8") as fh:

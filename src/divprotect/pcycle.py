@@ -21,8 +21,9 @@ class Cycle:
     """Simple cycle in canonical ring form.
 
     nodes[0] is the smallest node on the cycle and nodes[1] < nodes[-1],
-    which makes rotations and reflections compare equal. links[i]
-    connects nodes[i] to nodes[(i+1) % len].
+    the one orientation of the ring that enumerate_cycles records, so a
+    ring has exactly one Cycle. links[i] connects nodes[i] to
+    nodes[(i+1) % len].
     """
 
     nodes: tuple[int, ...]
@@ -34,65 +35,60 @@ class Cycle:
         return len(self.links)
 
 
-def _canonical(topo: Topology, nodes: list[int]) -> Cycle:
-    ring = list(nodes)
-    if ring[1] > ring[-1]:
-        ring = [ring[0]] + ring[:0:-1]
-    links = []
-    total = 0
-    for i in range(len(ring)):
-        l = topo.link_between(ring[i], ring[(i + 1) % len(ring)])
-        links.append(l.id)
-        total += l.length_mm
-    return Cycle(tuple(ring), tuple(links), total)
-
-
 def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]:
     """All simple cycles with at most max_hops links.
 
     Default bound is min(n, 12); the cap keeps dense instances tractable
-    while small networks still get every cycle. Each cycle is reported
-    once, sorted by (distance, ring).
+    while small networks still get every cycle. A depth-first search from
+    each cycle's smallest node walks only larger nodes and closes a ring
+    only in its canonical orientation, so each cycle is found once, with
+    no deduplication. The result is sorted by (distance, ring).
     """
     if max_hops is None:
         max_hops = min(topo.n, 12)
+    nbrs = [topo.neighbors(v) for v in range(topo.n)]
+    link_mm = topo.link_mm
+    on_path = [False] * topo.n
     out = []
-    path = []
 
-    def dfs(anchor: int, v: int):
-        for w, _ in topo.neighbors(v):
-            if w == anchor and len(path) >= 3:
-                out.append(_canonical(topo, path))
-            elif w > anchor and w not in on_path and len(path) < max_hops:
-                # only nodes above the anchor: every cycle is discovered
-                # exactly once, rooted at its smallest node
+    def dfs(v: int, total: int):
+        for w, lid in nbrs[v]:
+            if w == anchor:
+                # path[1] < v also means at least three hops
+                if path[1] < v:
+                    out.append(Cycle(tuple(path), (*links, lid), total + link_mm[lid]))
+            elif w > anchor and not on_path[w] and len(path) < max_hops:
                 path.append(w)
-                on_path.add(w)
-                dfs(anchor, w)
-                on_path.remove(w)
+                links.append(lid)
+                on_path[w] = True
+                dfs(w, total + link_mm[lid])
+                on_path[w] = False
+                links.pop()
                 path.pop()
 
     for anchor in range(topo.n):
-        path = [anchor]
-        on_path = {anchor}
-        dfs(anchor, anchor)
-
-    # anchor-rooted DFS visits each cycle in both directions; canonical
-    # form collapses them
-    uniq = {c.nodes: c for c in out}
-    return sorted(uniq.values(), key=lambda c: (c.length_mm, c.nodes))
+        # the closing neighbour must exceed the first step, so the
+        # largest neighbour above the anchor never starts a cycle
+        for w, lid in [(w, lid) for w, lid in nbrs[anchor] if w > anchor][:-1]:
+            path = [anchor, w]
+            links = [lid]
+            on_path[w] = True
+            dfs(w, link_mm[lid])
+            on_path[w] = False
+    return sorted(out, key=lambda c: (c.length_mm, c.nodes))
 
 
 def _coverage(topo: Topology, cycle: Cycle):
-    """(on-cycle link ids, straddling link ids) for one cycle."""
+    """(sorted on-cycle link ids, straddling link ids in id order)."""
     on = set(cycle.links)
     node_set = set(cycle.nodes)
-    straddle = [
-        l.id
-        for l in topo.links
-        if l.id not in on and l.a in node_set and l.b in node_set
-    ]
-    return sorted(on), straddle
+    straddle = {
+        lid
+        for v in cycle.nodes
+        for w, lid in topo.neighbors(v)
+        if w in node_set and lid not in on
+    }
+    return sorted(on), sorted(straddle)
 
 
 def apriori_efficiency(topo: Topology, cycle: Cycle, need: np.ndarray) -> float:
@@ -128,12 +124,15 @@ def pc_design(
 
     cycles = enumerate_cycles(topo, max_hops)
     nc = len(cycles)
+    rows = np.repeat(np.arange(nc), [c.hops for c in cycles])
     on_mat = np.zeros((nc, topo.m), dtype=bool)
-    str_mat = np.zeros((nc, topo.m), dtype=bool)
-    for ci, c in enumerate(cycles):
-        on, straddle = _coverage(topo, c)
-        on_mat[ci, on] = True
-        str_mat[ci, straddle] = True
+    on_mat[rows, np.array([l for c in cycles for l in c.links], dtype=np.intp)] = True
+    has = np.zeros((nc, topo.n), dtype=bool)
+    has[rows, np.array([v for c in cycles for v in c.nodes], dtype=np.intp)] = True
+    # a straddling link has both endpoints on the cycle but is not on it
+    ends_a = np.array([l.a for l in topo.links], dtype=np.intp)
+    ends_b = np.array([l.b for l in topo.links], dtype=np.intp)
+    str_mat = has[:, ends_a] & has[:, ends_b] & ~on_mat
     lengths = np.array([c.length_mm for c in cycles], dtype=np.float64)
 
     need = working_cap.copy()

@@ -1,11 +1,15 @@
-"""Shared test utilities: fixture loading, randomized instances, and
+"""Shared test utilities: fixture loading, randomized instances,
 brute-force oracles kept deliberately independent of the library's
-algorithms (different enumeration strategies, no shared code paths)."""
+algorithms (different enumeration strategies, no shared code paths), and
+a reference copy of the p-cycle planner's earlier implementation."""
 from itertools import combinations, permutations
 
 import numpy as np
 
+from divprotect import routing
 from divprotect.cli import fixture_path
+from divprotect.pcycle import Cycle
+from divprotect.plan import SCHEME_PC, CycleSelection, ProtectionPlan
 from divprotect.topology import Flow, Scenario, Topology, load_scenario
 
 
@@ -111,3 +115,124 @@ def brute_cycles(topo: Topology):
                 if ok:
                     found[ring] = total
     return found
+
+
+# The p-cycle planner as it was before cycles were enumerated in one
+# orientation and its coverage matrices built in one vectorised pass:
+# every cycle is found in both directions and deduplicated in canonical
+# form, and each cycle's coverage scans every link. The plan it returns
+# must serialize to the same bytes as pcycle.pc_design's.
+
+
+def _ref_canonical(topo: Topology, nodes: list[int]) -> Cycle:
+    ring = list(nodes)
+    if ring[1] > ring[-1]:
+        ring = [ring[0]] + ring[:0:-1]
+    links = []
+    total = 0
+    for i in range(len(ring)):
+        l = topo.link_between(ring[i], ring[(i + 1) % len(ring)])
+        links.append(l.id)
+        total += l.length_mm
+    return Cycle(tuple(ring), tuple(links), total)
+
+
+def _ref_enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]:
+    if max_hops is None:
+        max_hops = min(topo.n, 12)
+    out = []
+    path = []
+
+    def dfs(anchor: int, v: int):
+        for w, _ in topo.neighbors(v):
+            if w == anchor and len(path) >= 3:
+                out.append(_ref_canonical(topo, path))
+            elif w > anchor and w not in on_path and len(path) < max_hops:
+                path.append(w)
+                on_path.add(w)
+                dfs(anchor, w)
+                on_path.remove(w)
+                path.pop()
+
+    for anchor in range(topo.n):
+        path = [anchor]
+        on_path = {anchor}
+        dfs(anchor, anchor)
+
+    uniq = {c.nodes: c for c in out}
+    return sorted(uniq.values(), key=lambda c: (c.length_mm, c.nodes))
+
+
+def all_links_coverage(topo: Topology, cycle: Cycle):
+    """(sorted on-cycle link ids, straddling link ids) by scanning every link."""
+    on = set(cycle.links)
+    node_set = set(cycle.nodes)
+    straddle = [
+        l.id
+        for l in topo.links
+        if l.id not in on and l.a in node_set and l.b in node_set
+    ]
+    return sorted(on), straddle
+
+
+def dense_pc_reference(
+    topo: Topology, demand, max_hops: int | None = None
+) -> ProtectionPlan:
+    flows = tuple(demand)
+    demand_idx = tuple(range(len(flows)))
+    working_paths = []
+    working_cap = np.zeros(topo.m, dtype=np.int64)
+    for f in flows:
+        w = routing.shortest_path(topo, f.src, f.dst)
+        if w is None:  # pragma: no cover - connected topologies
+            raise ValueError(f"no route {f.src}->{f.dst}")
+        working_paths.append(w)
+        for lid in w.links:
+            working_cap[lid] += f.rate
+
+    cycles = _ref_enumerate_cycles(topo, max_hops)
+    nc = len(cycles)
+    on_mat = np.zeros((nc, topo.m), dtype=bool)
+    str_mat = np.zeros((nc, topo.m), dtype=bool)
+    for ci, c in enumerate(cycles):
+        on, straddle = all_links_coverage(topo, c)
+        on_mat[ci, on] = True
+        str_mat[ci, straddle] = True
+    lengths = np.array([c.length_mm for c in cycles], dtype=np.float64)
+
+    need = working_cap.copy()
+    copies = np.zeros(nc, dtype=np.int64)
+    spare_cap = np.zeros(topo.m, dtype=np.int64)
+    while need.any():
+        protected = on_mat @ np.minimum(need, 1) + str_mat @ np.minimum(need, 2)
+        if nc == 0 or not protected.any():
+            break
+        best = int(np.argmax(protected / lengths))
+        if protected[best] == 0:
+            break
+        copies[best] += 1
+        spare_cap += on_mat[best]
+        need = np.maximum(need - on_mat[best] - 2 * str_mat[best], 0)
+
+    unprotected = []
+    if need.any():
+        bad = set(np.nonzero(need)[0])
+        for fid, w in enumerate(working_paths):
+            if bad & set(w.links):
+                unprotected.append(fid)
+
+    selections = tuple(
+        CycleSelection(cycles[ci].nodes, cycles[ci].links, cycles[ci].length_mm, int(k))
+        for ci, k in enumerate(copies)
+        if k > 0
+    )
+    return ProtectionPlan(
+        scheme=SCHEME_PC,
+        flows=flows,
+        demand_idx=demand_idx,
+        working_paths=tuple(working_paths),
+        working_cap=working_cap,
+        spare_cap=spare_cap,
+        cycles=selections,
+        unprotected=tuple(unprotected),
+    )

@@ -1,12 +1,22 @@
 import numpy as np
+import pytest
 
+from divprotect.cli import fixture_names
 from divprotect.pcycle import (
+    _coverage,
     apriori_efficiency,
     enumerate_cycles,
     pc_design,
 )
+from divprotect.plan import serialize_plan
 from divprotect.topology import Flow, Topology
-from helpers import brute_cycles, load_fixture
+from helpers import (
+    all_links_coverage,
+    brute_cycles,
+    dense_pc_reference,
+    load_fixture,
+    random_scenario,
+)
 
 KM = 1_000_000
 
@@ -78,6 +88,30 @@ def test_enumeration_matches_bruteforce_on_fixtures():
             assert c.length_mm == want[c.nodes]
 
 
+@pytest.mark.parametrize("seed", range(15))
+def test_enumeration_matches_bruteforce_within_hop_bound(seed):
+    topo, _ = random_scenario(seed, max_nodes=8)
+    want = brute_cycles(topo)
+    for h in (3, 4, topo.n):
+        got = enumerate_cycles(topo, max_hops=h)
+        assert [(c.nodes, c.length_mm) for c in got] == sorted(
+            ((ring, mm) for ring, mm in want.items() if len(ring) <= h),
+            key=lambda r: (r[1], r[0]),
+        )
+        for c in got:
+            assert c.links == tuple(
+                topo.link_between(a, b).id
+                for a, b in zip(c.nodes, c.nodes[1:] + c.nodes[:1])
+            )
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_coverage_matches_all_links_scan(name):
+    topo = load_fixture(name).topology
+    for c in enumerate_cycles(topo):
+        assert _coverage(topo, c) == all_links_coverage(topo, c)
+
+
 def test_apriori_efficiency_counts_straddlers_twice():
     # square with a diagonal: the 4-ring covers the diagonal twice
     topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
@@ -118,3 +152,27 @@ def test_pc_design_bridge_is_partial():
     assert plan.partial
     assert plan.unprotected == (0,)  # the flow crossing the bridge
     assert len(plan.cycles) == 1  # the triangle still protects flow 1
+
+
+def test_pc_design_on_a_tree_protects_nothing():
+    topo = km([(0, 1, 1), (1, 2, 1), (1, 3, 1)])
+    flows = [Flow(0, 2, 1), Flow(3, 0, 2)]
+    plan = pc_design(topo, flows)
+    assert plan.cycles == ()
+    assert plan.unprotected == (0, 1)
+    assert plan.partial
+    assert not plan.spare_cap.any()
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_pc_design_matches_dense_reference_on_fixtures(name):
+    sc = load_fixture(name)
+    want = serialize_plan(dense_pc_reference(sc.topology, sc.demands), sc.topology)
+    assert serialize_plan(pc_design(sc.topology, sc.demands), sc.topology) == want
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pc_design_matches_dense_reference_on_random_instances(seed):
+    topo, flows = random_scenario(seed)
+    want = serialize_plan(dense_pc_reference(topo, flows), topo)
+    assert serialize_plan(pc_design(topo, flows), topo) == want
