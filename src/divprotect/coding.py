@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import routing
 from .gf2 import Gf2Matrix
 from .plan import (
@@ -21,6 +19,7 @@ from .plan import (
     BackupPair,
     CodingGroup,
     ProtectionPlan,
+    link_load,
     shortest_working_capacity_mm,
     split_unit_flows,
 )
@@ -289,18 +288,11 @@ def algorithm_one(
         else:
             pairs.append(BackupPair(flow_id=i, working=w, backup=b))
 
-    working_cap = np.zeros(topo.m, dtype=np.int64)
-    spare_cap = np.zeros(topo.m, dtype=np.int64)
-    for p in working_paths:
-        if p is not None:
-            for lid in p.links:
-                working_cap[lid] += 1
-    for g in groups:
-        for lid in g.parity.links:
-            spare_cap[lid] += 1
-    for pair in pairs:
-        for lid in pair.backup.links:
-            spare_cap[lid] += 1
+    working_cap = link_load(topo.m, ((p.links, 1) for p in working_paths if p is not None))
+    spare_cap = link_load(
+        topo.m,
+        [(g.parity.links, 1) for g in groups] + [(pair.backup.links, 1) for pair in pairs],
+    )
 
     return ProtectionPlan(
         scheme=SCHEME_DC,

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coding import verify_decodable
 from .metrics import (
     FailureGeometry,
@@ -21,7 +19,14 @@ from .metrics import (
     rt_sr,
     scp,
 )
-from .plan import SCHEME_DC, SCHEME_PC, SCHEME_SR, ProtectionPlan, shortest_working_capacity_mm
+from .plan import (
+    SCHEME_DC,
+    SCHEME_PC,
+    SCHEME_SR,
+    ProtectionPlan,
+    link_load,
+    shortest_working_capacity_mm,
+)
 from .topology import Topology
 
 _RT_FN = {SCHEME_DC: rt_dc, SCHEME_SR: rt_sr, SCHEME_PC: rt_pc}
@@ -77,7 +82,7 @@ def _sweep_sr(topo, plan, lid, affected, p):
     pair_of = {pair.flow_id: pair for pair in plan.pairs}
     recovered = []
     geoms = []
-    backup_load = np.zeros(topo.m, dtype=np.int64)
+    rerouted = []
     for fid in affected:
         pair = pair_of.get(fid)
         if pair is None or lid in pair.backup.links:
@@ -97,9 +102,9 @@ def _sweep_sr(topo, plan, lid, affected, p):
             )
         )
         recovered.append(True)
-        for l in b.links:
-            backup_load[l] += plan.flows[fid].rate
-    cap_ok = bool(np.all(backup_load <= plan.spare_cap))
+        rerouted.append((b.links, plan.flows[fid].rate))
+    load = link_load(topo.m, rerouted)
+    cap_ok = all(x <= cap for x, cap in zip(load, plan.spare_cap))
     return recovered, geoms, cap_ok
 
 
@@ -225,11 +230,12 @@ def xor_stream_check(plan: ProtectionPlan, failed_link: int, payloads) -> list:
     """
     if plan.scheme != SCHEME_DC:
         raise ValueError("bit-level parity check applies to XOR parity plans")
-    payloads = [np.frombuffer(bytes(b), dtype=np.uint8) for b in payloads]
+    payloads = [bytes(b) for b in payloads]
     if len(payloads) != len(plan.flows):
         raise ValueError("one payload per flow required")
-    if len({p.shape for p in payloads}) > 1:
+    if len({len(p) for p in payloads}) > 1:
         raise ValueError("payloads must share a length")
+    words = [int.from_bytes(p, "big") for p in payloads]
 
     out: list[bytes | None] = [None] * len(plan.flows)
 
@@ -239,32 +245,32 @@ def xor_stream_check(plan: ProtectionPlan, failed_link: int, payloads) -> list:
 
     for g in plan.groups:
         parity_ok = failed_link not in g.parity.links
-        parity = np.zeros_like(payloads[g.flow_ids[0]])
+        parity = 0
         for fid in g.flow_ids:
-            parity ^= payloads[fid]
+            parity ^= words[fid]
         for fid in g.flow_ids:
             if deliver(fid):
-                out[fid] = payloads[fid].tobytes()
+                out[fid] = payloads[fid]
             elif parity_ok:
-                rebuilt = parity.copy()
+                rebuilt = parity
                 usable = True
                 for other in g.flow_ids:
                     if other == fid:
                         continue
                     if deliver(other):
-                        rebuilt ^= payloads[other]
+                        rebuilt ^= words[other]
                     else:
                         usable = False
                         break
                 if usable:
-                    out[fid] = rebuilt.tobytes()
+                    out[fid] = rebuilt.to_bytes(len(payloads[fid]), "big")
     for pair in plan.pairs:
         fid = pair.flow_id
         if deliver(fid):
-            out[fid] = payloads[fid].tobytes()
+            out[fid] = payloads[fid]
         elif failed_link not in pair.backup.links:
-            out[fid] = payloads[fid].tobytes()
+            out[fid] = payloads[fid]
     for fid in plan.unprotected:
         if deliver(fid):
-            out[fid] = payloads[fid].tobytes()
+            out[fid] = payloads[fid]
     return out

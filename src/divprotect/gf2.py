@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 
 
@@ -23,11 +21,6 @@ class Gf2Matrix:
         if not self.rows:
             return (0, 0)
         return (len(self.rows), len(self.rows[0]))
-
-    def to_array(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return np.array(self.rows, dtype=np.uint8)
 
     def rank(self) -> int:
         return kernels.gf2_rank(self.rows)

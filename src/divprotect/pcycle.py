@@ -7,12 +7,13 @@ endpoints on the cycle, link not on it) twice per copy.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import routing
-from .plan import SCHEME_PC, CycleSelection, ProtectionPlan
+from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, link_load
 from .topology import Topology
 
 
@@ -91,7 +92,7 @@ def _coverage(topo: Topology, cycle: Cycle):
     return sorted(on), sorted(straddle)
 
 
-def apriori_efficiency(topo: Topology, cycle: Cycle, need: np.ndarray) -> float:
+def apriori_efficiency(topo: Topology, cycle: Cycle, need: Sequence[int]) -> float:
     """Unmet working units this cycle can protect, per unit distance."""
     on, straddle = _coverage(topo, cycle)
     protected = 0
@@ -113,14 +114,12 @@ def pc_design(
     flows = tuple(demand)
     demand_idx = tuple(range(len(flows)))
     working_paths = []
-    working_cap = np.zeros(topo.m, dtype=np.int64)
     for f in flows:
         w = routing.shortest_path(topo, f.src, f.dst)
         if w is None:  # pragma: no cover - connected topologies
             raise ValueError(f"no route {f.src}->{f.dst}")
         working_paths.append(w)
-        for lid in w.links:
-            working_cap[lid] += f.rate
+    working_cap = link_load(topo.m, ((w.links, f.rate) for f, w in zip(flows, working_paths)))
 
     cycles = enumerate_cycles(topo, max_hops)
     nc = len(cycles)
@@ -135,9 +134,8 @@ def pc_design(
     str_mat = has[:, ends_a] & has[:, ends_b] & ~on_mat
     lengths = np.array([c.length_mm for c in cycles], dtype=np.float64)
 
-    need = working_cap.copy()
+    need = np.array(working_cap, dtype=np.int64)
     copies = np.zeros(nc, dtype=np.int64)
-    spare_cap = np.zeros(topo.m, dtype=np.int64)
     while need.any():
         protected = on_mat @ np.minimum(need, 1) + str_mat @ np.minimum(need, 2)
         if nc == 0 or not protected.any():
@@ -148,7 +146,6 @@ def pc_design(
         if protected[best] == 0:
             break
         copies[best] += 1
-        spare_cap += on_mat[best]
         need = np.maximum(need - on_mat[best] - 2 * str_mat[best], 0)
 
     unprotected = []
@@ -163,6 +160,7 @@ def pc_design(
         for ci, k in enumerate(copies)
         if k > 0
     )
+    spare_cap = link_load(topo.m, ((sel.links, sel.copies) for sel in selections))
     return ProtectionPlan(
         scheme=SCHEME_PC,
         flows=flows,

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import routing
 from .topology import Flow, Path, Route, Topology
 
@@ -64,12 +62,18 @@ class CycleSelection:
 
 @dataclass
 class ProtectionPlan:
+    """One scheme's routes, recovery structures and link capacities.
+
+    ``working_cap`` and ``spare_cap`` hold, per link in link-id order,
+    the working and spare units the plan reserves, as exact ints.
+    """
+
     scheme: str
     flows: tuple[Flow, ...]
     demand_idx: tuple[int, ...]
     working_paths: tuple[Path, ...]
-    working_cap: np.ndarray
-    spare_cap: np.ndarray
+    working_cap: tuple[int, ...]
+    spare_cap: tuple[int, ...]
     groups: tuple[CodingGroup, ...] = ()
     pairs: tuple[BackupPair, ...] = ()
     cycles: tuple[CycleSelection, ...] = ()
@@ -80,13 +84,22 @@ class ProtectionPlan:
         return len(self.unprotected) > 0
 
     def working_capacity_mm(self, topo: Topology) -> int:
-        return int(np.dot(self.working_cap, topo.link_mm))
+        return sum(c * mm for c, mm in zip(self.working_cap, topo.link_mm))
 
     def spare_capacity_mm(self, topo: Topology) -> int:
-        return int(np.dot(self.spare_cap, topo.link_mm))
+        return sum(c * mm for c, mm in zip(self.spare_cap, topo.link_mm))
 
     def total_capacity_mm(self, topo: Topology) -> int:
         return self.working_capacity_mm(topo) + self.spare_capacity_mm(topo)
+
+
+def link_load(m: int, loads) -> tuple[int, ...]:
+    """Per-link sums of ``(link ids, amount)`` loads over m links."""
+    out = [0] * m
+    for links, amount in loads:
+        for lid in links:
+            out[lid] += amount
+    return tuple(out)
 
 
 def split_unit_flows(demand) -> tuple[tuple[Flow, ...], tuple[int, ...]]:
@@ -202,8 +215,8 @@ def serialize_plan(plan: ProtectionPlan, topo: Topology) -> str:
                        f"links: [{', '.join(str(l) for l in sel.links)}], copies: {sel.copies}}}")
     if plan.unprotected:
         out.append(f"unprotected: [{', '.join(str(i) for i in plan.unprotected)}]")
-    out.append(f"working_cap: [{', '.join(str(int(x)) for x in plan.working_cap)}]")
-    out.append(f"spare_cap: [{', '.join(str(int(x)) for x in plan.spare_cap)}]")
+    out.append(f"working_cap: [{', '.join(str(x) for x in plan.working_cap)}]")
+    out.append(f"spare_cap: [{', '.join(str(x) for x in plan.spare_cap)}]")
     acts = recovery_actions(plan, topo)
     out.append("recovery:")
     for lid in range(topo.m):

@@ -8,10 +8,8 @@ capacity is not reused during recovery.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import routing
-from .plan import SCHEME_SR, BackupPair, ProtectionPlan
+from .plan import SCHEME_SR, BackupPair, ProtectionPlan, link_load
 from .topology import Topology
 
 
@@ -29,20 +27,13 @@ def sr_design(topo: Topology, demand) -> ProtectionPlan:
         else:
             pairs.append(BackupPair(flow_id=i, working=w, backup=b))
 
-    working_cap = np.zeros(topo.m, dtype=np.int64)
-    for f, w in zip(flows, working_paths):
-        for lid in w.links:
-            working_cap[lid] += f.rate
+    working_cap = link_load(topo.m, ((w.links, f.rate) for f, w in zip(flows, working_paths)))
 
     # spare[l] = max over single failures of the backup rate crossing l
-    spare_cap = np.zeros(topo.m, dtype=np.int64)
+    spare_cap = (0,) * topo.m
     for failed in range(topo.m):
-        load = np.zeros(topo.m, dtype=np.int64)
-        for pair in pairs:
-            if failed in pair.working.links:
-                for lid in pair.backup.links:
-                    load[lid] += flows[pair.flow_id].rate
-        np.maximum(spare_cap, load, out=spare_cap)
+        hit = [(p.backup.links, flows[p.flow_id].rate) for p in pairs if failed in p.working.links]
+        spare_cap = tuple(map(max, spare_cap, link_load(topo.m, hit)))
 
     return ProtectionPlan(
         scheme=SCHEME_SR,

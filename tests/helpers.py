@@ -231,8 +231,8 @@ def dense_pc_reference(
         flows=flows,
         demand_idx=demand_idx,
         working_paths=tuple(working_paths),
-        working_cap=working_cap,
-        spare_cap=spare_cap,
+        working_cap=tuple(working_cap.tolist()),
+        spare_cap=tuple(spare_cap.tolist()),
         cycles=selections,
         unprotected=tuple(unprotected),
     )

@@ -155,6 +155,33 @@ demands:
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "distance, rate, schemes, scps",
+    [
+        # 100 units over 1e17 mm links: capacity-distance passes 2^63
+        (100_000_000_000, 100, "sr,pc", ["300.0000", "400.0000"]),
+        # a rate that no 64-bit integer holds
+        (1, 2**64, "sr", ["300.0000"]),
+    ],
+)
+def test_compare_capacity_sums_are_exact(tmp_path, distance, rate, schemes, scps):
+    scenario = tmp_path / "ring.yaml"
+    links = "".join(
+        f"    - {{a: {a}, b: {(a + 1) % 4}, distance: {distance}}}\n" for a in range(4)
+    )
+    scenario.write_text(
+        "topology:\n  unit: km\n  nodes: [{id: 0}, {id: 1}, {id: 2}, {id: 3}]\n"
+        f"  links:\n{links}demands:\n  - {{src: 0, dst: 1, rate: {rate}}}\n",
+        encoding="utf-8",
+    )
+    code, text = run(tmp_path, "compare", "--scenario", str(scenario), "--schemes", schemes)
+    assert code == 0
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [r[1] for r in rows] == scps
+    for r in rows:
+        assert all(0 < float(q) <= 1 for q in r[6:])
+
+
 def test_exit_error_cases(tmp_path, capsys):
     assert main(["compare", "--scenario", "definitely-missing.yaml"]) == 1
     assert "error:" in capsys.readouterr().err

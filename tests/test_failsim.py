@@ -48,8 +48,6 @@ def test_dc_restoration_time_is_decode_only():
     # no switching: 100us detect + 2x100us node visits, and the skew
     # clamps to zero when the parity copy arrives before the lost
     # working signal would have (the decode buffer absorbs it)
-    import numpy as np
-
     from divprotect.plan import CodingGroup, ProtectionPlan
 
     topo = Topology.from_edge_list(
@@ -59,19 +57,13 @@ def test_dc_restoration_time_is_decode_only():
     w = topo.make_path([0, 1, 3])  # 20 km
     parity = topo.make_route([0, 4, 3])  # 2 km: arrives 18 km early
     group = CodingGroup(flow_ids=(0,), working=(w,), parity=parity, decode_node=3)
-    working_cap = np.zeros(topo.m, dtype=np.int64)
-    spare_cap = np.zeros(topo.m, dtype=np.int64)
-    for lid in w.links:
-        working_cap[lid] += 1
-    for lid in parity.links:
-        spare_cap[lid] += 1
     plan = ProtectionPlan(
         scheme="dc",
         flows=(Flow(0, 3, 1),),
         demand_idx=(0,),
         working_paths=(w,),
-        working_cap=working_cap,
-        spare_cap=spare_cap,
+        working_cap=tuple(int(lid in w.links) for lid in range(topo.m)),
+        spare_cap=tuple(int(lid in parity.links) for lid in range(topo.m)),
         groups=(group,),
     )
     _, res = sweep(topo, plan)
@@ -110,10 +102,16 @@ def test_partial_plan_reported():
 def test_xor_stream_recovers_bytes():
     sc = load_fixture("example2")
     plan = algorithm_one(sc.topology, sc.demands)
-    payloads = [b"alpha-stream", b"bravo-bytes!", b"charlie-data", b"delta-takes4"]
-    for lid in range(sc.topology.m):
-        got = xor_stream_check(plan, lid, payloads)
-        assert got == [bytes(p) for p in payloads]
+    cases = [
+        [b"alpha-stream", b"bravo-bytes!", b"charlie-data", b"delta-takes4"],
+        # leading and trailing zero bytes must survive the XOR
+        [b"\x00\x00a", b"\x00\x00\x00", b"z\x00\x00", b"\x00\x01\x00"],
+        [b""] * 4,
+    ]
+    for payloads in cases:
+        for lid in range(sc.topology.m):
+            got = xor_stream_check(plan, lid, payloads)
+            assert got == [bytes(p) for p in payloads]
 
 
 def test_xor_stream_reports_losses():

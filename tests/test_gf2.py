@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from divprotect.gf2 import Gf2Matrix
@@ -30,13 +29,6 @@ def test_empty_matrix():
     m = Gf2Matrix.from_rows([])
     assert m.shape == (0, 0)
     assert m.rank() == 0
-    assert m.to_array().shape == (0, 0)
-
-
-def test_to_array_dtype():
-    arr = Gf2Matrix.from_rows([[1, 0], [1, 1]]).to_array()
-    assert arr.dtype == np.uint8
-    assert arr.tolist() == [[1, 0], [1, 1]]
 
 
 def test_frozen():

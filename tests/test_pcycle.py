@@ -161,7 +161,7 @@ def test_pc_design_on_a_tree_protects_nothing():
     assert plan.cycles == ()
     assert plan.unprotected == (0, 1)
     assert plan.partial
-    assert not plan.spare_cap.any()
+    assert not any(plan.spare_cap)
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -1,5 +1,7 @@
-import numpy as np
+import ast
+from pathlib import Path
 
+import divprotect
 from divprotect.coding import algorithm_one
 from divprotect.pcycle import pc_design
 from divprotect.plan import (
@@ -159,3 +161,20 @@ def test_recovery_actions_mechanisms():
     assert all(e["mechanism"] == "cycle-detour" for rows in acts.values() for e in rows)
     # every action names at least one cycle able to cover its link
     assert all(e["cycles"] for rows in acts.values() for e in rows)
+
+
+def test_only_pcycle_imports_numpy():
+    # the package imports pcycle eagerly, so a subprocess that blocks
+    # numpy cannot check this; read each module's import statements
+    importers = set()
+    for path in Path(divprotect.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                importers.add(path.name)
+    assert importers == {"pcycle.py"}

@@ -1,5 +1,3 @@
-import numpy as np
-
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow, Topology
 from helpers import load_fixture
@@ -26,19 +24,19 @@ def test_sharing_beats_dedicated_sum():
     sc = load_fixture("example2")
     topo = sc.topology
     plan = sr_design(topo, sc.demands)
-    dedicated = np.zeros(topo.m, dtype=np.int64)
+    dedicated = [0] * topo.m
     for pair in plan.pairs:
         for lid in pair.backup.links:
             dedicated[lid] += plan.flows[pair.flow_id].rate
-    assert np.all(plan.spare_cap <= dedicated)
-    assert plan.spare_cap.sum() < dedicated.sum()
+    assert all(s <= d for s, d in zip(plan.spare_cap, dedicated))
+    assert sum(plan.spare_cap) < sum(dedicated)
 
 
 def test_rate_carried_through():
     topo = load_fixture("fig1-star").topology
     plan = sr_design(topo, [Flow(0, 5, 3)])
-    assert plan.working_cap.max() == 3
-    assert plan.spare_cap.max() == 3
+    assert max(plan.working_cap) == 3
+    assert max(plan.spare_cap) == 3
 
 
 def test_trap_pair_fallback():
