@@ -15,7 +15,6 @@ from .coding import (
     verify_decodable,
 )
 from .failsim import FailureReport, sweep, xor_stream_check
-from .gf2 import Gf2Matrix
 from .metrics import (
     FailureGeometry,
     RtParams,

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import routing
-from .gf2 import Gf2Matrix
+from . import kernels, routing
 from .plan import (
     SCHEME_DC,
     BackupPair,
@@ -40,11 +39,6 @@ class SearchParams:
     ratio_high: float = 3.0
     ratio_step: float = 0.2
     max_group_size: int = 4
-    # Combination guard for dense instances: with more than
-    # dense_flow_limit flows sharing a destination, only sources within
-    # source_hop_radius hops of each other are considered together.
-    dense_flow_limit: int = 12
-    source_hop_radius: int = 3
 
     def __post_init__(self):
         if self.ratio_low < 1.0:
@@ -66,6 +60,13 @@ class SearchParams:
             out.append(t)
             i += 1
         return out
+
+
+# Combination guard for dense instances: with more than _DENSE_FLOW_LIMIT
+# flows sharing a destination, only sources within _SOURCE_HOP_RADIUS hops
+# of each other are considered together.
+_DENSE_FLOW_LIMIT = 12
+_SOURCE_HOP_RADIUS = 3
 
 
 def group_capacity_mm(group: CodingGroup) -> int:
@@ -140,8 +141,9 @@ def find_group(topo: Topology, flows, flow_ids=None) -> CodingGroup | None:
     """Route a parity group for the given flows, or report infeasibility.
 
     Flows must share a destination and carry equal rates. Working paths
-    are a min-total-length pairwise link-disjoint set (one per flow);
-    the parity trail additionally avoids all of them. Either failing to
+    are a min-total-length pairwise link-disjoint set (one per flow, the
+    shorter route of a shared source going to the earlier flow); the
+    parity trail additionally avoids all of them. Either failing to
     route kills the group.
     """
     flows = list(flows)
@@ -158,28 +160,13 @@ def find_group(topo: Topology, flows, flow_ids=None) -> CodingGroup | None:
     workings = routing.disjoint_routes(topo, [f.src for f in flows], dst)
     if workings is None:
         return None
-    # Deterministic flow->path assignment: among paths sharing a start
-    # node, shorter (then lexicographically smaller) goes to the earlier
-    # flow.
-    by_src: dict[int, list[Path]] = {}
-    for p in workings:
-        by_src.setdefault(p.src, []).append(p)
-    for row in by_src.values():
-        row.sort(key=lambda p: (p.length_mm, p.nodes))
-    taken: dict[int, int] = {}
-    assigned = []
-    for f in flows:
-        k = taken.get(f.src, 0)
-        assigned.append(by_src[f.src][k])
-        taken[f.src] = k + 1
-
-    blocked = {lid for p in assigned for lid in p.links}
+    blocked = {lid for p in workings for lid in p.links}
     parity = _parity_route(topo, [f.src for f in flows], dst, blocked)
     if parity is None:
         return None
     return CodingGroup(
         flow_ids=tuple(flow_ids),
-        working=tuple(assigned),
+        working=tuple(workings),
         parity=parity,
         decode_node=dst,
     )
@@ -212,7 +199,7 @@ def algorithm_one(
     for i, f in enumerate(flows):
         by_dst.setdefault(f.dst, []).append(i)
 
-    hop_ok = _make_hop_guard(topo, flows, by_dst, params)
+    hop_ok = _make_hop_guard(topo, flows, by_dst)
 
     cache: dict[frozenset, tuple[CodingGroup, int, int] | None] = {}
 
@@ -249,7 +236,9 @@ def algorithm_one(
         for size in range(params.max_group_size, 1, -1):
             for dst in sorted(by_dst):
                 ids = by_dst[dst]
-                if len(ids) < size:
+                # size link-disjoint working paths enter dst on size
+                # distinct links and the parity trail needs one more
+                if len(ids) < size or topo.degree(dst) <= size:
                     continue
                 for combo in combinations(ids, size):
                     if not all(alive[i] for i in combo):
@@ -307,8 +296,8 @@ def algorithm_one(
     )
 
 
-def _make_hop_guard(topo, flows, by_dst, params):
-    dense = {d for d, ids in by_dst.items() if len(ids) > params.dense_flow_limit}
+def _make_hop_guard(topo, flows, by_dst):
+    dense = {d for d, ids in by_dst.items() if len(ids) > _DENSE_FLOW_LIMIT}
     if not dense:
         return lambda combo: True
     hop = {}
@@ -323,33 +312,33 @@ def _make_hop_guard(topo, flows, by_dst, params):
         if f0.dst not in dense:
             return True
         srcs = [flows[i].src for i in combo]
-        r = params.source_hop_radius
         for a in srcs:
             for b in srcs:
-                if hop[a][b] > r:
+                if hop[a][b] > _SOURCE_HOP_RADIUS:
                     return False
         return True
 
     return ok
 
 
-def decode_matrix(group: CodingGroup, failed_link: int | None) -> Gf2Matrix:
-    """Rows received at the decode node after a link failure.
+def decode_matrix(
+    group: CodingGroup, failed_link: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """Binary rows received at the decode node after a link failure.
 
     Surviving working path i contributes unit row e_i; a surviving
-    parity trail contributes the all-ones row. Full column rank means
-    every stream is recoverable by XOR combination.
+    parity trail contributes the all-ones row. Full column rank over
+    GF(2) means every stream is recoverable by XOR combination.
     """
     n = group.size
-    rows = []
-    for i, w in enumerate(group.working):
-        if failed_link is None or failed_link not in w.links:
-            row = [0] * n
-            row[i] = 1
-            rows.append(row)
+    rows = [
+        tuple(int(j == i) for j in range(n))
+        for i, w in enumerate(group.working)
+        if failed_link is None or failed_link not in w.links
+    ]
     if failed_link is None or failed_link not in group.parity.links:
-        rows.append([1] * n)
-    return Gf2Matrix.from_rows(rows)
+        rows.append((1,) * n)
+    return tuple(rows)
 
 
 def verify_decodable(plan: ProtectionPlan, failed_link: int) -> list[bool]:
@@ -366,7 +355,7 @@ def verify_decodable(plan: ProtectionPlan, failed_link: int) -> list[bool]:
         hit = [i for i, w in enumerate(g.working) if failed_link in w.links]
         if not hit:
             continue
-        full = decode_matrix(g, failed_link).rank() == g.size
+        full = kernels.gf2_rank(decode_matrix(g, failed_link)) == g.size
         for i in hit:
             ok[g.flow_ids[i]] = full
     for pair in plan.pairs:

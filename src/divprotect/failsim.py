@@ -24,6 +24,7 @@ from .plan import (
     SCHEME_PC,
     SCHEME_SR,
     ProtectionPlan,
+    detour_arcs,
     link_load,
     shortest_working_capacity_mm,
 )
@@ -108,34 +109,9 @@ def _sweep_sr(topo, plan, lid, affected, p):
     return recovered, geoms, cap_ok
 
 
-def _detour_arcs(topo, plan, lid):
-    """Protection arcs available for a failed span, over bought copies.
-
-    An on-cycle copy offers the long way round; a straddling copy offers
-    both ring arcs between the span's endpoints.
-    """
-    a, b = topo.links[lid].a, topo.links[lid].b
-    arcs = []
-    for sel in plan.cycles:
-        ring = sel.nodes
-        size = len(ring)
-        if lid in sel.links:
-            hops = size - 1
-            length = sel.length_mm - topo.link_mm[lid]
-            arcs.extend([(length, hops)] * sel.copies)
-        elif a in ring and b in ring:
-            ia, ib = ring.index(a), ring.index(b)
-            lo, hi = min(ia, ib), max(ia, ib)
-            seg1 = sum(topo.link_mm[sel.links[k]] for k in range(lo, hi))
-            hops1 = hi - lo
-            arcs.extend([(seg1, hops1)] * sel.copies)
-            arcs.extend([(sel.length_mm - seg1, size - hops1)] * sel.copies)
-    arcs.sort()
-    return arcs
-
-
 def _sweep_pc(topo, plan, lid, affected, p):
-    arcs = _detour_arcs(topo, plan, lid)
+    # one detour per unit of rate, shortest first, over every bought copy
+    arcs = sorted(arc for sel in plan.cycles for arc in detour_arcs(topo, sel, lid) * sel.copies)
     recovered = []
     geoms = []
     nxt = 0

@@ -1,9 +1,9 @@
 """Pre-configured protection cycles baseline.
 
 Cycles are enumerated up to a hop bound and bought greedily by a-priori
-efficiency: protected working units per unit of cycle distance, where an
-on-cycle link is protected once per copy and a straddling link (both
-endpoints on the cycle, link not on it) twice per copy.
+efficiency: protected working units per unit of cycle distance. A copy
+protects a link once per detour ``plan.detour_arcs`` gives it; pc_design
+holds the same rule as coverage matrices so one mat-vec scores them all.
 """
 from __future__ import annotations
 
@@ -13,8 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import routing
-from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, link_load
-from .topology import Topology
+from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, detour_arcs, link_load
+from .topology import ScenarioError, Topology
+
+# largest per-link working load the int64 coverage arithmetic holds
+_MAX_LOAD = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -79,33 +82,15 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     return sorted(out, key=lambda c: (c.length_mm, c.nodes))
 
 
-def _coverage(topo: Topology, cycle: Cycle):
-    """(sorted on-cycle link ids, straddling link ids in id order)."""
-    on = set(cycle.links)
-    node_set = set(cycle.nodes)
-    straddle = {
-        lid
-        for v in cycle.nodes
-        for w, lid in topo.neighbors(v)
-        if w in node_set and lid not in on
-    }
-    return sorted(on), sorted(straddle)
-
-
 def apriori_efficiency(topo: Topology, cycle: Cycle, need: Sequence[int]) -> float:
     """Unmet working units this cycle can protect, per unit distance."""
-    on, straddle = _coverage(topo, cycle)
-    protected = 0
-    for lid in on:
-        protected += min(int(need[lid]), 1)
-    for lid in straddle:
-        protected += min(int(need[lid]), 2)
+    protected = sum(
+        min(int(need[lid]), len(detour_arcs(topo, cycle, lid))) for lid in range(topo.m)
+    )
     return protected / cycle.length_mm
 
 
-def pc_design(
-    topo: Topology, demand, max_hops: int | None = None
-) -> ProtectionPlan:
+def pc_design(topo: Topology, demand) -> ProtectionPlan:
     """Greedy unit-copy selection until every working unit is covered.
 
     Links whose working load cannot be covered by any cycle (bridges)
@@ -121,7 +106,14 @@ def pc_design(
         working_paths.append(w)
     working_cap = link_load(topo.m, ((w.links, f.rate) for f, w in zip(flows, working_paths)))
 
-    cycles = enumerate_cycles(topo, max_hops)
+    for lid, load in enumerate(working_cap):
+        if load > _MAX_LOAD:
+            raise ScenarioError(
+                f"link {lid} carries a working load of {load} units; "
+                f"p-cycle planning counts at most {_MAX_LOAD} per link"
+            )
+
+    cycles = enumerate_cycles(topo)
     nc = len(cycles)
     rows = np.repeat(np.arange(nc), [c.hops for c in cycles])
     on_mat = np.zeros((nc, topo.m), dtype=bool)

@@ -132,6 +132,26 @@ def shortest_working_capacity_mm(topo: Topology, demand) -> int:
     return total
 
 
+def detour_arcs(topo: Topology, cycle, lid: int) -> list[tuple[int, int]]:
+    """Detours one copy of a protection cycle offers failed link lid.
+
+    ``cycle`` is a ``CycleSelection`` or a ``pcycle.Cycle``. Each detour
+    is ``(length_mm, hops)``: an on-cycle link gets the long way round, a
+    straddling link (both endpoints on the cycle, link not on it) gets
+    both ring arcs between its endpoints, and any other link gets none
+    (Grover & Stamatelakis, 1998).
+    """
+    if lid in cycle.links:
+        return [(cycle.length_mm - topo.link_mm[lid], len(cycle.links) - 1)]
+    ring = cycle.nodes
+    link = topo.links[lid]
+    if link.a not in ring or link.b not in ring:
+        return []
+    lo, hi = sorted((ring.index(link.a), ring.index(link.b)))
+    arc_mm = sum(topo.link_mm[k] for k in cycle.links[lo:hi])
+    return [(arc_mm, hi - lo), (cycle.length_mm - arc_mm, len(ring) - hi + lo)]
+
+
 def _path_doc(p) -> str:
     nodes = ", ".join(str(v) for v in p.nodes)
     links = ", ".join(str(l) for l in p.links)
@@ -163,15 +183,7 @@ def recovery_actions(plan: ProtectionPlan, topo: Topology) -> dict[int, list[dic
             if w is None:
                 continue
             for lid in w.links:
-                cys = [
-                    ci
-                    for ci, sel in enumerate(plan.cycles)
-                    if lid in sel.links
-                    or (
-                        topo.links[lid].a in sel.nodes
-                        and topo.links[lid].b in sel.nodes
-                    )
-                ]
+                cys = [ci for ci, sel in enumerate(plan.cycles) if detour_arcs(topo, sel, lid)]
                 add(lid, {"flow": fid, "mechanism": "cycle-detour", "cycles": cys})
     for lid in actions:
         actions[lid].sort(key=lambda e: e["flow"])

@@ -73,16 +73,16 @@ def hop_distances(topo: Topology, src: int) -> list[int]:
     return dist
 
 
-def disjoint_routes(
-    topo: Topology, sources, dst: int, excluded=()
-) -> list[Path] | None:
+def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
     """Min-total-length pairwise link-disjoint paths, one per source entry.
 
-    Sources may repeat (several routes leaving one node). Solved as a
-    unit-capacity min-cost flow with successive shortest augmenting
-    paths, so trap layouts where greedy remove-and-reroute fails are
-    handled: earlier routes are re-split when an augmentation cancels
-    part of them. Returns None when no disjoint set of this size exists.
+    Sources may repeat (several routes leaving one node); the entries of
+    a repeated source get its routes shortest first, then by node
+    sequence. Solved as a unit-capacity min-cost flow with successive
+    shortest augmenting paths, so trap layouts where greedy
+    remove-and-reroute fails are handled: earlier routes are re-split
+    when an augmentation cancels part of them. Returns None when no
+    disjoint set of this size exists.
     """
     sources = list(sources)
     k = len(sources)
@@ -90,7 +90,7 @@ def disjoint_routes(
         return []
     if any(s == dst for s in sources):
         raise ValueError("a source equals the destination")
-    base_blocked = topo.blocked_mask(excluded)
+    arcs = [(l.id, l.a, l.b, topo.link_mm[l.id]) for l in topo.links]
     # orient[l]: 0 unused, +1 carries flow a->b, -1 carries flow b->a
     orient = [0] * topo.m
     supply: dict[int, int] = {}
@@ -98,7 +98,7 @@ def disjoint_routes(
         supply[s] = supply.get(s, 0) + 1
 
     for _ in range(k):
-        parent_node, parent_link = _augment(topo, base_blocked, orient, supply, dst)
+        parent_node, parent_link = _augment(topo.n, arcs, orient, supply, dst)
         if parent_node is None:
             return None
         # walk dst back to the source the search reached
@@ -123,19 +123,15 @@ def disjoint_routes(
 _UNREACHED = (2**63 - 1) // 4
 
 
-def _augment(topo, base_blocked, orient, supply, dst):
+def _augment(n, arcs, orient, supply, dst):
     """Bellman-Ford over the residual graph; reverse arcs cost -length."""
     if not supply:
         return None, None
-    n = topo.n
     dist = [_UNREACHED] * n
     parent_node = [-1] * n
     parent_link = [-1] * n
     for s in supply:
         dist[s] = 0
-    arcs = [
-        (l.id, l.a, l.b, topo.link_mm[l.id]) for l in topo.links if not base_blocked[l.id]
-    ]
     for _ in range(n):
         changed = False
         for lid, a, b, w in arcs:
@@ -174,7 +170,7 @@ def _decompose(topo, orient, sources, dst):
     for row in out.values():
         row.sort()
     used = set()
-    paths = []
+    walks: dict[int, list[Path]] = {}
     for s in sources:
         nodes = [s]
         links = []
@@ -193,11 +189,14 @@ def _decompose(topo, orient, sources, dst):
             total += topo.link_mm[nxt[0]]
             nodes.append(nxt[1])
             v = nxt[1]
-        paths.append(Path(tuple(nodes), tuple(links), total))
-    return paths
+        walks.setdefault(s, []).append(Path(tuple(nodes), tuple(links), total))
+    # hand each repeated source's paths out shortest first
+    for row in walks.values():
+        row.sort(key=lambda p: (p.length_mm, p.nodes), reverse=True)
+    return [walks[s].pop() for s in sources]
 
 
-def disjoint_path_pair(topo: Topology, src: int, dst: int, excluded=()):
+def disjoint_path_pair(topo: Topology, src: int, dst: int):
     """Two link-disjoint src->dst paths of minimum combined length.
 
     Returns (shorter, longer) or None when the src-dst min-cut is 1.
@@ -205,11 +204,8 @@ def disjoint_path_pair(topo: Topology, src: int, dst: int, excluded=()):
     blocks every second route gets repaired rather than reported as a
     failure.
     """
-    routes = disjoint_routes(topo, [src, src], dst, excluded=excluded)
-    if routes is None:
-        return None
-    a, b = sorted(routes, key=lambda p: (p.length_mm, p.nodes))
-    return a, b
+    routes = disjoint_routes(topo, [src, src], dst)
+    return None if routes is None else tuple(routes)
 
 
 def protected_pair(topo: Topology, src: int, dst: int):

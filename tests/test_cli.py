@@ -36,6 +36,19 @@ def run(tmp_path, *argv):
     return code, out.read_text(encoding="utf-8")
 
 
+def write_ring(path, distance, rate):
+    """A 4-node ring of equal links with one demand 0->1 at the given rate."""
+    links = "".join(
+        f"    - {{a: {a}, b: {(a + 1) % 4}, distance: {distance}}}\n" for a in range(4)
+    )
+    path.write_text(
+        "topology:\n  unit: km\n  nodes: [{id: 0}, {id: 1}, {id: 2}, {id: 3}]\n"
+        f"  links:\n{links}demands:\n  - {{src: 0, dst: 1, rate: {rate}}}\n",
+        encoding="utf-8",
+    )
+    return path
+
+
 def test_bundled_fixture_discovery():
     assert fixture_names() == FIXTURES
     assert fixture_path("example2") is not None
@@ -44,7 +57,7 @@ def test_bundled_fixture_discovery():
 
 
 def test_fixture_dir_override(tmp_path, monkeypatch):
-    src = open(fixture_path("example2"), encoding="utf-8").read()
+    src = Path(fixture_path("example2")).read_text(encoding="utf-8")
     (tmp_path / "mine.yaml").write_text(src, encoding="utf-8")
     monkeypatch.setenv("DIVPROTECT_FIXTURES", str(tmp_path))
     assert fixture_names() == ["mine"]
@@ -165,15 +178,7 @@ demands:
     ],
 )
 def test_compare_capacity_sums_are_exact(tmp_path, distance, rate, schemes, scps):
-    scenario = tmp_path / "ring.yaml"
-    links = "".join(
-        f"    - {{a: {a}, b: {(a + 1) % 4}, distance: {distance}}}\n" for a in range(4)
-    )
-    scenario.write_text(
-        "topology:\n  unit: km\n  nodes: [{id: 0}, {id: 1}, {id: 2}, {id: 3}]\n"
-        f"  links:\n{links}demands:\n  - {{src: 0, dst: 1, rate: {rate}}}\n",
-        encoding="utf-8",
-    )
+    scenario = write_ring(tmp_path / "ring.yaml", distance, rate)
     code, text = run(tmp_path, "compare", "--scenario", str(scenario), "--schemes", schemes)
     assert code == 0
     rows = [line.split(",") for line in text.splitlines()[1:]]
@@ -192,6 +197,28 @@ def test_exit_error_cases(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("topology: [broken\n", encoding="utf-8")
     assert main(["validate", "--scenario", str(bad)]) == 1
+    capsys.readouterr()
+    # a link load past the p-cycle planner's int64 counts
+    huge = write_ring(tmp_path / "huge.yaml", 1, 2**63)
+    assert main(["compare", "--scenario", str(huge), "--schemes", "pc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: link 0 carries a working load of 9223372036854775808")
+
+
+def test_dc_on_a_ring_with_many_flows_finishes(tmp_path):
+    # 100 unit flows into a destination of degree 2: no parity group can
+    # route, so every flow takes a 1+1 pair without a combination search
+    scenario = write_ring(tmp_path / "ring.yaml", 1, 100)
+    src_dir = str(Path(divprotect.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "divprotect.cli", "compare", "--scenario", str(scenario),
+         "--schemes", "dc"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("dc,300.0000,")
 
 
 def test_missing_fixture_dir_is_an_error(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import pytest
 
+from divprotect import coding, kernels
+from divprotect.cli import fixture_names
 from divprotect.coding import (
     SearchParams,
     algorithm_one,
@@ -9,7 +11,7 @@ from divprotect.coding import (
     redundancy_ratio,
     verify_decodable,
 )
-from divprotect.plan import shortest_working_capacity_mm
+from divprotect.plan import serialize_plan, shortest_working_capacity_mm
 from divprotect.topology import Flow, Topology
 from helpers import load_fixture, random_scenario
 
@@ -144,21 +146,46 @@ def test_memoised_search_matches_fresh_run():
     assert a.total_capacity_mm(topo) == b.total_capacity_mm(topo)
 
 
+def test_destination_degree_cut_keeps_plans(monkeypatch):
+    # the cut skips group sizes the decode node's degree cannot admit;
+    # reporting every degree as m switches it off and must not change a plan
+    calls = []
+    real = coding.find_group
+    monkeypatch.setattr(
+        coding, "find_group", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances = [(sc.topology, sc.demands) for sc in instances]
+    instances += [random_scenario(seed) for seed in range(30)]
+    skipped = 0
+    for topo, flows in instances:
+        calls.clear()
+        cut = serialize_plan(algorithm_one(topo, flows), topo)
+        skipped -= len(calls)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(topo, "degree", lambda v: topo.m)
+            uncut = serialize_plan(algorithm_one(topo, flows), topo)
+        skipped += len(calls)
+        assert cut == uncut
+    assert skipped > 0
+
+
 def test_decode_matrix_cases():
     sc = load_fixture("example2")
     plan = algorithm_one(sc.topology, sc.demands)
     g = plan.groups[0]  # workings (0,1,3) and (0,2,3), parity (0,4,3)
     m = decode_matrix(g, None)
-    assert m.rows == ((1, 0), (0, 1), (1, 1))
-    assert m.full_column_rank()
+    assert m == ((1, 0), (0, 1), (1, 1))
+    assert kernels.gf2_rank(m) == 2
     # failing link 1 (1-3) kills working 0; parity covers it
     m = decode_matrix(g, 1)
-    assert m.rows == ((0, 1), (1, 1))
-    assert m.full_column_rank()
+    assert m == ((0, 1), (1, 1))
+    assert kernels.gf2_rank(m) == 2
     # failing the parity link leaves plain unit rows
     m = decode_matrix(g, 4)
-    assert m.rows == ((1, 0), (0, 1))
-    assert m.full_column_rank()
+    assert m == ((1, 0), (0, 1))
+    assert kernels.gf2_rank(m) == 2
 
 
 def test_verify_decodable_example2_all_failures():

@@ -87,6 +87,14 @@ def test_gf2_rank_known_cases():
     assert kernels.gf2_rank(np.array([[1, 0, 1, 1]], dtype=np.uint8)) == 1
     assert kernels.gf2_rank(np.array([[1], [1], [0]], dtype=np.uint8)) == 1
     assert kernels.gf2_rank(np.zeros((0, 0), dtype=np.uint8)) == 0
+    assert kernels.gf2_rank([]) == 0
+    # decode shapes: unit rows of the surviving working paths plus the
+    # all-ones parity row
+    assert kernels.gf2_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]) == 3
+    # one working path lost: the parity row restores full rank
+    assert kernels.gf2_rank([[1, 0, 0], [0, 0, 1], [1, 1, 1]]) == 3
+    # one working path and the parity lost: rank collapses
+    assert kernels.gf2_rank([[1, 0, 0], [0, 0, 1]]) == 2
 
 
 def test_gf2_rank_matches_python_oracle():

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from divprotect.cli import fixture_names
-from divprotect.pcycle import (
-    _coverage,
-    apriori_efficiency,
-    enumerate_cycles,
-    pc_design,
-)
-from divprotect.plan import serialize_plan
+from divprotect.pcycle import apriori_efficiency, enumerate_cycles, pc_design
+from divprotect.plan import detour_arcs, serialize_plan
 from divprotect.topology import Flow, Topology
 from helpers import (
     all_links_coverage,
@@ -107,9 +102,19 @@ def test_enumeration_matches_bruteforce_within_hop_bound(seed):
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_coverage_matches_all_links_scan(name):
+    # one detour for an on-cycle link, two for a straddler, none otherwise;
+    # together the detours of a failed link run the rest of the ring
     topo = load_fixture(name).topology
     for c in enumerate_cycles(topo):
-        assert _coverage(topo, c) == all_links_coverage(topo, c)
+        on, straddle = all_links_coverage(topo, c)
+        for lid in range(topo.m):
+            arcs = detour_arcs(topo, c, lid)
+            want = 1 if lid in on else 2 if lid in straddle else 0
+            assert len(arcs) == want
+            if arcs:
+                cut = lid in on
+                assert sum(mm for mm, _ in arcs) == c.length_mm - cut * topo.link_mm[lid]
+                assert sum(hops for _, hops in arcs) == c.hops - cut
 
 
 def test_apriori_efficiency_counts_straddlers_twice():

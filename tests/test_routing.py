@@ -150,3 +150,9 @@ def test_disjoint_routes_min_total_length():
     routes = disjoint_routes(topo, [0, 0], 3)
     total = sum(p.length_mm for p in routes)
     assert total == 13_000_000
+    # a repeated source gets its shorter route first, also when its
+    # lowest link id leads the longer way
+    assert [p.nodes for p in routes] == [(0, 1, 3), (0, 2, 3)]
+    topo = km([(0, 2, 5), (2, 3, 5), (0, 1, 1), (1, 3, 1)])
+    routes = disjoint_routes(topo, [0, 0], 3)
+    assert [p.nodes for p in routes] == [(0, 1, 3), (0, 2, 3)]

@@ -26,7 +26,8 @@ RECONSTRUCTIONS = {
 
 
 def report(name: str) -> bool:
-    sc = load_scenario(open(fixture_path(name)).read())
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        sc = load_scenario(fh.read())
     t = sc.topology
     print(f"== {name}: n={t.n} m={t.m} demands={len(sc.demands)} "
           f"units={sum(f.rate for f in sc.demands)}")
@@ -71,8 +72,8 @@ def report(name: str) -> bool:
     return ok
 
 
-def main() -> int:
-    names = sys.argv[1:] or fixture_names()
+def main(argv=None) -> int:
+    names = (sys.argv[1:] if argv is None else argv) or fixture_names()
     good = True
     for name in names:
         good &= report(name)
