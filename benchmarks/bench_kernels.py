@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Timing of the Dijkstra and GF(2)-rank kernels and of cycle enumeration.
+"""Timing of the Dijkstra and GF(2)-rank kernels, cycle enumeration and scenario loading.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N] [--seed S] [--skip-end-to-end]
 
@@ -8,6 +8,7 @@ the rank on random binary matrices from decode-matrix size (5x4) up.
 Cycle enumeration runs on one 16-node, 30-link graph, the shape of the
 benchmark's rings meshes (2,054 cycles of at most 12 hops at the
 default seed).
+The load row parses and validates the largest bundled fixture.
 The end-to-end row times a full dc plan and failure sweep of the largest
 bundled fixture.
 """
@@ -76,15 +77,17 @@ def main(argv=None) -> int:
         for _ in range(10)
     ]
     cycle_calls = [(random_graph(rng, 16, 14),)]
+    with open(fixture_path("uslong-reconstruction"), encoding="utf-8") as fh:
+        uslong = fh.read()
 
     rows = [
         ("dijkstra", *bench(kernels.dijkstra_distances, dij_calls, args.repeats)),
         ("gf2_rank", *bench(kernels.gf2_rank, gf2_calls, args.repeats)),
         ("cycles", *bench(enumerate_cycles, cycle_calls, args.repeats)),
+        ("load", *bench(load_scenario, [(uslong,)], args.repeats)),
     ]
     if not args.skip_end_to_end:
-        with open(fixture_path("uslong-reconstruction"), encoding="utf-8") as fh:
-            sc = load_scenario(fh.read())
+        sc = load_scenario(uslong)
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
 
     print(f"{'kernel':<12}{'best ms':>10}{'mean ms':>10}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -271,7 +272,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output format for tabular commands")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="divprotect",
         description="Plan and evaluate single-link-failure protection: "
@@ -288,7 +290,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _parse_common(args)
         return args.fn(cfg)

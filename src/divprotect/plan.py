@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import routing
 from .topology import Flow, Path, Route, Topology
 
 SCHEME_DC = "dc"
@@ -119,17 +118,7 @@ def shortest_working_capacity_mm(topo: Topology, demand) -> int:
     This is the no-protection floor that spare-capacity percentages are
     measured against.
     """
-    total = 0
-    cache: dict[tuple[int, int], int] = {}
-    for f in demand:
-        key = (f.src, f.dst)
-        if key not in cache:
-            p = routing.shortest_path(topo, f.src, f.dst)
-            if p is None:  # pragma: no cover - topologies are connected
-                raise ValueError(f"no route {f.src}->{f.dst}")
-            cache[key] = p.length_mm
-        total += f.rate * cache[key]
-    return total
+    return sum(f.rate * topo.distances(f.dst)[f.src] for f in demand)
 
 
 def detour_arcs(topo: Topology, cycle, lid: int) -> list[tuple[int, int]]:

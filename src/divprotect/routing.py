@@ -15,9 +15,11 @@ from .topology import Path, Topology
 
 def shortest_distances(topo: Topology, src: int, excluded=()) -> list[int]:
     """Distance (mm) from src to every node, INF_MM where unreachable."""
-    blocked = topo.blocked_mask(excluded)
+    if not excluded:
+        return list(topo.distances(src))
     return kernels.dijkstra_distances(
-        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, src, blocked
+        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, src,
+        topo.blocked_mask(excluded),
     )
 
 
@@ -29,9 +31,12 @@ def shortest_path(topo: Topology, src: int, dst: int, excluded=()) -> Path | Non
     if src == dst:
         raise ValueError("src and dst must differ")
     blocked = topo.blocked_mask(excluded)
-    dist = kernels.dijkstra_distances(
-        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, dst, blocked
-    )
+    if excluded:
+        dist = kernels.dijkstra_distances(
+            topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, dst, blocked
+        )
+    else:
+        dist = topo.distances(dst)
     if dist[src] >= INF_MM:
         return None
     # Walk the shortest-path DAG from src, always taking the smallest

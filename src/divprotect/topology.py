@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
+from . import kernels
 from .kernels import INF_MM
 
 # Millimetres per declared file unit. "10mi" shows up in older long-haul
@@ -172,6 +176,7 @@ class Topology:
         self.adj_node = tuple(w for row in self._nbrs for w, _ in row)
         self.adj_link = tuple(lid for row in self._nbrs for _, lid in row)
         self.link_mm = tuple(l.length_mm for l in self.links)
+        self._trees: dict[int, tuple[int, ...]] = {}  # root -> distances()
         # keeps every path sum and every residual distance in the
         # disjoint-route search clear of the INF_MM sentinels
         total_mm = sum(self.link_mm)
@@ -216,6 +221,17 @@ class Topology:
             lid = e.id if isinstance(e, Link) else int(e)
             mask[lid] = 1
         return mask
+
+    def distances(self, root: int) -> tuple[int, ...]:
+        """Distance (mm) from root to every node with no link excluded,
+        INF_MM where unreachable. Each root's tree is built once."""
+        tree = self._trees.get(root)
+        if tree is None:
+            tree = self._trees[root] = tuple(kernels.dijkstra_distances(
+                self.adj_indptr, self.adj_node, self.adj_link, self.link_mm, root,
+                self.blocked_mask(),
+            ))
+        return tree
 
     def make_path(self, nodes: list[int]) -> Path:
         """Build a Path from a node sequence; links must all exist."""
@@ -298,14 +314,53 @@ def _as_int(value, ctx):
     return value
 
 
-def load_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document (YAML)."""
+if yaml.__with_libyaml__:
+    from yaml.cyaml import CParser
+
+    class _Loader(Composer, CParser, SafeConstructor, Resolver):
+        """libyaml scans and parses; PyYAML's Python composer and
+        SafeConstructor build the document.
+
+        ``yaml.CSafeLoader`` would compose in C too, and its composer
+        recurses once per nesting level on the C stack: a 60 KB document
+        of nested brackets crashes the process. The Python composer
+        raises RecursionError at the depth the pure loader does.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+    _LOADER = _Loader
+else:  # pragma: no cover - PyYAML built without libyaml
+    _LOADER = yaml.SafeLoader
+
+
+def _parse_yaml(text: str):
     try:
-        doc = yaml.safe_load(text)
+        try:
+            return yaml.load(text, Loader=_LOADER)
+        except (yaml.YAMLError, UnicodeEncodeError):
+            # libyaml's messages carry no snippet and it cannot encode a
+            # lone surrogate; the pure loader's verdict and text stand
+            return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ScenarioError(f"scenario is not valid YAML{where}: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario is not valid YAML: it nests too deeply") from None
+    except (ValueError, LookupError, AttributeError) as exc:
+        # the safe constructors' own conversions fail this way, e.g. on a
+        # timestamp with month 13, "!!int many", "!!int ''" or "!!bool maybe"
+        raise ScenarioError(f"scenario is not valid YAML: bad scalar value: {exc}") from None
+
+
+def load_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document (YAML)."""
+    doc = _parse_yaml(text)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
 

@@ -197,12 +197,34 @@ def test_exit_error_cases(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("topology: [broken\n", encoding="utf-8")
     assert main(["validate", "--scenario", str(bad)]) == 1
+    # values PyYAML's safe constructors refuse with ValueError
+    bad.write_text("name: 2001-13-45\n", encoding="utf-8")
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    bad.write_text("topology: !!int many\n", encoding="utf-8")
+    assert main(["validate", "--scenario", str(bad)]) == 1
     capsys.readouterr()
     # a link load past the p-cycle planner's int64 counts
     huge = write_ring(tmp_path / "huge.yaml", 1, 2**63)
     assert main(["compare", "--scenario", str(huge), "--schemes", "pc"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: link 0 carries a working load of 9223372036854775808")
+
+
+def test_deeply_nested_yaml_fails_cleanly(tmp_path):
+    # run in a child process: a loader that recursed on the C stack would
+    # crash the interpreter instead of raising
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("a: " + "[" * 30000 + "]" * 30000 + "\n", encoding="utf-8")
+    src_dir = str(Path(divprotect.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "divprotect.cli", "validate", "--scenario", str(deep)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "nests too deeply" in proc.stderr
 
 
 def test_dc_on_a_ring_with_many_flows_finishes(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from divprotect import kernels
 from divprotect.routing import (
     disjoint_path_pair,
     disjoint_routes,
@@ -10,7 +11,15 @@ from divprotect.routing import (
 )
 from divprotect.kernels import INF_MM
 from divprotect.topology import Topology
-from helpers import load_fixture
+from helpers import load_fixture, random_scenario
+
+FIXTURES = [
+    "example2",
+    "fig1-star",
+    "cost239-reconstruction",
+    "uslong-reconstruction",
+    "synthetic-reconstruction",
+]
 
 
 def km(edges):
@@ -61,6 +70,42 @@ def test_shortest_distances_vector():
     assert d[1] == 4_000_000  # 0-2-1
     d = shortest_distances(topo, 3, excluded=(1, 3, 5))
     assert d[4] == INF_MM
+
+
+def _walk_fresh_tree(topo, src, dst):
+    """Smallest-neighbour walk down a tree from a direct kernel call."""
+    dist = kernels.dijkstra_distances(
+        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, dst,
+        topo.blocked_mask(),
+    )
+    nodes = [src]
+    while nodes[-1] != dst:
+        v = nodes[-1]
+        nodes.append(min(
+            w for w, lid in topo.neighbors(v) if dist[v] == topo.link_mm[lid] + dist[w]
+        ))
+    return topo.make_path(nodes)
+
+
+def test_unmasked_paths_from_shared_trees_match_fresh_trees():
+    topos = [load_fixture(name).topology for name in FIXTURES]
+    topos += [random_scenario(seed)[0] for seed in range(10)]
+    for topo in topos:
+        for dst in range(topo.n):
+            for src in range(topo.n):
+                if src != dst:
+                    assert shortest_path(topo, src, dst) == _walk_fresh_tree(topo, src, dst)
+
+
+def test_shared_trees_are_not_handed_out_mutable():
+    topo = load_fixture("example2").topology
+    before = shortest_path(topo, 0, 3)
+    d = shortest_distances(topo, 3)
+    expected = list(d)
+    d[:] = [0] * topo.n
+    assert shortest_distances(topo, 3) == expected
+    assert shortest_path(topo, 0, 3) == before
+    assert isinstance(topo.distances(3), tuple)
 
 
 def test_path_delay():

@@ -1,5 +1,8 @@
 import pytest
+import yaml
 
+from divprotect import topology
+from divprotect.cli import fixture_path
 from divprotect.kernels import INF_MM
 from divprotect.topology import (
     MM_PER_UNIT,
@@ -11,7 +14,7 @@ from divprotect.topology import (
     dump_scenario,
     load_scenario,
 )
-from helpers import load_fixture
+from helpers import load_fixture, random_scenario
 
 FIXTURES = [
     "example2",
@@ -20,6 +23,12 @@ FIXTURES = [
     "uslong-reconstruction",
     "synthetic-reconstruction",
 ]
+
+
+def _fixture_text(name):
+    with open(fixture_path(name), "r", encoding="utf-8") as fh:
+        return fh.read()
+
 
 TRIANGLE = """
 topology:
@@ -69,10 +78,7 @@ def test_link_endpoints_normalised():
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_roundtrip_is_byte_identical(name):
     # each bundled fixture equals its own canonical dump, so dump(load(x)) == x
-    from divprotect.cli import fixture_path
-
-    with open(fixture_path(name), "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    raw = _fixture_text(name)
     sc = load_scenario(raw)
     dumped = dump_scenario(sc)
     body = "".join(
@@ -144,12 +150,68 @@ def test_make_path_and_route():
         (lambda t: "topology: 3\ndemands: []\n", "missing required field 'unit'"),
         (lambda t: "- just\n- a list\n", "must be a mapping"),
         (lambda t: "a: [unclosed\n", "not valid YAML"),
+        (lambda t: "a: " + "[" * 2000 + "]" * 2000 + "\n", "nests too deeply"),
+        # the safe constructors' own ValueError, KeyError, IndexError and
+        # AttributeError
+        (lambda t: "name: 2001-13-45\n" + t, "month must be in 1..12"),
+        (lambda t: t.replace("{src: 0, dst: 2}", "{src: 0, dst: 2, rate: !!int many}"),
+         "invalid literal for int()"),
+        (lambda t: "reconstructed: !!bool maybe\n" + t, "bad scalar value: 'maybe'"),
+        (lambda t: t.replace("{src: 0, dst: 2}", "{src: 0, dst: 2, rate: !!int ''}"),
+         "bad scalar value"),
+        (lambda t: "name: !!timestamp x\n" + t, "bad scalar value"),
     ],
 )
 def test_scenario_errors_carry_context(mutate, phrase):
     with pytest.raises(ScenarioError) as err:
         load_scenario(mutate(TRIANGLE))
     assert phrase in str(err.value)
+
+
+needs_libyaml = pytest.mark.skipif(
+    not yaml.__with_libyaml__, reason="PyYAML built without libyaml"
+)
+
+
+@needs_libyaml
+def test_libyaml_loader_builds_the_pure_loaders_documents():
+    texts = [_fixture_text(name) for name in FIXTURES]
+    for seed in range(30):
+        topo, flows = random_scenario(seed)
+        texts.append(dump_scenario(Scenario(topo, flows, name=f"r{seed}")))
+    for text in texts:
+        assert yaml.load(text, Loader=topology._Loader) == yaml.safe_load(text)
+
+
+@pytest.mark.parametrize(
+    "text, at_line",
+    [
+        ("topology:\n  nodes: [{id: 0}\n", True),
+        ("a: b: c\n", True),
+        ("a: 1\nb: *nowhere\n", True),
+        ("a: !!python/object:os.system x\n", True),
+        ('a: "\x00"\n', False),
+        ('a: "\ud800"\n', False),
+    ],
+)
+def test_yaml_error_text_matches_the_pure_loader(monkeypatch, text, at_line):
+    with pytest.raises(ScenarioError) as default:
+        load_scenario(text)
+    monkeypatch.setattr(topology, "_LOADER", yaml.SafeLoader)
+    with pytest.raises(ScenarioError) as pure:
+        load_scenario(text)
+    assert str(default.value) == str(pure.value)
+    assert str(pure.value).startswith("scenario is not valid YAML")
+    assert (" at line " in str(pure.value).splitlines()[0]) == at_line
+
+
+@needs_libyaml
+def test_tab_separation_inside_a_line_is_accepted():
+    # libyaml follows the YAML spec here; the pure scanner rejects a tab
+    # after "key:" with "found character '\t' that cannot start any token"
+    tabbed = TRIANGLE.replace(": ", ":\t").replace(", ", ",\t")
+    assert "\t" in tabbed
+    assert dump_scenario(load_scenario(tabbed)) == dump_scenario(load_scenario(TRIANGLE))
 
 
 def test_total_link_length_stays_below_the_sentinels():
