@@ -15,11 +15,9 @@ from .topology import Path, Topology
 
 def shortest_distances(topo: Topology, src: int, excluded=()) -> list[int]:
     """Distance (mm) from src to every node, INF_MM where unreachable."""
-    if not excluded:
-        return list(topo.distances(src))
+    blocked = topo.blocked_mask(excluded)
     return kernels.dijkstra_distances(
-        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, src,
-        topo.blocked_mask(excluded),
+        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, src, blocked
     )
 
 
