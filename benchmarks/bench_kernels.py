@@ -8,7 +8,9 @@ the rank on random binary matrices from decode-matrix size (5x4) up.
 Cycle enumeration runs on one 16-node, 30-link graph, the shape of the
 benchmark's rings meshes (2,054 cycles of at most 12 hops at the
 default seed).
-The load row parses and validates the largest bundled fixture.
+The load rows parse and validate the largest bundled fixture (88 lines)
+and the canonical dump of a 40-node, 56-link graph with 48 demands, the
+size of the benchmark's backbone meshes.
 The end-to-end row times a full dc plan and failure sweep of the largest
 bundled fixture.
 """
@@ -23,7 +25,7 @@ from divprotect.cli import fixture_path
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep
 from divprotect.pcycle import enumerate_cycles
-from divprotect.topology import Topology, load_scenario
+from divprotect.topology import Flow, Scenario, Topology, dump_scenario, load_scenario
 
 
 def random_graph(rng, n: int, extra: int) -> Topology:
@@ -39,6 +41,15 @@ def random_graph(rng, n: int, extra: int) -> Topology:
             edges.add((min(a, b), max(a, b)))
     rows = [(a, b, int(rng.integers(1, 50))) for a, b in sorted(edges)]
     return Topology.from_edge_list(rows)
+
+
+def random_scenario_text(rng, n: int, extra: int, demands: int) -> str:
+    flows = []
+    while len(flows) < demands:
+        src, dst = (int(v) for v in rng.integers(0, n, size=2))
+        if src != dst:
+            flows.append(Flow(src, dst, int(rng.integers(1, 4))))
+    return dump_scenario(Scenario(random_graph(rng, n, extra), flows))
 
 
 def bench(fn, calls, repeats: int) -> tuple[float, float]:
@@ -79,12 +90,14 @@ def main(argv=None) -> int:
     cycle_calls = [(random_graph(rng, 16, 14),)]
     with open(fixture_path("uslong-reconstruction"), encoding="utf-8") as fh:
         uslong = fh.read()
+    mesh40 = random_scenario_text(rng, 40, 16, 48)
 
     rows = [
         ("dijkstra", *bench(kernels.dijkstra_distances, dij_calls, args.repeats)),
         ("gf2_rank", *bench(kernels.gf2_rank, gf2_calls, args.repeats)),
         ("cycles", *bench(enumerate_cycles, cycle_calls, args.repeats)),
         ("load", *bench(load_scenario, [(uslong,)], args.repeats)),
+        ("load-40n", *bench(load_scenario, [(mesh40,)], args.repeats)),
     ]
     if not args.skip_end_to_end:
         sc = load_scenario(uslong)

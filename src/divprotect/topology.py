@@ -15,6 +15,16 @@ from itertools import accumulate
 import yaml
 from yaml.composer import Composer
 from yaml.constructor import SafeConstructor
+from yaml.events import (
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 from . import kernels
@@ -29,6 +39,11 @@ MM_PER_UNIT = {
 }
 
 KM_PER_MM = 1e-6
+
+
+def _known_unit(unit) -> bool:
+    # a list or mapping read from a file is unhashable: no dict lookup
+    return isinstance(unit, str) and unit in MM_PER_UNIT
 
 
 class ScenarioError(ValueError):
@@ -139,7 +154,7 @@ class Topology:
         unit: str = "km",
         names: dict[int, str] | None = None,
     ):
-        if unit not in MM_PER_UNIT:
+        if not _known_unit(unit):
             raise ScenarioError(f"unknown distance unit {unit!r}")
         if n < 2:
             raise ScenarioError("topology needs at least two nodes")
@@ -281,9 +296,9 @@ class Topology:
     @classmethod
     def from_edge_list(cls, edges, unit: str = "km", names=None) -> "Topology":
         """edges: iterable of (a, b, distance in `unit`)."""
-        mm = MM_PER_UNIT[unit] if unit in MM_PER_UNIT else None
-        if mm is None:
+        if not _known_unit(unit):
             raise ScenarioError(f"unknown distance unit {unit!r}")
+        mm = MM_PER_UNIT[unit]
         n = 0
         rows = []
         for a, b, d in edges:
@@ -338,10 +353,117 @@ else:  # pragma: no cover - PyYAML built without libyaml
     _LOADER = yaml.SafeLoader
 
 
+# the scalar tags _build_document constructs itself; any other tag, such
+# as the merge key "<<" or the value key "=", goes to the composer
+_PLAIN_SCALARS = {
+    tag: SafeConstructor.yaml_constructors[tag]
+    for tag in (
+        "tag:yaml.org,2002:str",
+        "tag:yaml.org,2002:int",
+        "tag:yaml.org,2002:float",
+        "tag:yaml.org,2002:bool",
+        "tag:yaml.org,2002:null",
+        "tag:yaml.org,2002:timestamp",
+    )
+}
+# deepest collection nesting _build_document builds (a scenario needs 4);
+# deeper documents keep the composer's "nests too deeply" verdict
+_MAX_DEPTH = 32
+_COMPOSE = object()  # _build_document's answer for documents it leaves alone
+_NO_KEY = object()
+
+
+def _plain_scalar(loader, ev):
+    """What ``yaml.load`` makes of an untagged scalar event, or ``_COMPOSE``
+    when its tag is not in ``_PLAIN_SCALARS`` or its constructor refuses it
+    (the composer raises that error in its turn)."""
+    tag = loader.resolve(ScalarNode, ev.value, ev.implicit)
+    construct = _PLAIN_SCALARS.get(tag)
+    if construct is None:
+        return _COMPOSE
+    try:
+        return construct(loader, ScalarNode(tag, ev.value))
+    except (ValueError, LookupError, AttributeError):
+        return _COMPOSE
+
+
+def _build_document(text: str):
+    """Build the one document of ``text`` straight from the parser's events.
+
+    Covers the plain subset scenario files use: one document of mappings,
+    sequences and scalars, nested at most ``_MAX_DEPTH`` deep, with no
+    anchor, no tag other than the non-specific "!", scalars of a tag in
+    ``_PLAIN_SCALARS`` and only scalars as keys. Each scalar is resolved
+    and constructed as ``yaml.load`` would, once per distinct (value,
+    plain) pair. Returns ``_COMPOSE`` for any other stream, for which
+    ``yaml.load`` with its composer gives the document or the error.
+    """
+    loader = _LOADER(text)
+    try:
+        get = loader.get_event
+        get()  # StreamStartEvent
+        if get().__class__ is not DocumentStartEvent:
+            return _COMPOSE
+        memo = {}
+        stack = []  # open collections, innermost last
+        keys = []  # per open mapping its pending key or _NO_KEY, None per list
+        while True:
+            ev = get()
+            cls = ev.__class__
+            if cls is ScalarEvent:
+                if ev.anchor is not None or (ev.tag is not None and ev.tag != "!"):
+                    return _COMPOSE
+                # resolution reads only the value and the plain flag
+                key = ev.value, ev.implicit[0]
+                try:
+                    value = memo[key]
+                except KeyError:
+                    value = memo[key] = _plain_scalar(loader, ev)
+                    if value is _COMPOSE:
+                        return _COMPOSE
+            elif cls is MappingStartEvent or cls is SequenceStartEvent:
+                if (
+                    ev.anchor is not None
+                    or (ev.tag is not None and ev.tag != "!")
+                    or len(stack) == _MAX_DEPTH
+                    or (keys and keys[-1] is _NO_KEY)  # a collection as a key
+                ):
+                    return _COMPOSE
+                if cls is MappingStartEvent:
+                    stack.append({})
+                    keys.append(_NO_KEY)
+                else:
+                    stack.append([])
+                    keys.append(None)
+                continue
+            elif cls is MappingEndEvent or cls is SequenceEndEvent:
+                value = stack.pop()
+                keys.pop()
+            else:  # an alias
+                return _COMPOSE
+            if not stack:
+                break
+            top = stack[-1]
+            if top.__class__ is list:
+                top.append(value)
+            elif keys[-1] is _NO_KEY:
+                keys[-1] = value
+            else:
+                top[keys[-1]] = value
+                keys[-1] = _NO_KEY
+        get()  # DocumentEndEvent
+        if get().__class__ is not StreamEndEvent:
+            return _COMPOSE  # a second document
+        return value
+    finally:
+        loader.dispose()
+
+
 def _parse_yaml(text: str):
     try:
         try:
-            return yaml.load(text, Loader=_LOADER)
+            doc = _build_document(text)
+            return yaml.load(text, Loader=_LOADER) if doc is _COMPOSE else doc
         except (yaml.YAMLError, UnicodeEncodeError):
             # libyaml's messages carry no snippet and it cannot encode a
             # lone surrogate; the pure loader's verdict and text stand
@@ -372,7 +494,7 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioError("topology.nodes: expected a non-empty list")
     if not isinstance(links_doc, list) or not links_doc:
         raise ScenarioError("topology.links: expected a non-empty list")
-    if unit not in MM_PER_UNIT:
+    if not _known_unit(unit):
         raise ScenarioError(
             f"topology.unit: unknown unit {unit!r} (expected one of {sorted(MM_PER_UNIT)})"
         )
@@ -430,11 +552,14 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(f"{ctx}: rate must be >= 1")
         demands.append(Flow(src, dst, rate))
 
+    reconstructed = doc.get("reconstructed", False)
+    if not isinstance(reconstructed, bool):
+        raise ScenarioError(f"reconstructed: expected true or false, got {reconstructed!r}")
     return Scenario(
         topology=topo,
         demands=demands,
         name=str(doc.get("name", "")),
-        reconstructed=bool(doc.get("reconstructed", False)),
+        reconstructed=reconstructed,
     )
 
 

@@ -1,16 +1,20 @@
 """Shared test utilities: fixture loading, randomized instances,
 brute-force oracles kept deliberately independent of the library's
-algorithms (different enumeration strategies, no shared code paths), and
-a reference copy of the p-cycle planner's earlier implementation."""
+algorithms (different enumeration strategies, no shared code paths), a
+reference copy of the p-cycle planner's earlier implementation, and the
+scenario parser with and without its event-stream builder."""
+from contextlib import contextmanager
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
+from yaml.composer import Composer
 
-from divprotect import routing
+from divprotect import routing, topology
 from divprotect.cli import fixture_path
 from divprotect.pcycle import Cycle
 from divprotect.plan import SCHEME_PC, CycleSelection, ProtectionPlan
-from divprotect.topology import Flow, Scenario, Topology, load_scenario
+from divprotect.topology import Flow, ScenarioError, Scenario, Topology, load_scenario
 
 
 def load_fixture(name: str) -> Scenario:
@@ -18,6 +22,34 @@ def load_fixture(name: str) -> Scenario:
     assert path is not None, f"missing bundled fixture {name}"
     with open(path, "r", encoding="utf-8") as fh:
         return load_scenario(fh.read())
+
+
+def parse_outcome(text: str) -> str:
+    """repr of the document ``topology._parse_yaml`` builds, or its error text."""
+    try:
+        return repr(topology._parse_yaml(text))
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+def composed_outcome(text: str) -> str:
+    """parse_outcome with PyYAML's composer building every document."""
+    with mock.patch.object(topology, "_build_document", lambda text: topology._COMPOSE):
+        return parse_outcome(text)
+
+
+@contextmanager
+def counting_compositions():
+    """Yield a list that gains an item per stream PyYAML's composer reads."""
+    calls = []
+    compose = Composer.get_single_node
+
+    def counted(self):
+        calls.append(None)
+        return compose(self)
+
+    with mock.patch.object(Composer, "get_single_node", counted):
+        yield calls
 
 
 def random_scenario(seed: int, max_nodes: int = 10, max_links: int = 20,

@@ -11,4 +11,4 @@ def test_bench_kernels_runs(capsys):
     spec.loader.exec_module(bench_kernels)
     assert bench_kernels.main(["--repeats", "1", "--skip-end-to-end"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert rows == ["kernel", "dijkstra", "gf2_rank", "cycles", "load"]
+    assert rows == ["kernel", "dijkstra", "gf2_rank", "cycles", "load", "load-40n"]

@@ -203,6 +203,11 @@ def test_exit_error_cases(tmp_path, capsys):
     bad.write_text("topology: !!int many\n", encoding="utf-8")
     assert main(["validate", "--scenario", str(bad)]) == 1
     capsys.readouterr()
+    # a unit that is no name at all
+    bad.write_text("topology: {unit: [km], nodes: [{id: 0}], links: [{a: 0, b: 1, distance: 1}]}\n",
+                   encoding="utf-8")
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: topology.unit: unknown unit ['km']")
     # a link load past the p-cycle planner's int64 counts
     huge = write_ring(tmp_path / "huge.yaml", 1, 2**63)
     assert main(["compare", "--scenario", str(huge), "--schemes", "pc"]) == 1

@@ -14,7 +14,13 @@ from divprotect.topology import (
     dump_scenario,
     load_scenario,
 )
-from helpers import load_fixture, random_scenario
+from helpers import (
+    composed_outcome,
+    counting_compositions,
+    load_fixture,
+    parse_outcome,
+    random_scenario,
+)
 
 FIXTURES = [
     "example2",
@@ -126,6 +132,8 @@ def test_make_path_and_route():
     "mutate,phrase",
     [
         (lambda t: t.replace("unit: km", "unit: furlong"), "unknown unit"),
+        (lambda t: t.replace("unit: km", "unit: [km]"), "unknown unit ['km']"),
+        (lambda t: t.replace("unit: km", "unit: {a: 1}"), "unknown unit {'a': 1}"),
         (lambda t: t.replace("  unit: km\n", ""), "missing required field 'unit'"),
         (lambda t: t.replace("{id: 2}", "{id: 1}"), "duplicate node id"),
         (lambda t: t.replace("{id: 2}", "{id: 7}"), "ids must be exactly 0..2"),
@@ -157,6 +165,8 @@ def test_make_path_and_route():
         (lambda t: t.replace("{src: 0, dst: 2}", "{src: 0, dst: 2, rate: !!int many}"),
          "invalid literal for int()"),
         (lambda t: "reconstructed: !!bool maybe\n" + t, "bad scalar value: 'maybe'"),
+        (lambda t: 'reconstructed: "false"\n' + t, "reconstructed: expected true or false"),
+        (lambda t: "reconstructed: 1\n" + t, "reconstructed: expected true or false"),
         (lambda t: t.replace("{src: 0, dst: 2}", "{src: 0, dst: 2, rate: !!int ''}"),
          "bad scalar value"),
         (lambda t: "name: !!timestamp x\n" + t, "bad scalar value"),
@@ -173,14 +183,103 @@ needs_libyaml = pytest.mark.skipif(
 )
 
 
-@needs_libyaml
-def test_libyaml_loader_builds_the_pure_loaders_documents():
+def _scenario_texts():
+    """Each fixture, its block-style dump and the dumps of 30 random scenarios."""
     texts = [_fixture_text(name) for name in FIXTURES]
+    texts += [yaml.safe_dump(yaml.safe_load(text), sort_keys=False) for text in texts]
     for seed in range(30):
         topo, flows = random_scenario(seed)
         texts.append(dump_scenario(Scenario(topo, flows, name=f"r{seed}")))
-    for text in texts:
-        assert yaml.load(text, Loader=topology._Loader) == yaml.safe_load(text)
+    return texts
+
+
+@needs_libyaml
+def test_libyaml_loader_builds_the_pure_loaders_documents():
+    # unlike ==, repr tells 1, 1.0 and True apart and matches nan with nan
+    for text in _scenario_texts():
+        assert repr(topology._parse_yaml(text)) == repr(yaml.safe_load(text))
+
+
+def test_scenario_documents_skip_the_composer():
+    texts = _scenario_texts()
+    with counting_compositions() as calls:
+        for text in texts:
+            load_scenario(text)
+    assert calls == []
+
+
+# scalars the event builder resolves itself, each tried as a value, a key
+# and inside flow collections
+PLAIN_SCALARS = [
+    "yes", "No", "on", "OFF", "~", "null", "0x1F", "0o17", "0b101", "017", "+12",
+    "1_000", "1:30", "190:20:30", ".inf", "-.Inf", ".NaN", "6.8523015e+5", "685.230_15e+03",
+    "._", "2002-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5",
+    "2001-12-15T02:59:43.1Z", "'yes'", '"0x1F"', "'1:30'", "! 12", "! yes", "x y",
+]
+# streams _parse_yaml hands to PyYAML's composer: features the event builder
+# leaves alone, values its constructors refuse, and YAML errors
+COMPOSED = {
+    "alias": "a: &x 1\nb: *x\n",
+    "anchored-mapping": "a: &m {b: 1}\nc: *m\n",
+    "recursive-alias": "&a [*a]\n",
+    "unused-anchors": "a: &x 1\nb: &y [2]\nc: &z {d: 3}\n",
+    "duplicate-scalar-anchor": "a: &x 1\nb: &x 2\n",
+    "duplicate-collection-anchor": "a: &x [1]\nb: &x {c: 2}\n",
+    "undefined-alias": "a: *nowhere\n",
+    "merge": "base: &b {x: 1}\nd:\n  <<: *b\n  y: 2\n",
+    "merge-flow": "{<<: {a: 1}, b: 2}\n",
+    "merge-value": "a: <<\n",
+    "value-key": "=: 1\nb: 2\n",
+    "value-value": "a: =\n",
+    "str-tag": "a: !!str 1\n",
+    "int-tag": "a: !!int '7'\n",
+    "float-tag": "a: !!float 1\n",
+    "bad-int-tag": "a: !!int many\n",
+    "binary": "a: !!binary aGVsbG8=\n",
+    "local-tag": "a: !local x\n",
+    "set": "a: !!set {x, y}\n",
+    "omap": "a: !!omap [{x: 1}, {y: 2}]\n",
+    "pairs": "a: !!pairs [{x: 1}, {x: 2}]\n",
+    "tagged-map": "!!map {a: 1}\n",
+    "tagged-seq": "a: !!seq [1]\n",
+    "sequence-key": "? [1, 2]\n: 3\n",
+    "mapping-key": "? {a: 1}\n: 3\n",
+    "flow-sequence-key": "{[1]: 2}\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "three-scalar-documents": "--- 1\n--- 2\n--- 3\n",
+    "empty": "",
+    "comment-only": "# only a comment\n",
+    "blank-lines": "\n\n",
+    "nested-70": "a: " + "[" * 70 + "]" * 70 + "\n",
+    "nested-2000": "a: " + "[" * 2000 + "]" * 2000 + "\n",
+    "bad-month": "a: 2001-13-45\n",
+    "bad-binary-int": "a: 0b_\n",
+    "unclosed": "a: [unclosed\n",
+    "mapping-in-scalar": "a: b: c\n",
+    "error-after-document": "a: 1\n...\n]\n",
+}
+PLAIN = {
+    **{f"scalar-{s}": f"v: {s}\n{s}: k\nl: [{s}, {{m: {s}}}]\n" for s in PLAIN_SCALARS},
+    "duplicate-keys": "a: 1\nb: 2\na: 3\n",
+    "untagged-collections": "! {a: ! [1, 2]}\n",
+    "empty-values": "a:\nb: ''\nc: !\n",
+    "scalar-document": "just text\n",
+    "empty-document": "---\n...\n",
+    "explicit-document": "%YAML 1.1\n---\na: [1, 2]\n...\n",
+    "nested-32": "a: " + "[" * 31 + "]" * 31 + "\n",
+    "null-and-nan-keys": "~: 1\n.nan: 2\n.NaN: 3\n",
+    "quoted-escapes": "a: \"\\t\\u00e9\\x41\"\nb: 'it''s'\n",
+    "block-scalars": "a: |\n  one\n  two\nb: >-\n  folded\n  text\n",
+}
+
+
+@pytest.mark.parametrize("text", [*PLAIN.values(), *COMPOSED.values()],
+                         ids=[*PLAIN, *COMPOSED])
+def test_event_builder_matches_the_composer(text):
+    with counting_compositions() as calls:
+        outcome = parse_outcome(text)
+    assert outcome == composed_outcome(text)
+    assert bool(calls) == (text in COMPOSED.values())
 
 
 @pytest.mark.parametrize(
@@ -220,6 +319,14 @@ def test_total_link_length_stays_below_the_sentinels():
     assert sum(topo.link_mm) == limit - 1
     with pytest.raises(ScenarioError, match="too large"):
         Topology(3, [(0, 1, limit - 2), (1, 2, 1), (0, 2, 1)])
+
+
+@pytest.mark.parametrize("unit", [["km"], {"a": 1}])
+def test_unit_must_be_a_known_name(unit):
+    with pytest.raises(ScenarioError, match="unknown distance unit"):
+        Topology(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)], unit=unit)
+    with pytest.raises(ScenarioError, match="unknown distance unit"):
+        Topology.from_edge_list([(0, 1, 1), (1, 2, 1), (0, 2, 1)], unit=unit)
 
 
 def test_disconnected_topology_rejected():
