@@ -11,8 +11,9 @@ default seed).
 The load rows parse and validate the largest bundled fixture (88 lines)
 and the canonical dump of a 40-node, 56-link graph with 48 demands, the
 size of the benchmark's backbone meshes.
-The end-to-end row times a full dc plan and failure sweep of the largest
-bundled fixture.
+The end-to-end rows time a full dc plan and failure sweep of the largest
+bundled fixture, and a dc plan (``algorithm_one``) of a 40-node, 80-link
+graph with 60 unit demands over 5 destinations.
 """
 import argparse
 import statistics
@@ -50,6 +51,21 @@ def random_scenario_text(rng, n: int, extra: int, demands: int) -> str:
         if src != dst:
             flows.append(Flow(src, dst, int(rng.integers(1, 4))))
     return dump_scenario(Scenario(random_graph(rng, n, extra), flows))
+
+
+def dc_instance(rng, n: int, demands: int, destinations: int = 5):
+    """A 2n-link graph with unit demands dealt round-robin to randomly
+    chosen destinations from random sources."""
+    topo = random_graph(rng, n, n)
+    dsts = [int(d) for d in rng.choice(n, size=destinations, replace=False)]
+    flows = []
+    for i in range(demands):
+        dst = dsts[i % destinations]
+        src = int(rng.integers(0, n))
+        while src == dst:
+            src = int(rng.integers(0, n))
+        flows.append(Flow(src, dst, 1))
+    return topo, flows
 
 
 def bench(fn, calls, repeats: int) -> tuple[float, float]:
@@ -102,6 +118,7 @@ def main(argv=None) -> int:
     if not args.skip_end_to_end:
         sc = load_scenario(uslong)
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
+        rows.append(("dc-40n", *bench(algorithm_one, [dc_instance(rng, 40, 60)], args.repeats)))
 
     print(f"{'kernel':<12}{'best ms':>10}{'mean ms':>10}")
     for kernel, best, mean in rows:

@@ -8,11 +8,13 @@ across thresholds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 from . import kernels, routing
+from .kernels import INF_MM
 from .plan import (
     SCHEME_DC,
     BackupPair,
@@ -83,48 +85,66 @@ def redundancy_ratio(topo: Topology, group: CodingGroup) -> float:
     return group_capacity_mm(group) / shortest_working_capacity_mm(topo, flows)
 
 
-def _parity_route(topo: Topology, sources: list[int], dst: int, blocked: set[int]) -> Route | None:
+def _parity_route(
+    topo: Topology, sources: list[int], dst: int, blocked: set[int], budget: int | None = None
+) -> Route | None:
     """Cheapest source-tapping trail to the decode node.
 
     Chains the distinct sources in nearest-neighbour order, each leg a
     shortest path avoiding the working links and the trail so far;
-    every distinct start is tried and the shortest feasible trail wins.
+    every distinct start is tried and the shortest feasible trail wins,
+    ties going to the smaller node sequence. A trail longer than
+    ``budget`` (mm) counts as infeasible.
+
+    Branch and bound: ``to_dst`` (distances to dst with the working
+    links removed) bounds from below the rest of any trail from a node,
+    and a start is abandoned once the trail so far plus the leg to some
+    remaining source plus that source's ``to_dst`` exceeds the budget
+    or the best trail found. The pruning is exact: lengths are positive
+    and a start's mask only grows, so no abandoned trail could have come
+    in within the limit; the comparison is strict, so trails of equal
+    length still compete on node sequence. Each leg reads every
+    remaining source off one tree rooted at the trail's end.
     """
+    csr = (topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm)
+    base = topo.blocked_mask(blocked)
+    to_dst = kernels.dijkstra_distances(*csr, dst, base)
     uniq = sorted(set(sources))
+    # a trail never reuses a link, so it is shorter than all links together
+    limit = INF_MM // 4 if budget is None else budget
+    # every trail runs on from each source to dst
+    if max(to_dst[u] for u in uniq) > limit:
+        return None
     best = None
     for start in uniq:
+        mask = array("B", base)
         nodes = [start]
         links: list[int] = []
         segs: list[int] = []
-        used: set[int] = set()
+        partial = 0
         cur = start
         remaining = [u for u in uniq if u != start]
-        dead = False
         while remaining:
-            leg_best = None
-            for u in remaining:
-                p = routing.shortest_path(topo, cur, u, excluded=blocked | used)
-                if p is None:
-                    continue
-                key = (p.length_mm, u)
-                if leg_best is None or key < leg_best[0]:
-                    leg_best = (key, u, p)
-            if leg_best is None:
-                dead = True
+            dist = kernels.dijkstra_distances(*csr, cur, mask)
+            if partial + max(dist[u] + to_dst[u] for u in remaining) > limit:
                 break
-            _, u, p = leg_best
-            for w, lid in zip(p.nodes[1:], p.links):
+            u = min(remaining, key=lambda u: (dist[u], u))
+            leg = routing.path_from_root(topo, dist, cur, u, mask)
+            for w, lid in zip(leg.nodes[1:], leg.links):
                 nodes.append(w)
                 links.append(lid)
                 segs.append(topo.link_mm[lid])
-                used.add(lid)
+                mask[lid] = 1
+            partial += leg.length_mm
             cur = u
             remaining.remove(u)
-        if dead:
+        if remaining:
             continue
-        tail = routing.shortest_path(topo, cur, dst, excluded=blocked | used)
-        if tail is None:
+        # with no leg taken the mask is still the working links' one
+        tree = kernels.dijkstra_distances(*csr, dst, mask) if links else to_dst
+        if partial + tree[cur] > limit:
             continue
+        tail = routing.path_to_root(topo, tree, cur, dst, mask)
         for w, lid in zip(tail.nodes[1:], tail.links):
             nodes.append(w)
             links.append(lid)
@@ -134,10 +154,11 @@ def _parity_route(topo: Topology, sources: list[int], dst: int, blocked: set[int
         key = (route.length_mm, route.nodes)
         if best is None or key < best[0]:
             best = (key, route)
+            limit = route.length_mm
     return best[1] if best else None
 
 
-def find_group(topo: Topology, flows, flow_ids=None) -> CodingGroup | None:
+def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup | None:
     """Route a parity group for the given flows, or report infeasibility.
 
     Flows must share a destination and carry equal rates. Working paths
@@ -145,6 +166,12 @@ def find_group(topo: Topology, flows, flow_ids=None) -> CodingGroup | None:
     shorter route of a shared source going to the earlier flow); the
     parity trail additionally avoids all of them. Either failing to
     route kills the group.
+
+    ``max_mm`` is a ceiling on the group's capacity-distance (working
+    paths plus parity trail): a group dearer than it is reported as
+    None. The routes that fit are the ones found without a ceiling,
+    because the search only drops trails that provably exceed it
+    (lengths are positive and a trail's excluded links only grow).
     """
     flows = list(flows)
     if len(flows) < 2:
@@ -160,8 +187,13 @@ def find_group(topo: Topology, flows, flow_ids=None) -> CodingGroup | None:
     workings = routing.disjoint_routes(topo, [f.src for f in flows], dst)
     if workings is None:
         return None
+    budget = None
+    if max_mm is not None:
+        budget = max_mm - sum(p.length_mm for p in workings)
+        if budget < 0:
+            return None
     blocked = {lid for p in workings for lid in p.links}
-    parity = _parity_route(topo, [f.src for f in flows], dst, blocked)
+    parity = _parity_route(topo, [f.src for f in flows], dst, blocked, budget)
     if parity is None:
         return None
     return CodingGroup(
@@ -201,7 +233,10 @@ def algorithm_one(
 
     hop_ok = _make_hop_guard(topo, flows, by_dst)
 
-    cache: dict[frozenset, tuple[CodingGroup, int, int] | None] = {}
+    # keyed by (dst, sources in combination order): flows are unit rate,
+    # so routes, floor and ceiling depend on nothing else
+    cache: dict[tuple, tuple[CodingGroup, int, int] | None] = {}
+    top = _ratio_fraction(params.thresholds()[-1])
 
     aps: dict[int, tuple[Path, Path | None]] = {}
 
@@ -217,17 +252,18 @@ def algorithm_one(
         return w.length_mm + b.length_mm if b is not None else 1 << 62
 
     def evaluate(combo) -> tuple[CodingGroup, int, int] | None:
-        key = frozenset(combo)
+        key = (flows[combo[0]].dst, tuple(flows[i].src for i in combo))
         if key not in cache:
-            g = find_group(topo, [flows[i] for i in combo], flow_ids=combo)
-            if g is None:
-                cache[key] = None
-            else:
-                cache[key] = (
-                    g,
-                    group_capacity_mm(g),
-                    shortest_working_capacity_mm(topo, [flows[i] for i in combo]),
-                )
+            members = [flows[i] for i in combo]
+            baseline = shortest_working_capacity_mm(topo, members)
+            # admission ceiling: no threshold admits a group dearer than
+            # the loosest ratio allows or than 1+1 pairs for its flows
+            max_mm = min(
+                baseline * top.numerator // top.denominator,
+                sum(fallback_mm(i) for i in combo),
+            )
+            g = find_group(topo, members, flow_ids=combo, max_mm=max_mm)
+            cache[key] = None if g is None else (g, group_capacity_mm(g), baseline)
         return cache[key]
 
     groups: list[CodingGroup] = []
@@ -257,7 +293,8 @@ def algorithm_one(
                         continue
                     if consumed > sum(fallback_mm(i) for i in combo):
                         continue
-                    groups.append(g)
+                    # a cached group may carry another combination's ids
+                    groups.append(replace(g, flow_ids=combo))
                     for i in combo:
                         alive[i] = False
 

@@ -7,13 +7,12 @@ holds the same rule as coverage matrices so one mat-vec scores them all.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import routing
-from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, detour_arcs, link_load
+from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, link_load
 from .topology import ScenarioError, Topology
 
 # largest per-link working load the int64 coverage arithmetic holds
@@ -80,14 +79,6 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
             dfs(w, link_mm[lid])
             on_path[w] = False
     return sorted(out, key=lambda c: (c.length_mm, c.nodes))
-
-
-def apriori_efficiency(topo: Topology, cycle: Cycle, need: Sequence[int]) -> float:
-    """Unmet working units this cycle can protect, per unit distance."""
-    protected = sum(
-        min(int(need[lid]), len(detour_arcs(topo, cycle, lid))) for lid in range(topo.m)
-    )
-    return protected / cycle.length_mm
 
 
 def pc_design(topo: Topology, demand) -> ProtectionPlan:

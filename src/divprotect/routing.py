@@ -35,19 +35,29 @@ def shortest_path(topo: Topology, src: int, dst: int, excluded=()) -> Path | Non
         )
     else:
         dist = topo.distances(dst)
+    return path_to_root(topo, dist, src, dst, blocked)
+
+
+def path_to_root(topo: Topology, dist, src: int, root: int, blocked) -> Path | None:
+    """Lexicographically smallest shortest src->root path, read off
+    ``dist``, the distances from root with the ``blocked`` links skipped.
+
+    Returns None when src is unreachable.
+    """
     if dist[src] >= INF_MM:
         return None
     # Walk the shortest-path DAG from src, always taking the smallest
     # neighbour that stays on a shortest route. Valid because lengths are
     # strictly positive, so dist decreases at every step.
+    link_mm = topo.link_mm
     nodes = [src]
     links = []
     v = src
-    while v != dst:
+    while v != root:
         for w, lid in topo.neighbors(v):
             if blocked[lid]:
                 continue
-            if dist[v] == topo.link_mm[lid] + dist[w]:
+            if dist[v] == link_mm[lid] + dist[w]:
                 nodes.append(w)
                 links.append(lid)
                 v = w
@@ -55,6 +65,52 @@ def shortest_path(topo: Topology, src: int, dst: int, excluded=()) -> Path | Non
         else:  # pragma: no cover - dist[src] finite guarantees progress
             raise AssertionError("shortest-path walk stalled")
     return Path(tuple(nodes), tuple(links), dist[src])
+
+
+def path_from_root(topo: Topology, dist, root: int, target: int, blocked) -> Path | None:
+    """Lexicographically smallest shortest root->target path, read off
+    ``dist``, the distances from root with the ``blocked`` links skipped,
+    so one tree serves every target. Returns None when target is
+    unreachable.
+
+    Marks the nodes that reach target over tight arcs (dist[x] + len ==
+    dist[y]), then walks forward from root taking the smallest marked
+    neighbour across a tight arc. This is ``shortest_path``'s rule: from
+    a node v on a shortest root->target path, arc v->w lies on one
+    exactly when it is tight and w reaches target over tight arcs, which
+    is what ``shortest_path``'s test dist_t[v] == len + dist_t[w] picks
+    with distances dist_t to target; so both walks take the same
+    smallest neighbour at every step.
+    """
+    if root == target:
+        raise ValueError("root and target must differ")
+    if dist[target] >= INF_MM:
+        return None
+    link_mm = topo.link_mm
+    on = bytearray(topo.n)
+    on[target] = 1
+    stack = [target]
+    while stack:
+        y = stack.pop()
+        dy = dist[y]
+        for x, lid in topo.neighbors(y):
+            if not on[x] and not blocked[lid] and dist[x] + link_mm[lid] == dy:
+                on[x] = 1
+                stack.append(x)
+    nodes = [root]
+    links = []
+    v = root
+    while v != target:
+        dv = dist[v]
+        for w, lid in topo.neighbors(v):
+            if on[w] and not blocked[lid] and dv + link_mm[lid] == dist[w]:
+                nodes.append(w)
+                links.append(lid)
+                v = w
+                break
+        else:  # pragma: no cover - v reaches target over tight arcs
+            raise AssertionError("shortest-path walk stalled")
+    return Path(tuple(nodes), tuple(links), dist[target])
 
 
 def path_delay(path, speed_km_s: float = 2.0e5) -> float:

@@ -1,8 +1,9 @@
 """Shared test utilities: fixture loading, randomized instances,
 brute-force oracles kept deliberately independent of the library's
-algorithms (different enumeration strategies, no shared code paths), a
-reference copy of the p-cycle planner's earlier implementation, and the
-scenario parser with and without its event-stream builder."""
+algorithms (different enumeration strategies, no shared code paths),
+reference copies of the p-cycle planner's and the parity-trail search's
+earlier implementations, and the scenario parser with and without its
+event-stream builder."""
 from contextlib import contextmanager
 from itertools import combinations, permutations
 from unittest import mock
@@ -13,8 +14,8 @@ from yaml.composer import Composer
 from divprotect import routing, topology
 from divprotect.cli import fixture_path
 from divprotect.pcycle import Cycle
-from divprotect.plan import SCHEME_PC, CycleSelection, ProtectionPlan
-from divprotect.topology import Flow, ScenarioError, Scenario, Topology, load_scenario
+from divprotect.plan import SCHEME_PC, CycleSelection, ProtectionPlan, detour_arcs
+from divprotect.topology import Flow, Route, ScenarioError, Scenario, Topology, load_scenario
 
 
 def load_fixture(name: str) -> Scenario:
@@ -85,6 +86,11 @@ def random_scenario(seed: int, max_nodes: int = 10, max_links: int = 20,
             src = int(rng.integers(0, n))
         flows.append(Flow(src, dst, 1))
     return topo, flows
+
+
+def unit_lengths(topo: Topology) -> Topology:
+    """The same graph with every link 1 km long: shortest paths tie a lot."""
+    return Topology.from_edge_list([(l.a, l.b, 1) for l in topo.links], unit="km")
 
 
 def all_simple_paths(topo: Topology, src: int, dst: int, excluded=frozenset()):
@@ -268,3 +274,63 @@ def dense_pc_reference(
         cycles=selections,
         unprotected=tuple(unprotected),
     )
+
+
+def apriori_efficiency(topo: Topology, cycle: Cycle, need) -> float:
+    """Unmet working units one copy of the cycle can protect, per unit
+    distance: the scalar form of ``pc_design``'s selection ratio."""
+    protected = sum(
+        min(int(need[lid]), len(detour_arcs(topo, cycle, lid))) for lid in range(topo.m)
+    )
+    return protected / cycle.length_mm
+
+
+def reference_parity_route(topo: Topology, sources, dst: int, blocked: set[int]):
+    """The parity-trail search as it was before it was bounded: one
+    ``shortest_path`` call per remaining source on every leg, every
+    start routed to the end."""
+    uniq = sorted(set(sources))
+    best = None
+    for start in uniq:
+        nodes = [start]
+        links = []
+        segs = []
+        used = set()
+        cur = start
+        remaining = [u for u in uniq if u != start]
+        dead = False
+        while remaining:
+            leg_best = None
+            for u in remaining:
+                p = routing.shortest_path(topo, cur, u, excluded=blocked | used)
+                if p is None:
+                    continue
+                key = (p.length_mm, u)
+                if leg_best is None or key < leg_best[0]:
+                    leg_best = (key, u, p)
+            if leg_best is None:
+                dead = True
+                break
+            _, u, p = leg_best
+            for w, lid in zip(p.nodes[1:], p.links):
+                nodes.append(w)
+                links.append(lid)
+                segs.append(topo.link_mm[lid])
+                used.add(lid)
+            cur = u
+            remaining.remove(u)
+        if dead:
+            continue
+        tail = routing.shortest_path(topo, cur, dst, excluded=blocked | used)
+        if tail is None:
+            continue
+        for w, lid in zip(tail.nodes[1:], tail.links):
+            nodes.append(w)
+            links.append(lid)
+            segs.append(topo.link_mm[lid])
+        segs.append(0)
+        route = Route(tuple(nodes), tuple(links), sum(segs), tuple(segs))
+        key = (route.length_mm, route.nodes)
+        if best is None or key < best[0]:
+            best = (key, route)
+    return best[1] if best else None

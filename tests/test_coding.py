@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from divprotect import coding, kernels
+from divprotect import coding, kernels, routing
 from divprotect.cli import fixture_names
 from divprotect.coding import (
     SearchParams,
@@ -13,7 +14,7 @@ from divprotect.coding import (
 )
 from divprotect.plan import serialize_plan, shortest_working_capacity_mm
 from divprotect.topology import Flow, Topology
-from helpers import load_fixture, random_scenario
+from helpers import load_fixture, random_scenario, reference_parity_route, unit_lengths
 
 KM = 1_000_000
 
@@ -74,6 +75,51 @@ def test_find_group_mixed_sources_parity_taps_all():
     assert [p.nodes for p in g.working] == [(1, 3), (2, 3)]
     assert g.parity.nodes == (2, 1, 0, 4, 3)  # taps 2, then 1, then decodes at 3
     assert redundancy_ratio(topo, g) == pytest.approx(2.5, abs=1e-15)
+
+
+def test_find_group_ceiling_boundary():
+    topo = load_fixture("example2").topology
+    flows = [Flow(1, 3, 1), Flow(2, 3, 1)]
+    g = find_group(topo, flows)
+    cap = group_capacity_mm(g)
+    assert find_group(topo, flows, max_mm=cap) == g
+    assert find_group(topo, flows, max_mm=cap - 1) is None
+    # the working routes alone already exceed the ceiling
+    working = sum(w.length_mm for w in g.working)
+    assert find_group(topo, flows, max_mm=working - 1) is None
+
+
+def _parity_instances():
+    for seed in range(40):
+        topo, _ = random_scenario(seed, max_nodes=12, max_links=26)
+        yield topo
+        yield unit_lengths(topo)
+
+
+def test_bounded_parity_search_matches_reference():
+    # the branch-and-bound trail equals the unbounded search's whenever
+    # that one fits the budget, and is None otherwise
+    rng = np.random.default_rng(5)
+    checked = 0
+    for topo in _parity_instances():
+        for dst in range(topo.n):
+            for size in (2, 3, 4):
+                sources = [int(s) for s in rng.integers(0, topo.n, size=size)]
+                if dst in sources:
+                    continue
+                workings = routing.disjoint_routes(topo, sources, dst)
+                if workings is None:
+                    continue
+                blocked = {lid for p in workings for lid in p.links}
+                want = reference_parity_route(topo, sources, dst, blocked)
+                assert coding._parity_route(topo, sources, dst, blocked) == want
+                if want is None:
+                    continue
+                checked += 1
+                for budget in (want.length_mm, want.length_mm - 1, want.length_mm + 1):
+                    got = coding._parity_route(topo, sources, dst, blocked, budget)
+                    assert got == (want if want.length_mm <= budget else None)
+    assert checked > 500
 
 
 def test_ratio_at_equal_lengths_is_n_plus_1_over_n():
@@ -169,6 +215,76 @@ def test_destination_degree_cut_keeps_plans(monkeypatch):
         skipped += len(calls)
         assert cut == uncut
     assert skipped > 0
+
+
+def test_admission_ceiling_prunes_nothing_admissible(monkeypatch):
+    # the ceiling only turns groups no threshold admits into None: a
+    # search that ignores it must give the same plans
+    real = coding.find_group
+    rejected = []
+
+    def checked(topo, flows, flow_ids=None, max_mm=None):
+        g = real(topo, flows, flow_ids=flow_ids, max_mm=max_mm)
+        free = real(topo, flows, flow_ids=flow_ids)
+        if g is None and free is not None:
+            assert group_capacity_mm(free) > max_mm
+            rejected.append(1)
+        else:
+            assert g == free
+        return g
+
+    def unbounded(topo, flows, flow_ids=None, max_mm=None):
+        return real(topo, flows, flow_ids=flow_ids)
+
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances = [(sc.topology, sc.demands) for sc in instances]
+    instances += [random_scenario(seed) for seed in range(30)]
+    for seed in range(6):
+        topo, flows = random_scenario(seed, max_nodes=12, max_links=26, max_flows=10)
+        instances.append((unit_lengths(topo), flows))
+    for topo, flows in instances:
+        with monkeypatch.context() as m:
+            m.setattr(coding, "find_group", checked)
+            bounded = serialize_plan(algorithm_one(topo, flows), topo)
+        with monkeypatch.context() as m:
+            m.setattr(coding, "find_group", unbounded)
+            free = serialize_plan(algorithm_one(topo, flows), topo)
+        assert bounded == free
+    assert rejected
+
+
+def test_high_rate_demand_routes_each_source_tuple_once(monkeypatch):
+    # one 0->1 demand of rate 12 on K6 splits into 12 unit flows whose
+    # C(12, k) combinations all share one source tuple per size
+    calls = []
+    real = coding.find_group
+    monkeypatch.setattr(
+        coding, "find_group", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    topo = Topology.from_edge_list(
+        [(a, b, 1) for a in range(6) for b in range(a + 1, 6)], unit="km"
+    )
+    plan = algorithm_one(topo, [Flow(0, 1, 12)])
+    assert len(calls) <= 3
+    assert sorted(i for g in plan.groups for i in g.flow_ids) == list(range(12))
+    assert plan.pairs == () and plan.unprotected == ()
+
+
+def test_cached_groups_keep_each_flow_on_its_own_route():
+    # cache hits are shared by every combination with the same source
+    # tuple; each flow must still get the working route from its source
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances = [(sc.topology, sc.demands) for sc in instances]
+    instances += [random_scenario(seed, max_flows=12) for seed in range(30)]
+    # seeds where a permuted source tuple is accepted from the cache
+    instances += [random_scenario(seed, 8, 16, 8) for seed in (63, 376, 384)]
+    for topo, demand in instances:
+        plan = algorithm_one(topo, demand)
+        for g in plan.groups:
+            assert [(w.src, w.dst) for w in g.working] == [
+                (plan.flows[i].src, plan.flows[i].dst) for i in g.flow_ids
+            ]
+            assert all(plan.working_paths[i] == w for i, w in zip(g.flow_ids, g.working))
 
 
 def test_decode_matrix_cases():

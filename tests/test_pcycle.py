@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from divprotect.cli import fixture_names
-from divprotect.pcycle import apriori_efficiency, enumerate_cycles, pc_design
+from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.plan import detour_arcs, serialize_plan
 from divprotect.topology import Flow, Topology
 from helpers import (
     all_links_coverage,
+    apriori_efficiency,
     brute_cycles,
     dense_pc_reference,
     load_fixture,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from divprotect import kernels
@@ -6,12 +7,13 @@ from divprotect.routing import (
     disjoint_routes,
     hop_distances,
     path_delay,
+    path_from_root,
     shortest_distances,
     shortest_path,
 )
 from divprotect.kernels import INF_MM
 from divprotect.topology import Topology
-from helpers import load_fixture, random_scenario
+from helpers import load_fixture, random_scenario, unit_lengths
 
 FIXTURES = [
     "example2",
@@ -106,6 +108,28 @@ def test_shared_trees_are_not_handed_out_mutable():
     assert shortest_distances(topo, 3) == expected
     assert shortest_path(topo, 0, 3) == before
     assert isinstance(topo.distances(3), tuple)
+
+
+def test_paths_read_off_a_source_tree_match_shortest_path():
+    rng = np.random.default_rng(3)
+    topos = [random_scenario(seed, max_nodes=12, max_links=24)[0] for seed in range(15)]
+    topos += [unit_lengths(t) for t in topos]
+    unreachable = 0
+    for topo in topos:
+        for _ in range(3):
+            excluded = [lid for lid in range(topo.m) if rng.random() < 0.3]
+            blocked = topo.blocked_mask(excluded)
+            for src in range(topo.n):
+                dist = shortest_distances(topo, src, excluded)
+                for dst in range(topo.n):
+                    if dst == src:
+                        continue
+                    want = shortest_path(topo, src, dst, excluded)
+                    assert path_from_root(topo, dist, src, dst, blocked) == want
+                    unreachable += want is None
+    assert unreachable > 0
+    with pytest.raises(ValueError):
+        path_from_root(topos[0], shortest_distances(topos[0], 0), 0, 0, topos[0].blocked_mask())
 
 
 def test_path_delay():
