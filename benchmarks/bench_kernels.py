@@ -12,8 +12,9 @@ The load rows parse and validate the largest bundled fixture (88 lines)
 and the canonical dump of a 40-node, 56-link graph with 48 demands, the
 size of the benchmark's backbone meshes.
 The end-to-end rows time a full dc plan and failure sweep of the largest
-bundled fixture, and a dc plan (``algorithm_one``) of a 40-node, 80-link
-graph with 60 unit demands over 5 destinations.
+bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
+graph with 60 unit demands over 5 destinations, and a pc plan
+(``pc_design``) of another graph and demand set of that shape.
 """
 import argparse
 import statistics
@@ -25,7 +26,7 @@ from divprotect import kernels
 from divprotect.cli import fixture_path
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep
-from divprotect.pcycle import enumerate_cycles
+from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.topology import Flow, Scenario, Topology, dump_scenario, load_scenario
 
 
@@ -119,6 +120,7 @@ def main(argv=None) -> int:
         sc = load_scenario(uslong)
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
         rows.append(("dc-40n", *bench(algorithm_one, [dc_instance(rng, 40, 60)], args.repeats)))
+        rows.append(("pc-40n", *bench(pc_design, [dc_instance(rng, 40, 60)], args.repeats)))
 
     print(f"{'kernel':<12}{'best ms':>10}{'mean ms':>10}")
     for kernel, best, mean in rows:

@@ -4,8 +4,10 @@ algorithms (different enumeration strategies, no shared code paths),
 reference copies of the p-cycle planner's and the parity-trail search's
 earlier implementations, and the scenario parser with and without its
 event-stream builder."""
+import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,15 @@ from divprotect.cli import fixture_path
 from divprotect.pcycle import Cycle
 from divprotect.plan import SCHEME_PC, CycleSelection, ProtectionPlan, detour_arcs
 from divprotect.topology import Flow, Route, ScenarioError, Scenario, Topology, load_scenario
+
+
+def load_bench_kernels():
+    """The ``benchmarks/bench_kernels.py`` script, imported as a module."""
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_fixture(name: str) -> Scenario:
@@ -158,7 +169,8 @@ def brute_cycles(topo: Topology):
 # The p-cycle planner as it was before cycles were enumerated in one
 # orientation and its coverage matrices built in one vectorised pass:
 # every cycle is found in both directions and deduplicated in canonical
-# form, and each cycle's coverage scans every link. The plan it returns
+# form, each cycle's coverage scans every link, and the greedy buys one
+# copy per step, rescoring every cycle each time. The plan it returns
 # must serialize to the same bytes as pcycle.pc_design's.
 
 
@@ -172,7 +184,7 @@ def _ref_canonical(topo: Topology, nodes: list[int]) -> Cycle:
         l = topo.link_between(ring[i], ring[(i + 1) % len(ring)])
         links.append(l.id)
         total += l.length_mm
-    return Cycle(tuple(ring), tuple(links), total)
+    return Cycle(length_mm=total, nodes=tuple(ring), links=tuple(links))
 
 
 def _ref_enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]:

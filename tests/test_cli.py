@@ -248,6 +248,20 @@ def test_dc_on_a_ring_with_many_flows_finishes(tmp_path):
     assert proc.stdout.splitlines()[1].startswith("dc,300.0000,")
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the p-cycle planner when it runs, so validate
+    # and the dc and sr schemes do not pay for loading it
+    src_dir = str(Path(divprotect.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, divprotect.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_missing_fixture_dir_is_an_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(FIXTURES_ENV, str(tmp_path / "missing"))
     assert main(["validate", "--scenario", "example2"]) == 1

@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from helpers import (
     all_links_coverage,
     apriori_efficiency,
     brute_cycles,
+    _ref_enumerate_cycles,
     dense_pc_reference,
+    load_bench_kernels,
     load_fixture,
     random_scenario,
 )
@@ -72,6 +77,27 @@ def test_max_hops_bound():
     topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
     assert len(enumerate_cycles(topo)) == 3
     assert len(enumerate_cycles(topo, max_hops=3)) == 2  # 4-ring dropped
+
+
+@pytest.mark.parametrize("max_hops", [0, 1, 2])
+def test_fewer_than_three_hops_close_no_cycle(max_hops):
+    topo = km([(a, b, 1) for a in range(4) for b in range(a + 1, 4)])
+    assert enumerate_cycles(topo, max_hops=max_hops) == []
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_hop_pruned_enumeration_matches_reference_at_every_bound(seed):
+    topo, _ = random_scenario(seed)
+    for h in range(3, topo.n + 1):
+        assert enumerate_cycles(topo, max_hops=h) == _ref_enumerate_cycles(topo, h)
+
+
+def test_hop_pruned_enumeration_matches_reference_on_bench_graph():
+    # the shape of bench_kernels' cycles row: 16 nodes, 30 links
+    topo = load_bench_kernels().random_graph(np.random.default_rng(7), 16, 14)
+    assert topo.m == 30
+    for h in range(3, topo.n + 1):
+        assert enumerate_cycles(topo, max_hops=h) == _ref_enumerate_cycles(topo, h)
 
 
 def test_enumeration_matches_bruteforce_on_fixtures():
@@ -182,3 +208,46 @@ def test_pc_design_matches_dense_reference_on_random_instances(seed):
     topo, flows = random_scenario(seed)
     want = serialize_plan(dense_pc_reference(topo, flows), topo)
     assert serialize_plan(pc_design(topo, flows), topo) == want
+
+
+def scaled_rates(seed):
+    """random_scenario with every rate multiplied by 2-50, so selection
+    buys several copies per step and straddlers carry needs of 4 and up."""
+    topo, flows = random_scenario(seed)
+    rng = np.random.default_rng(1000 + seed)
+    return topo, [dataclasses.replace(f, rate=f.rate * int(rng.integers(2, 51))) for f in flows]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pc_design_matches_dense_reference_on_scaled_rates(seed):
+    topo, flows = scaled_rates(seed)
+    want = serialize_plan(dense_pc_reference(topo, flows), topo)
+    assert serialize_plan(pc_design(topo, flows), topo) == want
+
+
+def test_pc_design_matches_dense_reference_across_a_bridge():
+    topo = km([(0, 1, 1), (1, 2, 2), (0, 2, 1), (2, 3, 1), (0, 3, 5), (3, 4, 1)])
+    flows = [Flow(0, 4, 7), Flow(1, 0, 9), Flow(0, 2, 13), Flow(1, 3, 4)]
+    plan = pc_design(topo, flows)
+    assert plan.partial and plan.unprotected == (0,)
+    assert serialize_plan(plan, topo) == serialize_plan(dense_pc_reference(topo, flows), topo)
+
+
+@pytest.mark.parametrize("rate", [10**12 + 1, 2**62 - 1])
+def test_pc_design_buys_huge_rates_in_batches(rate):
+    # a square 0-1-2-3 with the chord 0-2, which carries the one demand:
+    # the square protects the straddling chord twice per copy (2 units
+    # per 4 km) and beats either triangle (1 unit per 3 km) until the
+    # need is down to 1; the odd unit left goes to the first triangle
+    topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
+    t0 = time.perf_counter()
+    plan = pc_design(topo, [Flow(0, 2, rate)])
+    assert time.perf_counter() - t0 < 1.0
+    assert [(s.nodes, s.copies) for s in plan.cycles] == [
+        ((0, 1, 2), 1),
+        ((0, 1, 2, 3), (rate - 1) // 2),
+    ]
+    assert not plan.partial
+    chord = topo.link_between(0, 2).id
+    assert plan.working_cap[chord] == rate
+    assert plan.spare_cap[chord] == 1
