@@ -13,8 +13,11 @@ and the canonical dump of a 40-node, 56-link graph with 48 demands, the
 size of the benchmark's backbone meshes.
 The end-to-end rows time a full dc plan and failure sweep of the largest
 bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
-graph with 60 unit demands over 5 destinations, and a pc plan
-(``pc_design``) of another graph and demand set of that shape.
+graph with 60 unit demands over 5 destinations, a pc plan
+(``pc_design``) of another graph and demand set of that shape, and
+``sweep-100n``: the failure sweeps of the sr and pc plans of a 100-node,
+200-link graph with 150 unit demands over 5 destinations, with both
+plans built before the timer starts.
 """
 import argparse
 import statistics
@@ -27,6 +30,7 @@ from divprotect.cli import fixture_path
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep
 from divprotect.pcycle import enumerate_cycles, pc_design
+from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow, Scenario, Topology, dump_scenario, load_scenario
 
 
@@ -85,6 +89,11 @@ def plan_and_sweep(sc) -> None:
     sweep(sc.topology, algorithm_one(sc.topology, sc.demands))
 
 
+def sweep_plans(topo, plans) -> None:
+    for plan in plans:
+        sweep(topo, plan)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=20)
@@ -121,6 +130,9 @@ def main(argv=None) -> int:
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
         rows.append(("dc-40n", *bench(algorithm_one, [dc_instance(rng, 40, 60)], args.repeats)))
         rows.append(("pc-40n", *bench(pc_design, [dc_instance(rng, 40, 60)], args.repeats)))
+        topo, flows = dc_instance(rng, 100, 150)
+        plans = [sr_design(topo, flows), pc_design(topo, flows)]
+        rows.append(("sweep-100n", *bench(sweep_plans, [(topo, plans)], args.repeats)))
 
     print(f"{'kernel':<12}{'best ms':>10}{'mean ms':>10}")
     for kernel, best, mean in rows:

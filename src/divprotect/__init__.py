@@ -43,7 +43,6 @@ from .plan import (
 from .routing import (
     disjoint_path_pair,
     disjoint_routes,
-    path_delay,
     shortest_path,
 )
 from .source_reroute import sr_design
@@ -57,7 +56,6 @@ from .topology import (
     Topology,
     dump_scenario,
     load_scenario,
-    load_topology,
 )
 
 __version__ = "0.1.0"

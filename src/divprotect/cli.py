@@ -6,7 +6,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .coding import algorithm_one
@@ -24,17 +23,6 @@ EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
 FIXTURES_ENV = "DIVPROTECT_FIXTURES"
-
-
-@dataclass
-class RunConfig:
-    scenario: str
-    schemes: tuple[str, ...] = ALL_SCHEMES
-    switch_values_s: tuple[float, ...] = (0.5e-3, 1e-3, 5e-3, 10e-3)
-    detect_s: float = 100e-6
-    node_proc_s: float = 100e-6
-    out: str | None = None
-    format: str = "csv"
 
 
 def fixture_path(name: str) -> str | None:
@@ -112,7 +100,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_common(args) -> RunConfig:
+def _parse_common(args) -> None:
+    """Validate the options every command shares and leave the parsed
+    schemes, switch times and RtParams on args."""
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     if not schemes:
         raise ScenarioError("--schemes needs at least one of dc,sr,pc")
@@ -134,51 +124,39 @@ def _parse_common(args) -> RunConfig:
     for flag, value in (("--detect-us", args.detect_us), ("--proc-us", args.proc_us)):
         if not (math.isfinite(value) and value >= 0):
             raise ScenarioError(f"{flag} needs a finite non-negative value, got {value:g}")
-    return RunConfig(
-        scenario=args.scenario,
-        schemes=schemes,
-        switch_values_s=switch,
-        detect_s=args.detect_us * 1e-6,
-        node_proc_s=args.proc_us * 1e-6,
-        out=args.out,
-        format=args.format,
-    )
+    args.schemes = schemes
+    args.switch_values_s = switch
+    args.rt_params = RtParams(detect_s=args.detect_us * 1e-6, node_proc_s=args.proc_us * 1e-6)
 
 
-def _rt_params(cfg: RunConfig) -> RtParams:
-    return RtParams(detect_s=cfg.detect_s, node_proc_s=cfg.node_proc_s)
-
-
-def cmd_plan(cfg: RunConfig) -> int:
-    sc = _load(cfg.scenario)
+def cmd_plan(args) -> int:
+    sc = _load(args.scenario)
     docs = []
     partial = False
-    for scheme in cfg.schemes:
+    for scheme in args.schemes:
         plan = build_plan(scheme, sc)
         partial = partial or plan.partial
         docs.append(serialize_plan(plan, sc.topology))
-    _emit("---\n".join(docs), cfg.out)
+    _emit("---\n".join(docs), args.out)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
-def _compare_rows(cfg: RunConfig, sc: Scenario):
+def _compare_rows(args, sc: Scenario):
     rows = []
     partial = False
-    for scheme in cfg.schemes:
+    for scheme in args.schemes:
         plan = build_plan(scheme, sc)
-        _, result = sweep(
-            sc.topology, plan, _rt_params(cfg), switch_values_s=cfg.switch_values_s
-        )
+        _, result = sweep(sc.topology, plan, args.rt_params, args.switch_values_s)
         partial = partial or result.partial
         rows.append(result)
     return rows, partial
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    sc = _load(cfg.scenario)
-    rows, partial = _compare_rows(cfg, sc)
-    cs = cfg.switch_values_s
-    if cfg.format == "csv":
+def cmd_compare(args) -> int:
+    sc = _load(args.scenario)
+    rows, partial = _compare_rows(args, sc)
+    cs = args.switch_values_s
+    if args.format == "csv":
         header = ["scheme", "scp_pct"]
         header += [f"rt_ms@{_fmt_ms(c)}" for c in cs]
         header += [f"qor@{_fmt_ms(c)}" for c in cs]
@@ -188,8 +166,8 @@ def cmd_compare(cfg: RunConfig) -> int:
             cells += [f"{r.rt_s[c] * 1e3:.6f}" for c in cs]
             cells += [f"{r.qor[c]:.6f}" for c in cs]
             lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", cfg.out)
-    elif cfg.format == "structured":
+        _emit("\n".join(lines) + "\n", args.out)
+    elif args.format == "structured":
         out = []
         for r in rows:
             out.append(f"- scheme: {r.scheme}")
@@ -202,8 +180,8 @@ def cmd_compare(cfg: RunConfig) -> int:
             out.append("  qor:")
             for c in cs:
                 out.append(f"    \"{_fmt_ms(c)}\": {r.qor[c]:.6f}")
-        _emit("\n".join(out) + "\n", cfg.out)
-    elif cfg.format == "human-table":
+        _emit("\n".join(out) + "\n", args.out)
+    elif args.format == "human-table":
         name_w = max(len(SCHEME_LABELS[r.scheme]) for r in rows)
         head = (
             f"{'scheme':<{name_w}}  {'SCP%':>8}  "
@@ -219,30 +197,30 @@ def cmd_compare(cfg: RunConfig) -> int:
                 + "  "
                 + "  ".join(f"{r.qor[c]:>9.4f}" for c in cs)
             )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        raise ScenarioError(f"unknown format {cfg.format!r}")
+        raise ScenarioError(f"unknown format {args.format!r}")
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
-def cmd_qor_curve(cfg: RunConfig) -> int:
-    sc = _load(cfg.scenario)
-    rows, partial = _compare_rows(cfg, sc)
+def cmd_qor_curve(args) -> int:
+    sc = _load(args.scenario)
+    rows, partial = _compare_rows(args, sc)
     lines = ["scheme,switch_ms,rt_ms,qor"]
     for r in rows:
-        for c in cfg.switch_values_s:
+        for c in args.switch_values_s:
             lines.append(
                 f"{r.scheme},{_fmt_ms(c)},{r.rt_s[c] * 1e3:.6f},{r.qor[c]:.6f}"
             )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    sc = _load(cfg.scenario)
+def cmd_validate(args) -> int:
+    sc = _load(args.scenario)
     topo = sc.topology
     lines = [
-        f"scenario: {sc.name or cfg.scenario}",
+        f"scenario: {sc.name or args.scenario}",
         f"nodes: {topo.n}",
         f"links: {topo.m}",
         f"unit: {topo.unit}",
@@ -251,7 +229,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     ]
     for w in topo.warnings:
         lines.append(f"warning: {w}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -296,8 +274,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _parse_common(args)
-        return args.fn(cfg)
+        _parse_common(args)
+        return args.fn(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -6,7 +6,10 @@ byte-stable for identical inputs.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .coding import verify_decodable
 from .metrics import (
@@ -26,11 +29,10 @@ from .plan import (
     ProtectionPlan,
     detour_arcs,
     link_load,
+    link_users,
     shortest_working_capacity_mm,
 )
 from .topology import Topology
-
-_RT_FN = {SCHEME_DC: rt_dc, SCHEME_SR: rt_sr, SCHEME_PC: rt_pc}
 
 
 @dataclass(frozen=True)
@@ -53,87 +55,87 @@ def _notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
     return _delay(topo.link_mm[lid] // 2, p)
 
 
-def _sweep_dc(topo, plan, lid, affected, p):
-    ok = verify_decodable(plan, lid)
-    group_of = {}
+def _sweep_dc(topo, plan, users, p):
+    # a flow's parity skew depends on its own routes, not on the failed link
+    late_mm = {pair.flow_id: pair.backup.length_mm for pair in plan.pairs}
     for g in plan.groups:
-        for pos, fid in enumerate(g.flow_ids):
-            group_of[fid] = (g, pos)
+        for fid in g.flow_ids:
+            late_mm[fid] = g.parity.tail_mm(plan.flows[fid].src)
+    geom = {}
+    for fid, mm in late_mm.items():
+        skew = max(0, mm - plan.working_paths[fid].length_mm)
+        geom[fid] = FailureGeometry(parity_skew_s=_delay(skew, p))
+    for lid, affected in enumerate(users):
+        ok = verify_decodable(plan, lid)
+        yield [geom[fid] if ok[fid] else None for fid in affected], True
+
+
+def _sweep_sr(topo, plan, users, p):
     pair_of = {pair.flow_id: pair for pair in plan.pairs}
-    recovered = []
-    geoms = []
-    for fid in affected:
-        recovered.append(ok[fid])
-        if not ok[fid]:
-            geoms.append(None)
-            continue
-        w = plan.working_paths[fid]
-        if fid in group_of:
-            g, _ = group_of[fid]
-            tail = g.parity.tail_mm(plan.flows[fid].src)
-            skew = max(0, tail - w.length_mm)
-        else:
-            pair = pair_of[fid]
-            skew = max(0, pair.backup.length_mm - w.length_mm)
-        geoms.append(FailureGeometry(parity_skew_s=_delay(skew, p)))
-    return recovered, geoms, True
-
-
-def _sweep_sr(topo, plan, lid, affected, p):
-    pair_of = {pair.flow_id: pair for pair in plan.pairs}
-    recovered = []
-    geoms = []
-    rerouted = []
-    for fid in affected:
-        pair = pair_of.get(fid)
-        if pair is None or lid in pair.backup.links:
-            recovered.append(False)
-            geoms.append(None)
-            continue
-        w, b = pair.working, pair.backup
-        i = w.links.index(lid)
-        prefix_mm = sum(topo.link_mm[l] for l in w.links[:i])
-        geoms.append(
-            FailureGeometry(
-                backup_hops=b.hops,
-                upstream_hops=i,
-                prot_delay_s=_delay(b.length_mm, p),
-                upstream_delay_s=_delay(prefix_mm, p),
-                notify_delay_s=_notify_delay(topo, lid, p),
+    for lid, affected in enumerate(users):
+        geoms = []
+        rerouted = []
+        for fid in affected:
+            pair = pair_of.get(fid)
+            if pair is None or lid in pair.backup.links:
+                geoms.append(None)
+                continue
+            w, b = pair.working, pair.backup
+            i = w.links.index(lid)
+            prefix_mm = sum(topo.link_mm[l] for l in w.links[:i])
+            geoms.append(
+                FailureGeometry(
+                    backup_hops=b.hops,
+                    upstream_hops=i,
+                    prot_delay_s=_delay(b.length_mm, p),
+                    upstream_delay_s=_delay(prefix_mm, p),
+                    notify_delay_s=_notify_delay(topo, lid, p),
+                )
             )
-        )
-        recovered.append(True)
-        rerouted.append((b.links, plan.flows[fid].rate))
-    load = link_load(topo.m, rerouted)
-    cap_ok = all(x <= cap for x, cap in zip(load, plan.spare_cap))
-    return recovered, geoms, cap_ok
+            rerouted.append((b.links, plan.flows[fid].rate))
+        load = link_load(topo.m, rerouted)
+        yield geoms, all(x <= cap for x, cap in zip(load, plan.spare_cap))
 
 
-def _sweep_pc(topo, plan, lid, affected, p):
-    # one detour per unit of rate, shortest first, over every bought copy
-    arcs = sorted(arc for sel in plan.cycles for arc in detour_arcs(topo, sel, lid) * sel.copies)
-    recovered = []
-    geoms = []
-    nxt = 0
-    cap_ok = True
-    for fid in affected:
-        rate = plan.flows[fid].rate
-        if nxt + rate > len(arcs):
-            recovered.append(False)
-            geoms.append(None)
-            cap_ok = False
-            continue
-        worst = arcs[nxt + rate - 1]
-        nxt += rate
-        recovered.append(True)
-        geoms.append(
-            FailureGeometry(
-                upstream_hops=worst[1],
-                prot_delay_s=_delay(worst[0], p),
-                notify_delay_s=_notify_delay(topo, lid, p),
+def _sweep_pc(topo, plan, users, p):
+    for lid, affected in enumerate(users):
+        # one detour per unit of rate, shortest first, over every bought
+        # copy: the copies of one distinct arc fill a run of positions
+        copies = Counter()
+        for sel in plan.cycles:
+            for arc in detour_arcs(topo, sel, lid):
+                copies[arc] += sel.copies
+        arcs = sorted(copies)
+        ends = list(accumulate((copies[arc] for arc in arcs), initial=0))
+        geoms = []
+        nxt = 0
+        for fid in affected:
+            rate = plan.flows[fid].rate
+            if nxt + rate > ends[-1]:
+                geoms.append(None)
+                continue
+            worst = arcs[bisect_right(ends, nxt + rate - 1) - 1]
+            nxt += rate
+            geoms.append(
+                FailureGeometry(
+                    upstream_hops=worst[1],
+                    prot_delay_s=_delay(worst[0], p),
+                    notify_delay_s=_notify_delay(topo, lid, p),
+                )
             )
-        )
-    return recovered, geoms, cap_ok
+        # a flow left without a detour means the bought copies ran out
+        yield geoms, None not in geoms
+
+
+# per scheme: its outcomes pass and its restoration-time formula. A pass
+# does its failure-independent work once per plan, then yields, per link
+# in id order, each affected flow's geometry (None when it is not
+# recovered) and whether the spare capacity sufficed.
+_SCHEMES = {
+    SCHEME_DC: (_sweep_dc, rt_dc),
+    SCHEME_SR: (_sweep_sr, rt_sr),
+    SCHEME_PC: (_sweep_pc, rt_pc),
+}
 
 
 def sweep(
@@ -145,33 +147,21 @@ def sweep(
     """Fail every link once; report per-failure outcomes and the
     scheme's worst-case restoration times and quality scores."""
     p = rt_params or RtParams()
-    handler = {
-        SCHEME_DC: _sweep_dc,
-        SCHEME_SR: _sweep_sr,
-        SCHEME_PC: _sweep_pc,
-    }[plan.scheme]
-
-    reports = []
-    for lid in range(topo.m):
-        affected = tuple(
-            fid
-            for fid, w in enumerate(plan.working_paths)
-            if w is not None and lid in w.links
+    outcomes, rt_fn = _SCHEMES[plan.scheme]
+    users = link_users(plan.working_paths, topo.m)
+    reports = [
+        FailureReport(
+            link=lid,
+            affected=tuple(users[lid]),
+            recovered=tuple(g is not None for g in geoms),
+            geometries=tuple(geoms),
+            capacity_feasible=cap_ok,
         )
-        recovered, geoms, cap_ok = handler(topo, plan, lid, affected, p)
-        reports.append(
-            FailureReport(
-                link=lid,
-                affected=affected,
-                recovered=tuple(recovered),
-                geometries=tuple(geoms),
-                capacity_feasible=cap_ok,
-            )
-        )
+        for lid, (geoms, cap_ok) in enumerate(outcomes(topo, plan, users, p))
+    ]
 
     swc = shortest_working_capacity_mm(topo, plan.flows)
     scp_pct = scp(plan.total_capacity_mm(topo), swc)
-    rt_fn = _RT_FN[plan.scheme]
     rt_map: dict[float, float] = {}
     qor_map: dict[float, float] = {}
     for c in switch_values_s:

@@ -101,6 +101,17 @@ def link_load(m: int, loads) -> tuple[int, ...]:
     return tuple(out)
 
 
+def link_users(paths, m: int) -> list[list[int]]:
+    """Per link id, the indices of the non-None paths crossing it, in
+    ascending order."""
+    users = [[] for _ in range(m)]
+    for i, p in enumerate(paths):
+        if p is not None:
+            for lid in p.links:
+                users[lid].append(i)
+    return users
+
+
 def split_unit_flows(demand) -> tuple[tuple[Flow, ...], tuple[int, ...]]:
     """Expand demand rows into unit-rate subflows, preserving order."""
     flows = []
@@ -154,28 +165,22 @@ def recovery_actions(plan: ProtectionPlan, topo: Topology) -> dict[int, list[dic
     included in serialized plans so an operator can audit recovery
     without running the simulator.
     """
-    actions: dict[int, list[dict]] = {}
-
-    def add(lid, entry):
-        actions.setdefault(lid, []).append(entry)
-
+    mech = "switch-dedicated" if plan.scheme == SCHEME_DC else "switch-shared"
+    how = {}
     for gi, g in enumerate(plan.groups):
-        for fid, w in zip(g.flow_ids, g.working):
-            for lid in w.links:
-                add(lid, {"flow": fid, "mechanism": "decode", "group": gi})
+        for fid in g.flow_ids:
+            how[fid] = {"mechanism": "decode", "group": gi}
     for pi, pair in enumerate(plan.pairs):
-        mech = "switch-dedicated" if plan.scheme == SCHEME_DC else "switch-shared"
-        for lid in pair.working.links:
-            add(lid, {"flow": pair.flow_id, "mechanism": mech, "pair": pi})
-    if plan.scheme == SCHEME_PC:
-        for fid, w in enumerate(plan.working_paths):
-            if w is None:
-                continue
-            for lid in w.links:
-                cys = [ci for ci, sel in enumerate(plan.cycles) if detour_arcs(topo, sel, lid)]
-                add(lid, {"flow": fid, "mechanism": "cycle-detour", "cycles": cys})
-    for lid in actions:
-        actions[lid].sort(key=lambda e: e["flow"])
+        how[pair.flow_id] = {"mechanism": mech, "pair": pi}
+    actions: dict[int, list[dict]] = {}
+    for lid, fids in enumerate(link_users(plan.working_paths, topo.m)):
+        if plan.scheme == SCHEME_PC and fids:
+            cys = [ci for ci, sel in enumerate(plan.cycles) if detour_arcs(topo, sel, lid)]
+            rows = [{"flow": fid, "mechanism": "cycle-detour", "cycles": cys} for fid in fids]
+        else:
+            rows = [{"flow": fid, **how[fid]} for fid in fids if fid in how]
+        if rows:
+            actions[lid] = rows
     return actions
 
 

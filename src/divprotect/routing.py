@@ -113,11 +113,6 @@ def path_from_root(topo: Topology, dist, root: int, target: int, blocked) -> Pat
     return Path(tuple(nodes), tuple(links), dist[target])
 
 
-def path_delay(path, speed_km_s: float = 2.0e5) -> float:
-    """One-way propagation delay in seconds for a Path or Route."""
-    return path.length_mm * 1e-6 / speed_km_s
-
-
 def hop_distances(topo: Topology, src: int) -> list[int]:
     """BFS hop counts from src (ignores link lengths)."""
     dist = [-1] * topo.n

@@ -9,7 +9,7 @@ capacity is not reused during recovery.
 from __future__ import annotations
 
 from . import routing
-from .plan import SCHEME_SR, BackupPair, ProtectionPlan, link_load
+from .plan import SCHEME_SR, BackupPair, ProtectionPlan, link_load, link_users
 from .topology import Topology
 
 
@@ -30,10 +30,10 @@ def sr_design(topo: Topology, demand) -> ProtectionPlan:
     working_cap = link_load(topo.m, ((w.links, f.rate) for f, w in zip(flows, working_paths)))
 
     # spare[l] = max over single failures of the backup rate crossing l
+    backups = [(p.backup.links, flows[p.flow_id].rate) for p in pairs]
     spare_cap = (0,) * topo.m
-    for failed in range(topo.m):
-        hit = [(p.backup.links, flows[p.flow_id].rate) for p in pairs if failed in p.working.links]
-        spare_cap = tuple(map(max, spare_cap, link_load(topo.m, hit)))
+    for hit in link_users([p.working for p in pairs], topo.m):
+        spare_cap = tuple(map(max, spare_cap, link_load(topo.m, (backups[i] for i in hit))))
 
     return ProtectionPlan(
         scheme=SCHEME_SR,

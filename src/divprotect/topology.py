@@ -59,10 +59,6 @@ class Link:
     b: int
     length_mm: int
 
-    @property
-    def distance_km(self) -> float:
-        return self.length_mm * KM_PER_MM
-
     def other(self, node: int) -> int:
         if node == self.a:
             return self.b
@@ -561,11 +557,6 @@ def load_scenario(text: str) -> Scenario:
         name=str(doc.get("name", "")),
         reconstructed=reconstructed,
     )
-
-
-def load_topology(text: str) -> Topology:
-    """Parse a scenario document and return just its topology."""
-    return load_scenario(text).topology
 
 
 # names that YAML would reparse as the same string can stay bare

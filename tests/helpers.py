@@ -1,8 +1,9 @@
 """Shared test utilities: fixture loading, randomized instances,
 brute-force oracles kept deliberately independent of the library's
 algorithms (different enumeration strategies, no shared code paths),
-reference copies of the p-cycle planner's and the parity-trail search's
-earlier implementations, and the scenario parser with and without its
+reference copies of the p-cycle planner's, the parity-trail search's,
+the failure sweep's, sr spare sizing's and the recovery actions' earlier
+implementations, and the scenario parser with and without its
 event-stream builder."""
 import importlib.util
 from contextlib import contextmanager
@@ -15,8 +16,20 @@ from yaml.composer import Composer
 
 from divprotect import routing, topology
 from divprotect.cli import fixture_path
+from divprotect.coding import verify_decodable
+from divprotect.failsim import FailureReport
+from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, rt_dc, rt_pc, rt_sr, scp
 from divprotect.pcycle import Cycle
-from divprotect.plan import SCHEME_PC, CycleSelection, ProtectionPlan, detour_arcs
+from divprotect.plan import (
+    SCHEME_DC,
+    SCHEME_PC,
+    SCHEME_SR,
+    CycleSelection,
+    ProtectionPlan,
+    detour_arcs,
+    link_load,
+    shortest_working_capacity_mm,
+)
 from divprotect.topology import Flow, Route, ScenarioError, Scenario, Topology, load_scenario
 
 
@@ -346,3 +359,188 @@ def reference_parity_route(topo: Topology, sources, dst: int, blocked: set[int])
         if best is None or key < best[0]:
             best = (key, route)
     return best[1] if best else None
+
+
+# The failure sweep, sr spare sizing and recovery actions as they were
+# before they shared one link -> flows index: every failure rescans every
+# path, and each (flow, link) pair recomputes its p-cycle list.
+
+def _ref_delay(length_mm: int, p: RtParams) -> float:
+    return length_mm * 1e-6 / p.prop_speed_km_s
+
+
+def _ref_notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
+    # worst case: break at mid-span, detected at the nearer end
+    return _ref_delay(topo.link_mm[lid] // 2, p)
+
+
+def _ref_sweep_dc(topo, plan, lid, affected, p):
+    ok = verify_decodable(plan, lid)
+    group_of = {}
+    for g in plan.groups:
+        for pos, fid in enumerate(g.flow_ids):
+            group_of[fid] = (g, pos)
+    pair_of = {pair.flow_id: pair for pair in plan.pairs}
+    recovered = []
+    geoms = []
+    for fid in affected:
+        recovered.append(ok[fid])
+        if not ok[fid]:
+            geoms.append(None)
+            continue
+        w = plan.working_paths[fid]
+        if fid in group_of:
+            g, _ = group_of[fid]
+            tail = g.parity.tail_mm(plan.flows[fid].src)
+            skew = max(0, tail - w.length_mm)
+        else:
+            pair = pair_of[fid]
+            skew = max(0, pair.backup.length_mm - w.length_mm)
+        geoms.append(FailureGeometry(parity_skew_s=_ref_delay(skew, p)))
+    return recovered, geoms, True
+
+
+def _ref_sweep_sr(topo, plan, lid, affected, p):
+    pair_of = {pair.flow_id: pair for pair in plan.pairs}
+    recovered = []
+    geoms = []
+    rerouted = []
+    for fid in affected:
+        pair = pair_of.get(fid)
+        if pair is None or lid in pair.backup.links:
+            recovered.append(False)
+            geoms.append(None)
+            continue
+        w, b = pair.working, pair.backup
+        i = w.links.index(lid)
+        prefix_mm = sum(topo.link_mm[l] for l in w.links[:i])
+        geoms.append(
+            FailureGeometry(
+                backup_hops=b.hops,
+                upstream_hops=i,
+                prot_delay_s=_ref_delay(b.length_mm, p),
+                upstream_delay_s=_ref_delay(prefix_mm, p),
+                notify_delay_s=_ref_notify_delay(topo, lid, p),
+            )
+        )
+        recovered.append(True)
+        rerouted.append((b.links, plan.flows[fid].rate))
+    load = link_load(topo.m, rerouted)
+    cap_ok = all(x <= cap for x, cap in zip(load, plan.spare_cap))
+    return recovered, geoms, cap_ok
+
+
+def _ref_sweep_pc(topo, plan, lid, affected, p):
+    # one detour per unit of rate, shortest first, over every bought copy
+    arcs = sorted(arc for sel in plan.cycles for arc in detour_arcs(topo, sel, lid) * sel.copies)
+    recovered = []
+    geoms = []
+    nxt = 0
+    cap_ok = True
+    for fid in affected:
+        rate = plan.flows[fid].rate
+        if nxt + rate > len(arcs):
+            recovered.append(False)
+            geoms.append(None)
+            cap_ok = False
+            continue
+        worst = arcs[nxt + rate - 1]
+        nxt += rate
+        recovered.append(True)
+        geoms.append(
+            FailureGeometry(
+                upstream_hops=worst[1],
+                prot_delay_s=_ref_delay(worst[0], p),
+                notify_delay_s=_ref_notify_delay(topo, lid, p),
+            )
+        )
+    return recovered, geoms, cap_ok
+
+
+def reference_sweep(topo, plan, rt_params=None, switch_values_s=(0.5e-3, 1e-3, 5e-3, 10e-3)):
+    p = rt_params or RtParams()
+    handler = {
+        SCHEME_DC: _ref_sweep_dc,
+        SCHEME_SR: _ref_sweep_sr,
+        SCHEME_PC: _ref_sweep_pc,
+    }[plan.scheme]
+
+    reports = []
+    for lid in range(topo.m):
+        affected = tuple(
+            fid
+            for fid, w in enumerate(plan.working_paths)
+            if w is not None and lid in w.links
+        )
+        recovered, geoms, cap_ok = handler(topo, plan, lid, affected, p)
+        reports.append(
+            FailureReport(
+                link=lid,
+                affected=affected,
+                recovered=tuple(recovered),
+                geometries=tuple(geoms),
+                capacity_feasible=cap_ok,
+            )
+        )
+
+    swc = shortest_working_capacity_mm(topo, plan.flows)
+    scp_pct = scp(plan.total_capacity_mm(topo), swc)
+    rt_fn = {SCHEME_DC: rt_dc, SCHEME_SR: rt_sr, SCHEME_PC: rt_pc}[plan.scheme]
+    rt_map = {}
+    qor_map = {}
+    for c in switch_values_s:
+        pc = p.with_switch(c)
+        worst = 0.0
+        for rep in reports:
+            for g in rep.geometries:
+                if g is not None:
+                    worst = max(worst, rt_fn(g, pc))
+        rt_map[c] = worst
+        qor_map[c] = qor(scp_pct, worst)
+    result = SchemeResult(
+        scheme=plan.scheme,
+        scp_pct=scp_pct,
+        rt_s=rt_map,
+        qor=qor_map,
+        partial=plan.partial
+        or any(not all(rep.recovered) for rep in reports)
+        or any(not rep.capacity_feasible for rep in reports),
+    )
+    return reports, result
+
+
+def reference_sr_spare(topo: Topology, plan: ProtectionPlan) -> tuple[int, ...]:
+    """``sr_design``'s spare capacity, one scan of every pair per failure."""
+    flows, pairs = plan.flows, plan.pairs
+    # spare[l] = max over single failures of the backup rate crossing l
+    spare_cap = (0,) * topo.m
+    for failed in range(topo.m):
+        hit = [(p.backup.links, flows[p.flow_id].rate) for p in pairs if failed in p.working.links]
+        spare_cap = tuple(map(max, spare_cap, link_load(topo.m, hit)))
+    return spare_cap
+
+
+def reference_recovery_actions(plan: ProtectionPlan, topo: Topology) -> dict[int, list[dict]]:
+    actions: dict[int, list[dict]] = {}
+
+    def add(lid, entry):
+        actions.setdefault(lid, []).append(entry)
+
+    for gi, g in enumerate(plan.groups):
+        for fid, w in zip(g.flow_ids, g.working):
+            for lid in w.links:
+                add(lid, {"flow": fid, "mechanism": "decode", "group": gi})
+    for pi, pair in enumerate(plan.pairs):
+        mech = "switch-dedicated" if plan.scheme == SCHEME_DC else "switch-shared"
+        for lid in pair.working.links:
+            add(lid, {"flow": pair.flow_id, "mechanism": mech, "pair": pi})
+    if plan.scheme == SCHEME_PC:
+        for fid, w in enumerate(plan.working_paths):
+            if w is None:
+                continue
+            for lid in w.links:
+                cys = [ci for ci, sel in enumerate(plan.cycles) if detour_arcs(topo, sel, lid)]
+                add(lid, {"flow": fid, "mechanism": "cycle-detour", "cycles": cys})
+    for lid in actions:
+        actions[lid].sort(key=lambda e: e["flow"])
+    return actions

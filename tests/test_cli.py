@@ -36,17 +36,25 @@ def run(tmp_path, *argv):
     return code, out.read_text(encoding="utf-8")
 
 
-def write_ring(path, distance, rate):
-    """A 4-node ring of equal links with one demand 0->1 at the given rate."""
-    links = "".join(
-        f"    - {{a: {a}, b: {(a + 1) % 4}, distance: {distance}}}\n" for a in range(4)
-    )
+def write_ring(path, distance, rate, chord=False):
+    """A 4-node ring of equal links, with a 0-2 chord if asked, and one
+    demand 0->1 at the given rate."""
+    ends = [(a, (a + 1) % 4) for a in range(4)] + [(0, 2)] * chord
+    links = "".join(f"    - {{a: {a}, b: {b}, distance: {distance}}}\n" for a, b in ends)
     path.write_text(
         "topology:\n  unit: km\n  nodes: [{id: 0}, {id: 1}, {id: 2}, {id: 3}]\n"
         f"  links:\n{links}demands:\n  - {{src: 0, dst: 1, rate: {rate}}}\n",
         encoding="utf-8",
     )
     return path
+
+
+def child_env() -> dict:
+    """os.environ with this checkout's divprotect first on PYTHONPATH."""
+    src_dir = str(Path(divprotect.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_bundled_fixture_discovery():
@@ -220,12 +228,9 @@ def test_deeply_nested_yaml_fails_cleanly(tmp_path):
     # crash the interpreter instead of raising
     deep = tmp_path / "deep.yaml"
     deep.write_text("a: " + "[" * 30000 + "]" * 30000 + "\n", encoding="utf-8")
-    src_dir = str(Path(divprotect.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "divprotect.cli", "validate", "--scenario", str(deep)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -236,27 +241,43 @@ def test_dc_on_a_ring_with_many_flows_finishes(tmp_path):
     # 100 unit flows into a destination of degree 2: no parity group can
     # route, so every flow takes a 1+1 pair without a combination search
     scenario = write_ring(tmp_path / "ring.yaml", 1, 100)
-    src_dir = str(Path(divprotect.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "divprotect.cli", "compare", "--scenario", str(scenario),
          "--schemes", "dc"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1].startswith("dc,300.0000,")
 
 
+def test_pc_sweep_memory_does_not_grow_with_the_rate(tmp_path, capsys):
+    # one cycle bought 10^9 times offers the same detour as one bought
+    # twice, so the rate-10^9 run prints the rate-2 row within 1 GiB
+    small = write_ring(tmp_path / "small.yaml", 1, 2, chord=True)
+    assert main(["compare", "--schemes", "pc", "--scenario", str(small)]) == 0
+    want = capsys.readouterr().out.splitlines()[1]
+    assert want.startswith("pc,300.0000,1.412500,2.412500,")
+    big = write_ring(tmp_path / "big.yaml", 1, 10**9, chord=True)
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from divprotect.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, "compare", "--schemes", "pc", "--scenario", str(big)],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == want
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is imported by the p-cycle planner when it runs, so validate
     # and the dc and sr schemes do not pay for loading it
-    src_dir = str(Path(divprotect.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, divprotect.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -6,7 +6,6 @@ from divprotect.routing import (
     disjoint_path_pair,
     disjoint_routes,
     hop_distances,
-    path_delay,
     path_from_root,
     shortest_distances,
     shortest_path,
@@ -130,13 +129,6 @@ def test_paths_read_off_a_source_tree_match_shortest_path():
     assert unreachable > 0
     with pytest.raises(ValueError):
         path_from_root(topos[0], shortest_distances(topos[0], 0), 0, 0, topos[0].blocked_mask())
-
-
-def test_path_delay():
-    topo = load_fixture("example2").topology
-    p = shortest_path(topo, 0, 3)  # 4 km at 200000 km/s
-    assert path_delay(p) == pytest.approx(2e-5, rel=1e-12)
-    assert path_delay(p, speed_km_s=1e5) == pytest.approx(4e-5, rel=1e-12)
 
 
 def test_hop_distances_ignore_lengths():
