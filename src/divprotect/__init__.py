@@ -50,7 +50,6 @@ from .topology import (
     Flow,
     Link,
     Path,
-    Route,
     Scenario,
     ScenarioError,
     Topology,

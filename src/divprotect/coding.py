@@ -24,7 +24,7 @@ from .plan import (
     shortest_working_capacity_mm,
     split_unit_flows,
 )
-from .topology import Flow, Path, Route, Topology
+from .topology import Flow, Path, Topology
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def redundancy_ratio(topo: Topology, group: CodingGroup) -> float:
 
 def _parity_route(
     topo: Topology, sources: list[int], dst: int, blocked: set[int], budget: int | None = None
-) -> Route | None:
+) -> Path | None:
     """Cheapest source-tapping trail to the decode node.
 
     Chains the distinct sources in nearest-neighbour order, each leg a
@@ -106,9 +106,8 @@ def _parity_route(
     length still compete on node sequence. Each leg reads every
     remaining source off one tree rooted at the trail's end.
     """
-    csr = (topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm)
     base = topo.blocked_mask(blocked)
-    to_dst = kernels.dijkstra_distances(*csr, dst, base)
+    to_dst = topo.distances(dst, base)
     uniq = sorted(set(sources))
     # a trail never reuses a link, so it is shorter than all links together
     limit = INF_MM // 4 if budget is None else budget
@@ -120,20 +119,18 @@ def _parity_route(
         mask = array("B", base)
         nodes = [start]
         links: list[int] = []
-        segs: list[int] = []
         partial = 0
         cur = start
         remaining = [u for u in uniq if u != start]
         while remaining:
-            dist = kernels.dijkstra_distances(*csr, cur, mask)
+            dist = topo.distances(cur, mask)
             if partial + max(dist[u] + to_dst[u] for u in remaining) > limit:
                 break
             u = min(remaining, key=lambda u: (dist[u], u))
             leg = routing.path_from_root(topo, dist, cur, u, mask)
-            for w, lid in zip(leg.nodes[1:], leg.links):
-                nodes.append(w)
-                links.append(lid)
-                segs.append(topo.link_mm[lid])
+            nodes += leg.nodes[1:]
+            links += leg.links
+            for lid in leg.links:
                 mask[lid] = 1
             partial += leg.length_mm
             cur = u
@@ -141,20 +138,15 @@ def _parity_route(
         if remaining:
             continue
         # with no leg taken the mask is still the working links' one
-        tree = kernels.dijkstra_distances(*csr, dst, mask) if links else to_dst
+        tree = topo.distances(dst, mask) if links else to_dst
         if partial + tree[cur] > limit:
             continue
         tail = routing.path_to_root(topo, tree, cur, dst, mask)
-        for w, lid in zip(tail.nodes[1:], tail.links):
-            nodes.append(w)
-            links.append(lid)
-            segs.append(topo.link_mm[lid])
-        segs.append(0)
-        route = Route(tuple(nodes), tuple(links), sum(segs), tuple(segs))
-        key = (route.length_mm, route.nodes)
+        trail = Path((*nodes, *tail.nodes[1:]), (*links, *tail.links), partial + tail.length_mm)
+        key = (trail.length_mm, trail.nodes)
         if best is None or key < best[0]:
-            best = (key, route)
-            limit = route.length_mm
+            best = (key, trail)
+            limit = trail.length_mm
     return best[1] if best else None
 
 
@@ -238,12 +230,14 @@ def algorithm_one(
     cache: dict[tuple, tuple[CodingGroup, int, int] | None] = {}
     top = _ratio_fraction(params.thresholds()[-1])
 
-    aps: dict[int, tuple[Path, Path | None]] = {}
+    # 1+1 routes per (src, dst): a rate-r demand's unit flows share them
+    aps: dict[tuple[int, int], tuple[Path, Path | None]] = {}
 
     def aps_pair(i: int) -> tuple[Path, Path | None]:
-        if i not in aps:
-            aps[i] = routing.protected_pair(topo, flows[i].src, flows[i].dst)
-        return aps[i]
+        key = flows[i].src, flows[i].dst
+        if key not in aps:
+            aps[key] = routing.protected_pair(topo, *key)
+        return aps[key]
 
     def fallback_mm(i: int) -> int:
         # capacity-distance the flow costs if left to the 1+1 fallback;

@@ -27,7 +27,7 @@ from .plan import (
     SCHEME_PC,
     SCHEME_SR,
     ProtectionPlan,
-    detour_arcs,
+    cycle_users,
     link_load,
     link_users,
     shortest_working_capacity_mm,
@@ -60,7 +60,9 @@ def _sweep_dc(topo, plan, users, p):
     late_mm = {pair.flow_id: pair.backup.length_mm for pair in plan.pairs}
     for g in plan.groups:
         for fid in g.flow_ids:
-            late_mm[fid] = g.parity.tail_mm(plan.flows[fid].src)
+            # the trail taps a source at its first visit and runs on from there
+            tap = g.parity.nodes.index(plan.flows[fid].src)
+            late_mm[fid] = g.parity.length_mm - sum(topo.link_mm[l] for l in g.parity.links[:tap])
     geom = {}
     for fid, mm in late_mm.items():
         skew = max(0, mm - plan.working_paths[fid].length_mm)
@@ -98,13 +100,14 @@ def _sweep_sr(topo, plan, users, p):
 
 
 def _sweep_pc(topo, plan, users, p):
+    by_link = cycle_users(topo, plan.cycles)
     for lid, affected in enumerate(users):
         # one detour per unit of rate, shortest first, over every bought
         # copy: the copies of one distinct arc fill a run of positions
         copies = Counter()
-        for sel in plan.cycles:
-            for arc in detour_arcs(topo, sel, lid):
-                copies[arc] += sel.copies
+        for ci, detours in by_link[lid]:
+            for arc in detours:
+                copies[arc] += plan.cycles[ci].copies
         arcs = sorted(copies)
         ends = list(accumulate((copies[arc] for arc in arcs), initial=0))
         geoms = []

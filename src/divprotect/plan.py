@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import Flow, Path, Route, Topology
+from .topology import Flow, Path, Topology
 
 SCHEME_DC = "dc"
 SCHEME_SR = "sr"
@@ -24,15 +24,16 @@ SCHEME_LABELS = {
 
 @dataclass(frozen=True)
 class CodingGroup:
-    """Flows whose working paths are protected by one XOR parity route.
+    """Flows whose working paths are protected by one XOR parity trail.
 
-    All flows terminate at ``decode_node``; the parity route taps every
-    distinct source once and is link-disjoint from the working paths.
+    All flows terminate at ``decode_node``; the parity trail, a Path that
+    may revisit nodes, taps every distinct source and is link-disjoint
+    from the working paths.
     """
 
     flow_ids: tuple[int, ...]
     working: tuple[Path, ...]
-    parity: Route
+    parity: Path
     decode_node: int
 
     @property
@@ -152,6 +153,21 @@ def detour_arcs(topo: Topology, cycle, lid: int) -> list[tuple[int, int]]:
     return [(arc_mm, hi - lo), (cycle.length_mm - arc_mm, len(ring) - hi + lo)]
 
 
+def cycle_users(topo: Topology, cycles) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """Per link id, ``(cycle index, detour_arcs(...))`` for each cycle
+    that offers the link a detour, in cycle order.
+
+    Only the links with both ends on a cycle, its own and its
+    straddlers, get detours, so each cycle visits just those.
+    """
+    users = [[] for _ in range(topo.m)]
+    for ci, cycle in enumerate(cycles):
+        ring = set(cycle.nodes)
+        for lid in {lid for v in ring for w, lid in topo.neighbors(v) if w in ring}:
+            users[lid].append((ci, detour_arcs(topo, cycle, lid)))
+    return users
+
+
 def _path_doc(p) -> str:
     nodes = ", ".join(str(v) for v in p.nodes)
     links = ", ".join(str(l) for l in p.links)
@@ -172,10 +188,11 @@ def recovery_actions(plan: ProtectionPlan, topo: Topology) -> dict[int, list[dic
             how[fid] = {"mechanism": "decode", "group": gi}
     for pi, pair in enumerate(plan.pairs):
         how[pair.flow_id] = {"mechanism": mech, "pair": pi}
+    by_link = cycle_users(topo, plan.cycles)  # empty lists unless pc
     actions: dict[int, list[dict]] = {}
     for lid, fids in enumerate(link_users(plan.working_paths, topo.m)):
         if plan.scheme == SCHEME_PC and fids:
-            cys = [ci for ci, sel in enumerate(plan.cycles) if detour_arcs(topo, sel, lid)]
+            cys = [ci for ci, _ in by_link[lid]]
             rows = [{"flow": fid, "mechanism": "cycle-detour", "cycles": cys} for fid in fids]
         else:
             rows = [{"flow": fid, **how[fid]} for fid in fids if fid in how]

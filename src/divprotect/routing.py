@@ -8,17 +8,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from . import kernels
 from .kernels import INF_MM
 from .topology import Path, Topology
-
-
-def shortest_distances(topo: Topology, src: int, excluded=()) -> list[int]:
-    """Distance (mm) from src to every node, INF_MM where unreachable."""
-    blocked = topo.blocked_mask(excluded)
-    return kernels.dijkstra_distances(
-        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, src, blocked
-    )
 
 
 def shortest_path(topo: Topology, src: int, dst: int, excluded=()) -> Path | None:
@@ -29,12 +20,7 @@ def shortest_path(topo: Topology, src: int, dst: int, excluded=()) -> Path | Non
     if src == dst:
         raise ValueError("src and dst must differ")
     blocked = topo.blocked_mask(excluded)
-    if excluded:
-        dist = kernels.dijkstra_distances(
-            topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, dst, blocked
-        )
-    else:
-        dist = topo.distances(dst)
+    dist = topo.distances(dst, blocked if excluded else None)
     return path_to_root(topo, dist, src, dst, blocked)
 
 

@@ -1,8 +1,8 @@
 """Mesh topology model and scenario file round-tripping.
 
 Distances are stored internally as integer millimetres so that length
-comparisons and tie detection are exact; the public accessors report
-kilometres. Scenario files declare their own distance unit.
+comparisons and tie detection are exact. Scenario files declare their
+own distance unit.
 """
 from __future__ import annotations
 
@@ -59,13 +59,6 @@ class Link:
     b: int
     length_mm: int
 
-    def other(self, node: int) -> int:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError(f"node {node} is not an endpoint of link {self.id}")
-
 
 @dataclass(frozen=True)
 class Flow:
@@ -78,7 +71,12 @@ class Flow:
 
 @dataclass(frozen=True)
 class Path:
-    """Simple path; nodes and links are aligned (len(links) == len(nodes)-1)."""
+    """Walk that never reuses a link; nodes and links are aligned
+    (len(links) == len(nodes)-1).
+
+    Working and backup paths are simple; a parity trail may revisit
+    nodes as it taps several sources on the way to a decode point.
+    """
 
     nodes: tuple[int, ...]
     links: tuple[int, ...]
@@ -95,45 +93,6 @@ class Path:
     @property
     def hops(self) -> int:
         return len(self.links)
-
-    @property
-    def length_km(self) -> float:
-        return self.length_mm * KM_PER_MM
-
-
-@dataclass(frozen=True)
-class Route:
-    """Walk that may revisit nodes but never reuses a link.
-
-    Used for parity trails that tap several sources on the way to a
-    decode point; ``tail_mm`` measures from a tap to the end.
-    """
-
-    nodes: tuple[int, ...]
-    links: tuple[int, ...]
-    length_mm: int
-    seg_mm: tuple[int, ...] = ()
-
-    @property
-    def src(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def dst(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def length_km(self) -> float:
-        return self.length_mm * KM_PER_MM
-
-    def tail_mm(self, node: int) -> int:
-        """Distance from the first visit of ``node`` to the route end."""
-        walked = 0
-        for i, v in enumerate(self.nodes):
-            if v == node:
-                return self.length_mm - walked
-            walked += self.seg_mm[i]
-        raise ValueError(f"node {node} not on route")
 
 
 class Topology:
@@ -206,11 +165,6 @@ class Topology:
                     f"node {self.label(v)} has degree 1; link {lid} cannot be protected"
                 )
 
-    @property
-    def unit_scale(self) -> float:
-        """Kilometres per declared file unit."""
-        return MM_PER_UNIT[self.unit] * KM_PER_MM
-
     def label(self, v: int) -> str:
         name = self.names.get(v)
         return f"{v} ({name})" if name else str(v)
@@ -233,19 +187,23 @@ class Topology:
             mask[lid] = 1
         return mask
 
-    def distances(self, root: int) -> tuple[int, ...]:
-        """Distance (mm) from root to every node with no link excluded,
-        INF_MM where unreachable. Each root's tree is built once."""
+    def distances(self, root: int, blocked: array | None = None):
+        """Distance (mm) from root to every node, INF_MM where unreachable:
+        every shortest-path tree in the package. With ``blocked``, a
+        ``blocked_mask`` whose links are skipped, a fresh list; with none,
+        each root's tree is built once and shared as a tuple."""
+        if blocked is not None:
+            # through the module, so a wrapper set there sees every tree
+            return kernels.dijkstra_distances(
+                self.adj_indptr, self.adj_node, self.adj_link, self.link_mm, root, blocked
+            )
         tree = self._trees.get(root)
         if tree is None:
-            tree = self._trees[root] = tuple(kernels.dijkstra_distances(
-                self.adj_indptr, self.adj_node, self.adj_link, self.link_mm, root,
-                self.blocked_mask(),
-            ))
+            tree = self._trees[root] = tuple(self.distances(root, self.blocked_mask()))
         return tree
 
     def make_path(self, nodes: list[int]) -> Path:
-        """Build a Path from a node sequence; links must all exist."""
+        """Build a Path from a node walk; links must exist and not repeat."""
         links = []
         total = 0
         for u, v in zip(nodes, nodes[1:]):
@@ -253,27 +211,10 @@ class Topology:
             if l is None:
                 raise ValueError(f"no link {u}-{v}")
             links.append(l.id)
-            total += l.length_mm
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("path revisits a node")
-        return Path(tuple(nodes), tuple(links), total)
-
-    def make_route(self, nodes: list[int]) -> Route:
-        """Build a Route from a node walk; links must exist and not repeat."""
-        links = []
-        segs = []
-        total = 0
-        for u, v in zip(nodes, nodes[1:]):
-            l = self.link_between(u, v)
-            if l is None:
-                raise ValueError(f"no link {u}-{v}")
-            links.append(l.id)
-            segs.append(l.length_mm)
             total += l.length_mm
         if len(set(links)) != len(links):
-            raise ValueError("route reuses a link")
-        segs.append(0)
-        return Route(tuple(nodes), tuple(links), total, tuple(segs))
+            raise ValueError("walk reuses a link")
+        return Path(tuple(nodes), tuple(links), total)
 
     def _validate_connectivity(self) -> None:
         seen = [False] * self.n

@@ -30,7 +30,7 @@ from divprotect.plan import (
     link_load,
     shortest_working_capacity_mm,
 )
-from divprotect.topology import Flow, Route, ScenarioError, Scenario, Topology, load_scenario
+from divprotect.topology import Flow, ScenarioError, Scenario, Topology, load_scenario
 
 
 def load_bench_kernels():
@@ -353,8 +353,7 @@ def reference_parity_route(topo: Topology, sources, dst: int, blocked: set[int])
             nodes.append(w)
             links.append(lid)
             segs.append(topo.link_mm[lid])
-        segs.append(0)
-        route = Route(tuple(nodes), tuple(links), sum(segs), tuple(segs))
+        route = topology.Path(tuple(nodes), tuple(links), sum(segs))
         key = (route.length_mm, route.nodes)
         if best is None or key < best[0]:
             best = (key, route)
@@ -374,6 +373,16 @@ def _ref_notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
     return _ref_delay(topo.link_mm[lid] // 2, p)
 
 
+def _ref_tail_mm(topo, trail, node):
+    """Distance from the first visit of node to the end of the trail."""
+    walked = 0
+    for v, mm in zip(trail.nodes, [topo.link_mm[lid] for lid in trail.links] + [0]):
+        if v == node:
+            return trail.length_mm - walked
+        walked += mm
+    raise ValueError(f"node {node} not on trail")
+
+
 def _ref_sweep_dc(topo, plan, lid, affected, p):
     ok = verify_decodable(plan, lid)
     group_of = {}
@@ -391,7 +400,7 @@ def _ref_sweep_dc(topo, plan, lid, affected, p):
         w = plan.working_paths[fid]
         if fid in group_of:
             g, _ = group_of[fid]
-            tail = g.parity.tail_mm(plan.flows[fid].src)
+            tail = _ref_tail_mm(topo, g.parity, plan.flows[fid].src)
             skew = max(0, tail - w.length_mm)
         else:
             pair = pair_of[fid]

@@ -255,17 +255,24 @@ def test_admission_ceiling_prunes_nothing_admissible(monkeypatch):
 
 def test_high_rate_demand_routes_each_source_tuple_once(monkeypatch):
     # one 0->1 demand of rate 12 on K6 splits into 12 unit flows whose
-    # C(12, k) combinations all share one source tuple per size
+    # C(12, k) combinations all share one source tuple per size, and
+    # all share the (src, dst) of the 1+1 pair they are priced against
     calls = []
     real = coding.find_group
     monkeypatch.setattr(
         coding, "find_group", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    pairs = []
+    real_pair = routing.protected_pair
+    monkeypatch.setattr(
+        routing, "protected_pair", lambda *a: pairs.append(a[1:]) or real_pair(*a)
     )
     topo = Topology.from_edge_list(
         [(a, b, 1) for a in range(6) for b in range(a + 1, 6)], unit="km"
     )
     plan = algorithm_one(topo, [Flow(0, 1, 12)])
     assert len(calls) <= 3
+    assert pairs == [(0, 1)]
     assert sorted(i for g in plan.groups for i in g.flow_ids) == list(range(12))
     assert plan.pairs == () and plan.unprotected == ()
 

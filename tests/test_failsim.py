@@ -55,7 +55,7 @@ def test_dc_restoration_time_is_decode_only():
         unit="km",
     )
     w = topo.make_path([0, 1, 3])  # 20 km
-    parity = topo.make_route([0, 4, 3])  # 2 km: arrives 18 km early
+    parity = topo.make_path([0, 4, 3])  # 2 km: arrives 18 km early
     group = CodingGroup(flow_ids=(0,), working=(w,), parity=parity, decode_node=3)
     plan = ProtectionPlan(
         scheme="dc",
@@ -69,6 +69,39 @@ def test_dc_restoration_time_is_decode_only():
     _, res = sweep(topo, plan)
     for c in CS:
         assert res.rt_s[c] == pytest.approx(300e-6, abs=1e-12)
+
+
+def test_dc_parity_skew_counts_from_a_sources_first_visit():
+    # the trail taps source 0, loops 0-4-5-0 and passes 0 again on its
+    # way to source 1 and on to 3: flow 0's parity copy travels the whole
+    # 18 km trail, 15 km more than its 3 km working path
+    from divprotect.plan import CodingGroup, ProtectionPlan
+
+    topo = Topology.from_edge_list(
+        [(0, 3, 3), (1, 3, 3), (0, 4, 5), (4, 5, 5), (5, 0, 5), (0, 1, 1), (1, 2, 1),
+         (2, 3, 1)],
+        unit="km",
+    )
+    w0, w1 = topo.make_path([0, 3]), topo.make_path([1, 3])
+    parity = topo.make_path([0, 4, 5, 0, 1, 2, 3])
+    assert parity.length_mm == 18_000_000
+    group = CodingGroup(flow_ids=(0, 1), working=(w0, w1), parity=parity, decode_node=3)
+    plan = ProtectionPlan(
+        scheme="dc",
+        flows=(Flow(0, 3, 1), Flow(1, 3, 1)),
+        demand_idx=(0, 1),
+        working_paths=(w0, w1),
+        working_cap=tuple(int(lid in w0.links + w1.links) for lid in range(topo.m)),
+        spare_cap=tuple(int(lid in parity.links) for lid in range(topo.m)),
+        groups=(group,),
+    )
+    reports, _ = sweep(topo, plan)
+    speed = RtParams().prop_speed_km_s
+    (g0,) = reports[topo.link_between(0, 3).id].geometries
+    assert g0.parity_skew_s == pytest.approx(15 / speed, abs=1e-15)
+    # source 1 is tapped 2 km from the end, before its 3 km working path ends
+    (g1,) = reports[topo.link_between(1, 3).id].geometries
+    assert g1.parity_skew_s == 0
 
 
 def test_affected_flows_and_unaffected_links():

@@ -1,14 +1,14 @@
-"""The link -> flows index, and the failure sweep, sr spare sizing and
-recovery actions built on it, agree with the per-link scans they
-replaced (kept in ``helpers``)."""
+"""The link -> flows and link -> cycles indexes, and the failure sweep,
+sr spare sizing and recovery actions built on them, agree with the
+per-link scans they replaced (kept in ``helpers``)."""
 import pytest
 
 from divprotect.cli import fixture_names
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep
 from divprotect.metrics import RtParams
-from divprotect.pcycle import pc_design
-from divprotect.plan import link_users, recovery_actions
+from divprotect.pcycle import enumerate_cycles, pc_design
+from divprotect.plan import cycle_users, detour_arcs, link_users, recovery_actions
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow
 from helpers import (
@@ -67,5 +67,15 @@ def test_link_users_matches_a_scan(seed):
     users = link_users(paths, topo.m)
     assert users == [
         [i for i, p in enumerate(paths) if p is not None and lid in p.links]
+        for lid in range(topo.m)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cycle_users_matches_a_scan(seed):
+    topo, _ = random_scenario(seed)
+    cycles = enumerate_cycles(topo, 6)
+    assert cycle_users(topo, cycles) == [
+        [(ci, detour_arcs(topo, c, lid)) for ci, c in enumerate(cycles) if detour_arcs(topo, c, lid)]
         for lid in range(topo.m)
     ]

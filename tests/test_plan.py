@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import divprotect
+from divprotect import kernels
 from divprotect.coding import algorithm_one
 from divprotect.pcycle import pc_design
 from divprotect.plan import (
@@ -178,3 +179,40 @@ def test_only_pcycle_imports_numpy():
             if any(n.split(".")[0] == "numpy" for n in names):
                 importers.add(path.name)
     assert importers == {"pcycle.py"}
+
+
+def test_every_tree_comes_from_the_kernel_on_its_module(monkeypatch):
+    # a tracer replaces kernels.dijkstra_distances on the module and keys
+    # each tree on its root (args[4]) and mask bytes (args[5]); a module
+    # that bound the kernel by name would build trees it never sees
+    def plans():
+        docs, traced = [], []
+        for design in (algorithm_one, sr_design, pc_design):
+            sc = load_fixture("example2")  # a fresh topology: no shared trees
+            before = len(calls)
+            docs.append(serialize_plan(design(sc.topology, sc.demands), sc.topology))
+            traced.append(len(calls) > before)
+        return docs, traced
+
+    calls = []
+    real = kernels.dijkstra_distances
+
+    def counting(*args):
+        calls.append((int(args[4]), args[5].tobytes()))
+        return real(*args)
+
+    plain, _ = plans()
+    monkeypatch.setattr(kernels, "dijkstra_distances", counting)
+    docs, traced = plans()
+    assert traced == [True, True, True]
+    assert docs == plain
+
+    # and Topology.distances is the one caller
+    callers = set()
+    for path in Path(divprotect.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                assert "dijkstra_distances" not in [a.name for a in node.names], path.name
+            elif isinstance(node, ast.Attribute) and node.attr == "dijkstra_distances":
+                callers.add(path.name)
+    assert callers == {"topology.py"}

@@ -7,7 +7,6 @@ from divprotect.routing import (
     disjoint_routes,
     hop_distances,
     path_from_root,
-    shortest_distances,
     shortest_path,
 )
 from divprotect.kernels import INF_MM
@@ -65,11 +64,11 @@ def test_shortest_path_unreachable_and_degenerate():
 
 def test_shortest_distances_vector():
     topo = load_fixture("example2").topology
-    d = shortest_distances(topo, 0)
+    d = topo.distances(0)
     assert list(d) == [0, 1_000_000, 2_000_000, 4_000_000, 2_000_000]
-    d = shortest_distances(topo, 0, excluded=(0,))
+    d = topo.distances(0, topo.blocked_mask((0,)))
     assert d[1] == 4_000_000  # 0-2-1
-    d = shortest_distances(topo, 3, excluded=(1, 3, 5))
+    d = topo.distances(3, topo.blocked_mask((1, 3, 5)))
     assert d[4] == INF_MM
 
 
@@ -101,12 +100,13 @@ def test_unmasked_paths_from_shared_trees_match_fresh_trees():
 def test_shared_trees_are_not_handed_out_mutable():
     topo = load_fixture("example2").topology
     before = shortest_path(topo, 0, 3)
-    d = shortest_distances(topo, 3)
+    d = topo.distances(3, topo.blocked_mask())
     expected = list(d)
     d[:] = [0] * topo.n
-    assert shortest_distances(topo, 3) == expected
+    assert topo.distances(3, topo.blocked_mask()) == expected
     assert shortest_path(topo, 0, 3) == before
     assert isinstance(topo.distances(3), tuple)
+    assert list(topo.distances(3)) == expected
 
 
 def test_paths_read_off_a_source_tree_match_shortest_path():
@@ -119,7 +119,7 @@ def test_paths_read_off_a_source_tree_match_shortest_path():
             excluded = [lid for lid in range(topo.m) if rng.random() < 0.3]
             blocked = topo.blocked_mask(excluded)
             for src in range(topo.n):
-                dist = shortest_distances(topo, src, excluded)
+                dist = topo.distances(src, blocked)
                 for dst in range(topo.n):
                     if dst == src:
                         continue
@@ -128,7 +128,7 @@ def test_paths_read_off_a_source_tree_match_shortest_path():
                     unreachable += want is None
     assert unreachable > 0
     with pytest.raises(ValueError):
-        path_from_root(topos[0], shortest_distances(topos[0], 0), 0, 0, topos[0].blocked_mask())
+        path_from_root(topos[0], topos[0].distances(0), 0, 0, topos[0].blocked_mask())
 
 
 def test_hop_distances_ignore_lengths():

@@ -75,10 +75,6 @@ def test_load_triangle():
 def test_link_endpoints_normalised():
     topo = Topology(3, [(2, 0, 5), (1, 2, 7), (0, 1, 3)])
     assert (topo.links[0].a, topo.links[0].b) == (0, 2)
-    assert topo.links[0].other(0) == 2
-    assert topo.links[0].other(2) == 0
-    with pytest.raises(ValueError):
-        topo.links[0].other(1)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -102,30 +98,42 @@ def test_fractional_distance_roundtrip():
     assert again.topology.links[2].length_mm == 123_457
 
 
+def _tail_mm(topo, trail, node):
+    # the dc sweep's distance from a trail's first visit of node to its end
+    tap = trail.nodes.index(node)
+    return trail.length_mm - sum(topo.link_mm[l] for l in trail.links[:tap])
+
+
 def test_make_path_and_route():
     sc = load_fixture("example2")
     topo = sc.topology
     p = topo.make_path([0, 1, 3])
     assert p.links == (0, 1)
     assert p.length_mm == 4_000_000
-    assert p.length_km == 4.0
     assert (p.src, p.dst, p.hops) == (0, 3, 2)
     with pytest.raises(ValueError):
         topo.make_path([0, 3])  # nonadjacent
     with pytest.raises(ValueError):
-        topo.make_path([0, 1, 0])  # revisits a node
+        topo.make_path([0, 1, 0])  # reuses link 0-1
 
-    r = topo.make_route([2, 1, 0, 4, 3])
+    r = topo.make_path([2, 1, 0, 4, 3])
     assert r.length_mm == 9_000_000
-    assert r.tail_mm(2) == 9_000_000
-    assert r.tail_mm(1) == 7_000_000
-    assert r.tail_mm(0) == 6_000_000
-    assert r.tail_mm(4) == 4_000_000
-    assert r.tail_mm(3) == 0
+    assert _tail_mm(topo, r, 2) == 9_000_000
+    assert _tail_mm(topo, r, 1) == 7_000_000
+    assert _tail_mm(topo, r, 0) == 6_000_000
+    assert _tail_mm(topo, r, 4) == 4_000_000
+    assert _tail_mm(topo, r, 3) == 0
     with pytest.raises(ValueError):
-        r.tail_mm(9)
+        _tail_mm(topo, r, 9)
     with pytest.raises(ValueError):
-        topo.make_route([0, 1, 0, 1])  # reuses link 0-1
+        topo.make_path([0, 1, 0, 1])  # reuses link 0-1
+
+    # a trail may revisit a node; it is measured from the first visit
+    t = topo.make_path([0, 1, 2, 0, 4])
+    assert t.links == (0, 6, 2, 4)
+    assert t.length_mm == 7_000_000
+    assert _tail_mm(topo, t, 0) == 7_000_000
+    assert _tail_mm(topo, t, 2) == 4_000_000
 
 
 @pytest.mark.parametrize(
