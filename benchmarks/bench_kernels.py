@@ -17,7 +17,9 @@ graph with 60 unit demands over 5 destinations, a pc plan
 (``pc_design``) of another graph and demand set of that shape, and
 ``sweep-100n``: the failure sweeps of the sr and pc plans of a 100-node,
 200-link graph with 150 unit demands over 5 destinations, with both
-plans built before the timer starts.
+plans built before the timer starts, and ``pc-100n``: a pc plan of
+another graph and demand set of that shape, whose 200-link cycle masks
+span four 64-bit words.
 """
 import argparse
 import statistics
@@ -133,6 +135,7 @@ def main(argv=None) -> int:
         topo, flows = dc_instance(rng, 100, 150)
         plans = [sr_design(topo, flows), pc_design(topo, flows)]
         rows.append(("sweep-100n", *bench(sweep_plans, [(topo, plans)], args.repeats)))
+        rows.append(("pc-100n", *bench(pc_design, [dc_instance(rng, 100, 150)], args.repeats)))
 
     print(f"{'kernel':<12}{'best ms':>10}{'mean ms':>10}")
     for kernel, best, mean in rows:

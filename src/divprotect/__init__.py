@@ -27,7 +27,7 @@ from .metrics import (
     rt_sr,
     scp,
 )
-from .pcycle import Cycle, enumerate_cycles, pc_design
+from .pcycle import Cycle, cycle_ring, enumerate_cycles, pc_design
 from .plan import (
     SCHEME_DC,
     SCHEME_PC,

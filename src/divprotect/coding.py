@@ -24,7 +24,7 @@ from .plan import (
     shortest_working_capacity_mm,
     split_unit_flows,
 )
-from .topology import Flow, Path, Topology
+from .topology import Flow, Path, ScenarioError, Topology
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,11 @@ class SearchParams:
 # of each other are considered together.
 _DENSE_FLOW_LIMIT = 12
 _SOURCE_HOP_RADIUS = 3
+
+# Most unit flows algorithm_one splits the demand into. Each unit is its
+# own Flow, so the split takes memory in proportion to the total rate; a
+# larger demand is refused before it, with a ScenarioError.
+_MAX_UNIT_FLOWS = 100_000
 
 
 def group_capacity_mm(group: CodingGroup) -> int:
@@ -214,8 +219,16 @@ def algorithm_one(
     not consume more capacity-distance than 1+1 pairs for the same
     flows would. Remaining subflows get 1+1 pairs; flows without two
     disjoint routes are left unprotected and the plan is marked partial.
+    A demand of more than _MAX_UNIT_FLOWS units in all is a ScenarioError.
     """
     params = params or SearchParams()
+    demand = tuple(demand)
+    units = sum(f.rate for f in demand)
+    if units > _MAX_UNIT_FLOWS:
+        raise ScenarioError(
+            f"demand splits into {units} unit flows; "
+            f"parity planning handles at most {_MAX_UNIT_FLOWS}"
+        )
     flows, demand_idx = split_unit_flows(demand)
     nf = len(flows)
     alive = [True] * nf

@@ -1,7 +1,8 @@
 """Pre-configured protection cycles baseline.
 
-Cycles are enumerated up to a hop bound and bought greedily by a-priori
-efficiency: protected working units per unit of cycle distance. A copy
+Cycles are enumerated up to a hop bound, each as its distance and a
+bitmask of its links, and bought greedily by a-priori efficiency:
+protected working units per unit of cycle distance. A copy
 protects a link once per detour ``plan.detour_arcs`` gives it; pc_design
 holds the same rule as coverage matrices, scores every cycle once and
 then rescores through the rows of the links each purchase changes.
@@ -10,7 +11,6 @@ CLI) does not load it.
 """
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -23,23 +23,50 @@ _MAX_LOAD = 2**63 - 1
 
 
 class Cycle(NamedTuple):
-    """Simple cycle in canonical ring form.
+    """Simple cycle as its distance and its link set.
 
-    nodes[0] is the smallest node on the cycle and nodes[1] < nodes[-1],
-    the one orientation of the ring that enumerate_cycles records, so a
-    ring has exactly one Cycle. links[i] connects nodes[i] to
-    nodes[(i+1) % len]. Fields come in (distance, ring) order, the order
-    enumerate_cycles returns; with no parallel links no two cycles share
-    a ring, so links never decide a comparison.
+    ``mask`` has bit lid set for each link lid on the ring. Selection
+    reads nothing else; ``cycle_ring`` rebuilds the node and link
+    sequence, which pc_design does only for the cycles it buys.
+    enumerate_cycles returns cycles in (distance, ring) order, the ring
+    being that canonical node sequence; comparing two Cycles compares
+    their masks after the distance, which is not the same order.
     """
 
     length_mm: int
-    nodes: tuple[int, ...]
-    links: tuple[int, ...]
+    mask: int
 
     @property
     def hops(self) -> int:
-        return len(self.links)
+        return self.mask.bit_count()
+
+
+def cycle_ring(topo: Topology, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(nodes, links) of the simple cycle whose links are the set bits of
+    mask, in canonical ring form: nodes[0] is the smallest node on the
+    cycle and nodes[1] < nodes[-1], so a ring has exactly one form, and
+    links[i] connects nodes[i] to nodes[(i+1) % len]."""
+    first = topo.n
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        first = min(first, topo.links[low.bit_length() - 1].a)
+    # walk the ring from its smallest node: neighbors() is sorted, so the
+    # first step goes to the smaller of its two ring neighbours
+    nodes, links = [first], []
+    v, lid = first, -1
+    while True:
+        back = lid
+        for w, lid in topo.neighbors(v):
+            if lid != back and mask >> lid & 1:
+                break
+        links.append(lid)
+        if w == first:
+            break
+        nodes.append(w)
+        v = w
+    return tuple(nodes), tuple(links)
 
 
 def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]:
@@ -49,7 +76,9 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     while small networks still get every cycle. A depth-first search from
     each cycle's smallest node (the anchor) walks only larger nodes and
     closes a ring only in its canonical orientation, so each cycle is
-    found once, with no deduplication. The result is sorted by
+    found once, with no deduplication. The search carries each path as
+    its running distance and link mask alone, so a ring costs one
+    ``Cycle`` and no node or link tuples. The result is sorted by
     (distance, ring).
 
     Hop bound: a ring that starts anchor -> s must close through a
@@ -70,56 +99,55 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
         return []
     n = topo.n
     link_mm = topo.link_mm
-    # up[v]: v's neighbours >= anchor; neighbors() is sorted, so raising
-    # the anchor past a node drops at most the first entry of each list
-    up = [list(topo.neighbors(v)) for v in range(n)]
+    # up[v]: (w, distance, link bit) for v's neighbours w >= anchor;
+    # neighbors() is sorted, so raising the anchor past a node drops at
+    # most the first entry of each list
+    up = [[(w, link_mm[lid], 1 << lid) for w, lid in topo.neighbors(v)] for v in range(n)]
     # the bound allows no step to a node at hop ``far``, which is where
     # the nodes on the path are put
     far = max_hops + 1
-    close = [0] * n  # link from each neighbour of the anchor back to it
+    close = [None] * n  # (distance, link bit) from each neighbour of the anchor back to it
     new = tuple.__new__  # builds a Cycle without NamedTuple's Python __new__
     out = []
 
-    def dfs(v: int, total: int, depth: int, free: int):
+    def dfs(v: int, total: int, mask: int, depth: int, free: int):
         # free: closing neighbours not on the path (depth nodes, at v)
         room = max_hops - depth
-        for w, lid in up[v]:
+        for w, step_mm, step_bit in up[v]:
             h = hop[w]
             if h > room:
                 continue
-            mm = total + link_mm[lid]
+            mm = total + step_mm
+            bits = mask | step_bit
             left = free
             if h == 1:
-                out.append(new(Cycle, (mm + link_mm[close[w]], (*path, w), (*links, lid, close[w]))))
+                back_mm, back_bit = close[w]
+                out.append(new(Cycle, (mm + back_mm, bits | back_bit)))
                 left -= 1
             if room > 1 and left:
-                path.append(w)
-                links.append(lid)
                 hop[w] = far
-                dfs(w, mm, depth + 1, left)
+                dfs(w, mm, bits, depth + 1, left)
                 hop[w] = h
-                links.pop()
-                path.pop()
 
     for anchor in range(n):
         if anchor:
-            for w, _ in up[anchor - 1]:
+            for w, _, _ in up[anchor - 1]:
                 up[w].pop(0)
         starts = up[anchor]
-        for w, lid in starts:
-            close[w] = lid
+        for w, mm, bit in starts:
+            close[w] = mm, bit
         # the largest neighbour above the anchor has none to close to
-        for i, (s, lid) in enumerate(starts[:-1]):
+        for i, (s, mm, bit) in enumerate(starts[:-1]):
             hop = [far] * n
             hop[anchor] = 0
-            frontier = [w for w, _ in starts[i + 1:]]
+            frontier = [w for w, _, _ in starts[i + 1:]]
             for w in frontier:
                 hop[w] = 1
             # a step from depth >= 2 reads hop only up to max_hops - 2
             for level in range(2, max_hops - 1):
                 nxt = []
                 for v in frontier:
-                    for w, _ in up[v]:
+                    for w, _, _ in up[v]:
                         if hop[w] == far:
                             hop[w] = level
                             nxt.append(w)
@@ -127,9 +155,7 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
                     break
                 frontier = nxt
             hop[anchor] = hop[s] = far
-            path = [anchor, s]
-            links = [lid]
-            dfs(s, link_mm[lid], 2, len(starts) - 1 - i)
+            dfs(s, mm, bit, 2, len(starts) - 1 - i)
     # dfs refers to itself through its closure: break that cycle so the
     # search state is freed on return, not at the next full collection
     del dfs
@@ -184,18 +210,27 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
     cycles = enumerate_cycles(topo)
     nc = len(cycles)
     # coverage, links x cycles: onT[l, c] = 1 when l is on c, strT[l, c]
-    # = 1 when l straddles c (both endpoints on c, l not on it)
-    ring_links = [c.links for c in cycles]
-    cols = np.repeat(np.arange(nc), list(map(len, ring_links)))
-    lids = np.fromiter(chain.from_iterable(ring_links), np.intp, len(cols))
-    onT = np.zeros((topo.m, nc), dtype=np.int8)
-    onT[lids, cols] = 1
+    # = 1 when l straddles c (both endpoints on c, l not on it). The
+    # masks are packed little-endian, one row of bytes per cycle, and
+    # unpacked along the link axis of the contiguous transpose, so onT
+    # comes out links-major with no full-size temporary.
+    nb = (topo.m + 7) // 8
+    packed = np.frombuffer(b"".join([c.mask.to_bytes(nb, "little") for c in cycles]), np.uint8)
+    packed = np.ascontiguousarray(packed.reshape(nc, nb).T)
+    onT = np.unpackbits(packed, axis=0, count=topo.m, bitorder="little").view(np.int8)
+    del packed
+    # a cycle's nodes are the endpoints of its links: OR each link's row
+    # into its endpoints' rows, which are views of has
+    has = np.zeros((topo.n, nc), dtype=bool)
+    node_rows = list(has)
+    for l, on in zip(topo.links, onT.view(bool)):
+        row = node_rows[l.a]
+        row |= on
+        row = node_rows[l.b]
+        row |= on
+    del node_rows, row  # views of has, which is freed below
     ends_a = np.array([l.a for l in topo.links], dtype=np.intp)
     ends_b = np.array([l.b for l in topo.links], dtype=np.intp)
-    # a cycle's nodes are the endpoints of its links
-    has = np.zeros((topo.n, nc), dtype=bool)
-    has[ends_a[lids], cols] = True
-    has[ends_b[lids], cols] = True
     strT = np.empty((topo.m, nc), dtype=np.int8)
     for i in range(0, topo.m, 64):  # blocks of rows keep the temporaries small
         rows = slice(i, i + 64)
@@ -245,7 +280,7 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
                 unprotected.append(fid)
 
     selections = tuple(
-        CycleSelection(cycles[ci].nodes, cycles[ci].links, cycles[ci].length_mm, int(k))
+        CycleSelection(*cycle_ring(topo, cycles[ci].mask), cycles[ci].length_mm, int(k))
         for ci, k in enumerate(copies.tolist())
         if k > 0
     )

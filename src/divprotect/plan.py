@@ -136,7 +136,8 @@ def shortest_working_capacity_mm(topo: Topology, demand) -> int:
 def detour_arcs(topo: Topology, cycle, lid: int) -> list[tuple[int, int]]:
     """Detours one copy of a protection cycle offers failed link lid.
 
-    ``cycle`` is a ``CycleSelection`` or a ``pcycle.Cycle``. Each detour
+    ``cycle`` is a ``CycleSelection``, or anything with its ``nodes``,
+    ``links`` and ``length_mm`` in canonical ring form. Each detour
     is ``(length_mm, hops)``: an on-cycle link gets the long way round, a
     straddling link (both endpoints on the cycle, link not on it) gets
     both ring arcs between its endpoints, and any other link gets none

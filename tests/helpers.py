@@ -9,6 +9,7 @@ import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from divprotect.cli import fixture_path
 from divprotect.coding import verify_decodable
 from divprotect.failsim import FailureReport
 from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, rt_dc, rt_pc, rt_sr, scp
-from divprotect.pcycle import Cycle
+from divprotect.pcycle import cycle_ring
 from divprotect.plan import (
     SCHEME_DC,
     SCHEME_PC,
@@ -187,7 +188,28 @@ def brute_cycles(topo: Topology):
 # must serialize to the same bytes as pcycle.pc_design's.
 
 
-def _ref_canonical(topo: Topology, nodes: list[int]) -> Cycle:
+class Ring(NamedTuple):
+    """A cycle with its canonical node and link sequences spelled out:
+    the reference enumeration's result, and pcycle's through ``rings``."""
+
+    length_mm: int
+    nodes: tuple[int, ...]
+    links: tuple[int, ...]
+
+
+def rings(topo: Topology, cycles) -> list[Ring]:
+    """pcycle.Cycle masks mapped through ``cycle_ring``, checking on the
+    way that each ring's links are exactly its mask's set bits."""
+    out = []
+    for c in cycles:
+        ring = Ring(c.length_mm, *cycle_ring(topo, c.mask))
+        assert sum(1 << lid for lid in set(ring.links)) == c.mask
+        assert len(ring.links) == len(ring.nodes) == c.hops
+        out.append(ring)
+    return out
+
+
+def _ref_canonical(topo: Topology, nodes: list[int]) -> Ring:
     ring = list(nodes)
     if ring[1] > ring[-1]:
         ring = [ring[0]] + ring[:0:-1]
@@ -197,10 +219,10 @@ def _ref_canonical(topo: Topology, nodes: list[int]) -> Cycle:
         l = topo.link_between(ring[i], ring[(i + 1) % len(ring)])
         links.append(l.id)
         total += l.length_mm
-    return Cycle(length_mm=total, nodes=tuple(ring), links=tuple(links))
+    return Ring(length_mm=total, nodes=tuple(ring), links=tuple(links))
 
 
-def _ref_enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]:
+def _ref_enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Ring]:
     if max_hops is None:
         max_hops = min(topo.n, 12)
     out = []
@@ -226,7 +248,7 @@ def _ref_enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[C
     return sorted(uniq.values(), key=lambda c: (c.length_mm, c.nodes))
 
 
-def all_links_coverage(topo: Topology, cycle: Cycle):
+def all_links_coverage(topo: Topology, cycle: Ring):
     """(sorted on-cycle link ids, straddling link ids) by scanning every link."""
     on = set(cycle.links)
     node_set = set(cycle.nodes)
@@ -301,7 +323,7 @@ def dense_pc_reference(
     )
 
 
-def apriori_efficiency(topo: Topology, cycle: Cycle, need) -> float:
+def apriori_efficiency(topo: Topology, cycle: Ring, need) -> float:
     """Unmet working units one copy of the cycle can protect, per unit
     distance: the scalar form of ``pc_design``'s selection ratio."""
     protected = sum(

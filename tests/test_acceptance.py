@@ -27,6 +27,7 @@ from helpers import (
     brute_shortest,
     load_fixture,
     random_scenario,
+    rings,
 )
 
 FIXTURES = [
@@ -385,8 +386,8 @@ def _check_graph(topo, failures, tag, pairs=None):
             ):
                 failures.append(f"{tag}: pair {s}<->{t}")
                 return
-    rings = {c.nodes: c.length_mm for c in enumerate_cycles(topo)}
-    if rings != brute_cycles(topo):
+    found = {c.nodes: c.length_mm for c in rings(topo, enumerate_cycles(topo))}
+    if found != brute_cycles(topo):
         failures.append(f"{tag}: cycle enumeration")
 
 

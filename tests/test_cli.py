@@ -272,6 +272,27 @@ def test_pc_sweep_memory_does_not_grow_with_the_rate(tmp_path, capsys):
     assert proc.stdout.splitlines()[1] == want
 
 
+def test_dc_refuses_a_demand_past_its_unit_flow_limit(tmp_path):
+    # the parity planner makes one object per unit of rate, so a rate-10^8
+    # demand is refused before the split: exit 1 with a message, within
+    # 1 GiB, not a MemoryError traceback
+    big = write_ring(tmp_path / "big.yaml", 1, 10**8, chord=True)
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from divprotect.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for command in ("compare", "plan"):
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, command, "--schemes", "dc", "--scenario", str(big)],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: demand splits into 100000000 unit flows;")
+        assert proc.stdout == ""
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is imported by the p-cycle planner when it runs, so validate
     # and the dc and sr schemes do not pay for loading it

@@ -13,7 +13,7 @@ from divprotect.coding import (
     verify_decodable,
 )
 from divprotect.plan import serialize_plan, shortest_working_capacity_mm
-from divprotect.topology import Flow, Topology
+from divprotect.topology import Flow, ScenarioError, Topology
 from helpers import load_fixture, random_scenario, reference_parity_route, unit_lengths
 
 KM = 1_000_000
@@ -331,3 +331,10 @@ def test_verify_decodable_flags_unprotected():
         from divprotect.source_reroute import sr_design
 
         verify_decodable(sr_design(topo, [Flow(0, 1, 1)]), 0)
+
+
+def test_algorithm_one_counts_the_unit_flow_limit_over_all_rows():
+    topo = Topology.from_edge_list([(a, b, 1) for a in range(4) for b in range(a + 1, 4)])
+    half = coding._MAX_UNIT_FLOWS // 2
+    with pytest.raises(ScenarioError, match=f"at most {coding._MAX_UNIT_FLOWS}$"):
+        algorithm_one(topo, [Flow(0, 3, half), Flow(1, 3, coding._MAX_UNIT_FLOWS - half + 1)])

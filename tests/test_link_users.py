@@ -17,6 +17,7 @@ from helpers import (
     reference_recovery_actions,
     reference_sr_spare,
     reference_sweep,
+    rings,
 )
 
 CUSTOM = RtParams(detect_s=7e-6, node_proc_s=3e-6, prop_speed_km_s=1.5e5)
@@ -74,7 +75,7 @@ def test_link_users_matches_a_scan(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_cycle_users_matches_a_scan(seed):
     topo, _ = random_scenario(seed)
-    cycles = enumerate_cycles(topo, 6)
+    cycles = rings(topo, enumerate_cycles(topo, 6))
     assert cycle_users(topo, cycles) == [
         [(ci, detour_arcs(topo, c, lid)) for ci, c in enumerate(cycles) if detour_arcs(topo, c, lid)]
         for lid in range(topo.m)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from divprotect.cli import fixture_names
-from divprotect.pcycle import enumerate_cycles, pc_design
+from divprotect import cli, pcycle
+from divprotect.pcycle import cycle_ring, enumerate_cycles, pc_design
 from divprotect.plan import detour_arcs, serialize_plan
 from divprotect.topology import Flow, Topology
 from helpers import (
@@ -17,6 +18,7 @@ from helpers import (
     load_bench_kernels,
     load_fixture,
     random_scenario,
+    rings,
 )
 
 KM = 1_000_000
@@ -31,7 +33,7 @@ def test_triangle_has_one_cycle():
     cycles = enumerate_cycles(topo)
     assert len(cycles) == 1
     c = cycles[0]
-    assert c.nodes == (0, 1, 2)
+    assert cycle_ring(topo, c.mask) == ((0, 1, 2), (0, 1, 2))
     assert c.hops == 3
     assert c.length_mm == 6 * KM
 
@@ -50,7 +52,7 @@ def test_tree_has_no_cycles():
 
 def test_example2_cycles_golden():
     topo = load_fixture("example2").topology
-    cycles = enumerate_cycles(topo)
+    cycles = rings(topo, enumerate_cycles(topo))
     assert [(c.nodes, c.length_mm // KM) for c in cycles] == [
         ((0, 1, 2), 5),
         ((1, 2, 3), 8),
@@ -64,13 +66,42 @@ def test_example2_cycles_golden():
 
 def test_canonical_ring_is_rotation_and_reflection_free():
     topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-    (c,) = enumerate_cycles(topo)
+    (c,) = rings(topo, enumerate_cycles(topo))
     assert c.nodes[0] == 0
     assert c.nodes[1] < c.nodes[-1]
     # ring links align with consecutive node pairs
-    for i in range(c.hops):
+    hops = len(c.links)
+    for i in range(hops):
         l = topo.links[c.links[i]]
-        assert {c.nodes[i], c.nodes[(i + 1) % c.hops]} == {l.a, l.b}
+        assert {c.nodes[i], c.nodes[(i + 1) % hops]} == {l.a, l.b}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_enumeration_matches_reference_on_fixtures(name):
+    topo = load_fixture(name).topology
+    assert rings(topo, enumerate_cycles(topo)) == _ref_enumerate_cycles(topo)
+
+
+def test_pc_design_enumerates_once_through_the_module(monkeypatch):
+    # a tracer replaces pcycle.enumerate_cycles on the module and counts
+    # len() of what it returns as the cycles; a pc_design that bound the
+    # function by name, or returned something else, would go unseen
+    seen = []
+    real = pcycle.enumerate_cycles
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(pcycle, "enumerate_cycles", counting)
+    for name in fixture_names():
+        sc = load_fixture(name)
+        pc_design(sc.topology, sc.demands)
+        assert seen == [len(_ref_enumerate_cycles(sc.topology))]
+        seen.clear()
+    assert cli.main(["compare", "--schemes", "pc", "--scenario", "example2"]) == 0
+    assert seen == [7]
 
 
 def test_max_hops_bound():
@@ -89,7 +120,7 @@ def test_fewer_than_three_hops_close_no_cycle(max_hops):
 def test_hop_pruned_enumeration_matches_reference_at_every_bound(seed):
     topo, _ = random_scenario(seed)
     for h in range(3, topo.n + 1):
-        assert enumerate_cycles(topo, max_hops=h) == _ref_enumerate_cycles(topo, h)
+        assert rings(topo, enumerate_cycles(topo, max_hops=h)) == _ref_enumerate_cycles(topo, h)
 
 
 def test_hop_pruned_enumeration_matches_reference_on_bench_graph():
@@ -97,14 +128,14 @@ def test_hop_pruned_enumeration_matches_reference_on_bench_graph():
     topo = load_bench_kernels().random_graph(np.random.default_rng(7), 16, 14)
     assert topo.m == 30
     for h in range(3, topo.n + 1):
-        assert enumerate_cycles(topo, max_hops=h) == _ref_enumerate_cycles(topo, h)
+        assert rings(topo, enumerate_cycles(topo, max_hops=h)) == _ref_enumerate_cycles(topo, h)
 
 
 def test_enumeration_matches_bruteforce_on_fixtures():
     for name in ["example2", "fig1-star", "synthetic-reconstruction"]:
         topo = load_fixture(name).topology
         want = brute_cycles(topo)
-        got = enumerate_cycles(topo, max_hops=topo.n)
+        got = rings(topo, enumerate_cycles(topo, max_hops=topo.n))
         assert {c.nodes for c in got} == set(want)
         for c in got:
             assert c.length_mm == want[c.nodes]
@@ -115,7 +146,7 @@ def test_enumeration_matches_bruteforce_within_hop_bound(seed):
     topo, _ = random_scenario(seed, max_nodes=8)
     want = brute_cycles(topo)
     for h in (3, 4, topo.n):
-        got = enumerate_cycles(topo, max_hops=h)
+        got = rings(topo, enumerate_cycles(topo, max_hops=h))
         assert [(c.nodes, c.length_mm) for c in got] == sorted(
             ((ring, mm) for ring, mm in want.items() if len(ring) <= h),
             key=lambda r: (r[1], r[0]),
@@ -132,7 +163,7 @@ def test_coverage_matches_all_links_scan(name):
     # one detour for an on-cycle link, two for a straddler, none otherwise;
     # together the detours of a failed link run the rest of the ring
     topo = load_fixture(name).topology
-    for c in enumerate_cycles(topo):
+    for c in rings(topo, enumerate_cycles(topo)):
         on, straddle = all_links_coverage(topo, c)
         for lid in range(topo.m):
             arcs = detour_arcs(topo, c, lid)
@@ -141,13 +172,13 @@ def test_coverage_matches_all_links_scan(name):
             if arcs:
                 cut = lid in on
                 assert sum(mm for mm, _ in arcs) == c.length_mm - cut * topo.link_mm[lid]
-                assert sum(hops for _, hops in arcs) == c.hops - cut
+                assert sum(hops for _, hops in arcs) == len(c.links) - cut
 
 
 def test_apriori_efficiency_counts_straddlers_twice():
     # square with a diagonal: the 4-ring covers the diagonal twice
     topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
-    ring = [c for c in enumerate_cycles(topo) if c.hops == 4][0]
+    ring = [c for c in rings(topo, enumerate_cycles(topo)) if len(c.links) == 4][0]
     need = np.zeros(topo.m, dtype=np.int64)
     diag = topo.link_between(0, 2).id
     need[diag] = 2
@@ -208,6 +239,35 @@ def test_pc_design_matches_dense_reference_on_random_instances(seed):
     topo, flows = random_scenario(seed)
     want = serialize_plan(dense_pc_reference(topo, flows), topo)
     assert serialize_plan(pc_design(topo, flows), topo) == want
+
+
+def ring_with_chords(seed, n, chords):
+    """A ring of n nodes (link i joins i and i+1) and, after it, chords of
+    3-6 hops at random steps along it, with demands of up to 7 hops. The
+    graph is sparse, so cycles stay few at any m; the chords' ids and the
+    ring links near its end sit past bit 64, or 128, of a cycle mask."""
+    rng = np.random.default_rng(seed)
+    rows = [(i, (i + 1) % n, int(rng.integers(1, 10))) for i in range(n)]
+    a = 0
+    for _ in range(chords):
+        a += int(rng.integers(2, 7))
+        rows.append((a % n, (a + int(rng.integers(3, 7))) % n, int(rng.integers(2, 20))))
+    topo = km(rows)
+    flows = []
+    for _ in range(n // 2):
+        src = int(rng.integers(0, n))
+        flows.append(Flow(src, (src + int(rng.integers(1, 8))) % n, int(rng.integers(1, 4))))
+    return topo, flows
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n,chords,lo,hi", [(60, 12, 65, 80), (120, 24, 129, 160)])
+def test_pc_design_matches_dense_reference_past_one_and_two_mask_words(seed, n, chords, lo, hi):
+    topo, flows = ring_with_chords(seed, n, chords)
+    assert lo <= topo.m <= hi
+    plan = pc_design(topo, flows)
+    assert max(lid for sel in plan.cycles for lid in sel.links) >= lo - 1
+    assert serialize_plan(plan, topo) == serialize_plan(dense_pc_reference(topo, flows), topo)
 
 
 def scaled_rates(seed):
