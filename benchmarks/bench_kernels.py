@@ -10,7 +10,9 @@ benchmark's rings meshes (2,054 cycles of at most 12 hops at the
 default seed).
 The load rows parse and validate the largest bundled fixture (88 lines)
 and the canonical dump of a 40-node, 56-link graph with 48 demands, the
-size of the benchmark's backbone meshes.
+size of the benchmark's backbone meshes, both in the row layout, and
+(``load-block``) that same scenario dumped by ``yaml.safe_dump`` in block
+style, which takes the event builder instead of the row reader.
 The end-to-end rows time a full dc plan and failure sweep of the largest
 bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
 graph with 60 unit demands over 5 destinations, a pc plan
@@ -26,6 +28,7 @@ import statistics
 import time
 
 import numpy as np
+import yaml
 
 from divprotect import kernels
 from divprotect.cli import fixture_path
@@ -119,6 +122,7 @@ def main(argv=None) -> int:
     with open(fixture_path("uslong-reconstruction"), encoding="utf-8") as fh:
         uslong = fh.read()
     mesh40 = random_scenario_text(rng, 40, 16, 48)
+    block40 = yaml.safe_dump(yaml.safe_load(mesh40), sort_keys=False)
 
     rows = [
         ("dijkstra", *bench(kernels.dijkstra_distances, dij_calls, args.repeats)),
@@ -126,6 +130,7 @@ def main(argv=None) -> int:
         ("cycles", *bench(enumerate_cycles, cycle_calls, args.repeats)),
         ("load", *bench(load_scenario, [(uslong,)], args.repeats)),
         ("load-40n", *bench(load_scenario, [(mesh40,)], args.repeats)),
+        ("load-block", *bench(load_scenario, [(block40,)], args.repeats)),
     ]
     if not args.skip_end_to_end:
         sc = load_scenario(uslong)

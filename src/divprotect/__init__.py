@@ -11,7 +11,6 @@ from .coding import (
     algorithm_one,
     decode_matrix,
     find_group,
-    redundancy_ratio,
     verify_decodable,
 )
 from .failsim import FailureReport, sweep, xor_stream_check

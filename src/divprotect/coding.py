@@ -24,7 +24,7 @@ from .plan import (
     shortest_working_capacity_mm,
     split_unit_flows,
 )
-from .topology import Flow, Path, ScenarioError, Topology
+from .topology import Path, ScenarioError, Topology
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,6 @@ _MAX_UNIT_FLOWS = 100_000
 
 def group_capacity_mm(group: CodingGroup) -> int:
     return sum(w.length_mm for w in group.working) + group.parity.length_mm
-
-
-def redundancy_ratio(topo: Topology, group: CodingGroup) -> float:
-    """Consumed capacity-distance over the unconstrained shortest floor.
-
-    Always >= 1; equals (N+1)/N when every route ties the shortest
-    length. Flows in a group carry equal rates, so rates cancel.
-    """
-    flows = [Flow(w.src, w.dst, 1) for w in group.working]
-    return group_capacity_mm(group) / shortest_working_capacity_mm(topo, flows)
 
 
 def _parity_route(

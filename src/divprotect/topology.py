@@ -6,6 +6,7 @@ own distance unit.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from array import array
@@ -202,20 +203,6 @@ class Topology:
             tree = self._trees[root] = tuple(self.distances(root, self.blocked_mask()))
         return tree
 
-    def make_path(self, nodes: list[int]) -> Path:
-        """Build a Path from a node walk; links must exist and not repeat."""
-        links = []
-        total = 0
-        for u, v in zip(nodes, nodes[1:]):
-            l = self.link_between(u, v)
-            if l is None:
-                raise ValueError(f"no link {u}-{v}")
-            links.append(l.id)
-            total += l.length_mm
-        if len(set(links)) != len(links):
-            raise ValueError("walk reuses a link")
-        return Path(tuple(nodes), tuple(links), total)
-
     def _validate_connectivity(self) -> None:
         seen = [False] * self.n
         stack = [0]
@@ -397,6 +384,19 @@ def _build_document(text: str):
 
 
 def _parse_yaml(text: str):
+    """The one document of ``text``, as ``yaml.safe_load`` reads it, or
+    ScenarioError.
+
+    Three readers take it in turn, each only when those before it decline:
+    ``_read_rows`` for the row layout ``dump_scenario`` writes, which every
+    bundled fixture uses; ``_build_document`` from the parser's events for
+    any other plain document, such as a block-style dump; and PyYAML's
+    composer for the rest, such as anchors, tags, several documents and
+    YAML errors.
+    """
+    doc = _read_rows(text)
+    if doc is not None:
+        return doc
     try:
         try:
             doc = _build_document(text)
@@ -501,12 +501,12 @@ def load_scenario(text: str) -> Scenario:
 
 
 # names that YAML would reparse as the same string can stay bare
-_BARE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*\Z")
+_BARE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*")
 _YAML_WORDS = {"true", "false", "null", "yes", "no", "on", "off", "none"}
 
 
 def _fmt_name(s: str) -> str:
-    if _BARE_NAME.match(s) and s.lower() not in _YAML_WORDS:
+    if _BARE_NAME.fullmatch(s) and s.lower() not in _YAML_WORDS:
         return s
     return json.dumps(s)
 
@@ -543,3 +543,99 @@ def dump_scenario(sc: Scenario) -> str:
     for f in sc.demands:
         out.append(f"  - {{src: {f.src}, dst: {f.dst}, rate: {f.rate}}}")
     return "\n".join(out) + "\n"
+
+
+@functools.cache
+def _row_patterns():
+    """``_read_rows``' patterns, compiled on first use rather than at import.
+
+    Each matches one line of the layout and the comment and blank lines
+    after it; every repetition consumes a newline, so matching is linear.
+    """
+    skip = r"(?:#[ -~]*\n|\n)*"  # whole-line comments, blank lines
+    num = "0|[1-9][0-9]*"  # YAML 1.1 reads 017 as octal
+    # a bare name, or a quoted one without escapes
+    name = rf'({_BARE_NAME.pattern}|"[ !#-\[\]-~]*")'
+    units = "|".join(map(re.escape, MM_PER_UNIT))
+    lines = (
+        rf"{skip}(?:name: {name}\n{skip})?(?:reconstructed: (true|false)\n{skip})?"
+        rf"topology:\n{skip}  unit: ({units})\n{skip}  nodes:",
+        rf"    - \{{id: ({num})(?:, name: {name})?\}}",
+        "  links:",
+        rf"    - \{{a: ({num}), b: ({num}), distance: ((?:{num})(?:\.[0-9]+)?)\}}",
+        "demands:",
+        rf"  - \{{src: ({num}), dst: ({num})(?:, rate: ({num}))?\}}",
+    )
+    return tuple(re.compile(line + r"\n" + skip) for line in lines)
+
+
+def _row_name(s: str):
+    """A name group's string, or None for a bare word YAML reads as
+    another type."""
+    if s[0] == '"':
+        return s[1:-1]
+    return None if s.lower() in _YAML_WORDS else s
+
+
+def _read_rows(text: str):
+    """The document of ``text`` if it is in ``dump_scenario``'s row layout,
+    else None.
+
+    The layout: an optional ``name``, an optional ``reconstructed`` flag,
+    then ``topology`` with its unit, node rows and link rows, then the
+    demand rows; one flow mapping per row with its keys in that order,
+    whole-line comments and blank lines anywhere, and ``\\n`` line ends.
+    The document is the one ``yaml.safe_load`` builds. Any other text is
+    refused at its first line out of the layout, as is a value that would
+    not convert as PyYAML converts it.
+    """
+    if not isinstance(text, str):  # bytes: the YAML parser decodes them
+        return None
+    head, node, links_head, link, demands_head, demand = _row_patterns()
+    m = head.match(text)
+    if m is None:
+        return None
+    name, reconstructed, unit = m.groups()
+    doc = {}
+    if name is not None:
+        if (name := _row_name(name)) is None:
+            return None
+        doc["name"] = name
+    if reconstructed is not None:
+        doc["reconstructed"] = reconstructed == "true"
+    pos = m.end()
+    nodes, links, demands = [], [], []
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        while (m := node.match(text, pos)) is not None:
+            nid, name = m.groups()
+            if name is None:
+                nodes.append({"id": int(nid)})
+            elif (name := _row_name(name)) is None:
+                return None
+            else:
+                nodes.append({"id": int(nid), "name": name})
+            pos = m.end()
+        if not nodes or (m := links_head.match(text, pos)) is None:
+            return None
+        pos = m.end()
+        while (m := link.match(text, pos)) is not None:
+            a, b, d = m.groups()
+            links.append({"a": int(a), "b": int(b), "distance": float(d) if "." in d else int(d)})
+            pos = m.end()
+        if not links or (m := demands_head.match(text, pos)) is None:
+            return None
+        pos = m.end()
+        while (m := demand.match(text, pos)) is not None:
+            src, dst, rate = m.groups()
+            if rate is None:
+                demands.append({"src": int(src), "dst": int(dst)})
+            else:
+                demands.append({"src": int(src), "dst": int(dst), "rate": int(rate)})
+            pos = m.end()
+    except ValueError:
+        return None
+    if not demands or pos != len(text):
+        return None
+    doc["topology"] = {"unit": unit, "nodes": nodes, "links": links}
+    doc["demands"] = demands
+    return doc

@@ -1,10 +1,11 @@
 """Shared test utilities: fixture loading, randomized instances,
-brute-force oracles kept deliberately independent of the library's
-algorithms (different enumeration strategies, no shared code paths),
-reference copies of the p-cycle planner's, the parity-trail search's,
-the failure sweep's, sr spare sizing's and the recovery actions' earlier
-implementations, and the scenario parser with and without its
-event-stream builder."""
+path and group helpers only the tests use, brute-force oracles kept
+deliberately independent of the library's algorithms (different
+enumeration strategies, no shared code paths), reference copies of the
+p-cycle planner's, the parity-trail search's, the failure sweep's, sr
+spare sizing's and the recovery actions' earlier implementations, and
+the scenario parser with and without its row reader and event-stream
+builder."""
 import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
@@ -17,7 +18,7 @@ from yaml.composer import Composer
 
 from divprotect import routing, topology
 from divprotect.cli import fixture_path
-from divprotect.coding import verify_decodable
+from divprotect.coding import group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
 from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, rt_dc, rt_pc, rt_sr, scp
 from divprotect.pcycle import cycle_ring
@@ -25,6 +26,7 @@ from divprotect.plan import (
     SCHEME_DC,
     SCHEME_PC,
     SCHEME_SR,
+    CodingGroup,
     CycleSelection,
     ProtectionPlan,
     detour_arcs,
@@ -59,8 +61,10 @@ def parse_outcome(text: str) -> str:
 
 
 def composed_outcome(text: str) -> str:
-    """parse_outcome with PyYAML's composer building every document."""
-    with mock.patch.object(topology, "_build_document", lambda text: topology._COMPOSE):
+    """parse_outcome with PyYAML's composer building every document: the
+    row reader and the event builder both decline."""
+    with mock.patch.object(topology, "_read_rows", lambda text: None), \
+            mock.patch.object(topology, "_build_document", lambda text: topology._COMPOSE):
         return parse_outcome(text)
 
 
@@ -76,6 +80,45 @@ def counting_compositions():
 
     with mock.patch.object(Composer, "get_single_node", counted):
         yield calls
+
+
+@contextmanager
+def counting_builds():
+    """Yield a list that gains an item per text the event builder reads."""
+    calls = []
+    build = topology._build_document
+
+    def counted(text):
+        calls.append(None)
+        return build(text)
+
+    with mock.patch.object(topology, "_build_document", counted):
+        yield calls
+
+
+def make_path(topo: Topology, nodes) -> topology.Path:
+    """Build a Path from a node walk; links must exist and not repeat."""
+    links = []
+    total = 0
+    for u, v in zip(nodes, nodes[1:]):
+        l = topo.link_between(u, v)
+        if l is None:
+            raise ValueError(f"no link {u}-{v}")
+        links.append(l.id)
+        total += l.length_mm
+    if len(set(links)) != len(links):
+        raise ValueError("walk reuses a link")
+    return topology.Path(tuple(nodes), tuple(links), total)
+
+
+def redundancy_ratio(topo: Topology, group: CodingGroup) -> float:
+    """Consumed capacity-distance over the unconstrained shortest floor.
+
+    Always >= 1; equals (N+1)/N when every route ties the shortest
+    length. Flows in a group carry equal rates, so rates cancel.
+    """
+    flows = [Flow(w.src, w.dst, 1) for w in group.working]
+    return group_capacity_mm(group) / shortest_working_capacity_mm(topo, flows)
 
 
 def random_scenario(seed: int, max_nodes: int = 10, max_links: int = 20,

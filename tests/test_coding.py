@@ -9,12 +9,17 @@ from divprotect.coding import (
     decode_matrix,
     find_group,
     group_capacity_mm,
-    redundancy_ratio,
     verify_decodable,
 )
 from divprotect.plan import serialize_plan, shortest_working_capacity_mm
 from divprotect.topology import Flow, ScenarioError, Topology
-from helpers import load_fixture, random_scenario, reference_parity_route, unit_lengths
+from helpers import (
+    load_fixture,
+    random_scenario,
+    redundancy_ratio,
+    reference_parity_route,
+    unit_lengths,
+)
 
 KM = 1_000_000
 

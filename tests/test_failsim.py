@@ -6,7 +6,7 @@ from divprotect.metrics import RtParams
 from divprotect.pcycle import pc_design
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow, Topology
-from helpers import load_fixture
+from helpers import load_fixture, make_path
 
 MS = 1e-3
 CS = (0.5e-3, 1e-3, 5e-3, 10e-3)
@@ -54,8 +54,8 @@ def test_dc_restoration_time_is_decode_only():
         [(0, 1, 10), (1, 3, 10), (0, 2, 10), (2, 3, 10), (0, 4, 1), (4, 3, 1)],
         unit="km",
     )
-    w = topo.make_path([0, 1, 3])  # 20 km
-    parity = topo.make_path([0, 4, 3])  # 2 km: arrives 18 km early
+    w = make_path(topo, [0, 1, 3])  # 20 km
+    parity = make_path(topo, [0, 4, 3])  # 2 km: arrives 18 km early
     group = CodingGroup(flow_ids=(0,), working=(w,), parity=parity, decode_node=3)
     plan = ProtectionPlan(
         scheme="dc",
@@ -82,8 +82,8 @@ def test_dc_parity_skew_counts_from_a_sources_first_visit():
          (2, 3, 1)],
         unit="km",
     )
-    w0, w1 = topo.make_path([0, 3]), topo.make_path([1, 3])
-    parity = topo.make_path([0, 4, 5, 0, 1, 2, 3])
+    w0, w1 = make_path(topo, [0, 3]), make_path(topo, [1, 3])
+    parity = make_path(topo, [0, 4, 5, 0, 1, 2, 3])
     assert parity.length_mm == 18_000_000
     group = CodingGroup(flow_ids=(0, 1), working=(w0, w1), parity=parity, decode_node=3)
     plan = ProtectionPlan(

@@ -11,7 +11,7 @@ from divprotect.routing import (
 )
 from divprotect.kernels import INF_MM
 from divprotect.topology import Topology
-from helpers import load_fixture, random_scenario, unit_lengths
+from helpers import load_fixture, make_path, random_scenario, unit_lengths
 
 FIXTURES = [
     "example2",
@@ -84,7 +84,7 @@ def _walk_fresh_tree(topo, src, dst):
         nodes.append(min(
             w for w, lid in topo.neighbors(v) if dist[v] == topo.link_mm[lid] + dist[w]
         ))
-    return topo.make_path(nodes)
+    return make_path(topo, nodes)
 
 
 def test_unmasked_paths_from_shared_trees_match_fresh_trees():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 import yaml
 
@@ -16,8 +18,10 @@ from divprotect.topology import (
 )
 from helpers import (
     composed_outcome,
+    counting_builds,
     counting_compositions,
     load_fixture,
+    make_path,
     parse_outcome,
     random_scenario,
 )
@@ -88,6 +92,7 @@ def test_fixture_roundtrip_is_byte_identical(name):
     )
     assert dumped == body
     assert dump_scenario(load_scenario(dumped)) == dumped
+    assert dump_scenario(load_scenario(raw.encode())) == dumped
 
 
 def test_fractional_distance_roundtrip():
@@ -107,16 +112,16 @@ def _tail_mm(topo, trail, node):
 def test_make_path_and_route():
     sc = load_fixture("example2")
     topo = sc.topology
-    p = topo.make_path([0, 1, 3])
+    p = make_path(topo, [0, 1, 3])
     assert p.links == (0, 1)
     assert p.length_mm == 4_000_000
     assert (p.src, p.dst, p.hops) == (0, 3, 2)
     with pytest.raises(ValueError):
-        topo.make_path([0, 3])  # nonadjacent
+        make_path(topo, [0, 3])  # nonadjacent
     with pytest.raises(ValueError):
-        topo.make_path([0, 1, 0])  # reuses link 0-1
+        make_path(topo, [0, 1, 0])  # reuses link 0-1
 
-    r = topo.make_path([2, 1, 0, 4, 3])
+    r = make_path(topo, [2, 1, 0, 4, 3])
     assert r.length_mm == 9_000_000
     assert _tail_mm(topo, r, 2) == 9_000_000
     assert _tail_mm(topo, r, 1) == 7_000_000
@@ -126,10 +131,10 @@ def test_make_path_and_route():
     with pytest.raises(ValueError):
         _tail_mm(topo, r, 9)
     with pytest.raises(ValueError):
-        topo.make_path([0, 1, 0, 1])  # reuses link 0-1
+        make_path(topo, [0, 1, 0, 1])  # reuses link 0-1
 
     # a trail may revisit a node; it is measured from the first visit
-    t = topo.make_path([0, 1, 2, 0, 4])
+    t = make_path(topo, [0, 1, 2, 0, 4])
     assert t.links == (0, 6, 2, 4)
     assert t.length_mm == 7_000_000
     assert _tail_mm(topo, t, 0) == 7_000_000
@@ -191,29 +196,120 @@ needs_libyaml = pytest.mark.skipif(
 )
 
 
-def _scenario_texts():
-    """Each fixture, its block-style dump and the dumps of 30 random scenarios."""
+def _row_texts():
+    """Each fixture and the dumps of 30 random scenarios: the row layout."""
     texts = [_fixture_text(name) for name in FIXTURES]
-    texts += [yaml.safe_dump(yaml.safe_load(text), sort_keys=False) for text in texts]
     for seed in range(30):
         topo, flows = random_scenario(seed)
         texts.append(dump_scenario(Scenario(topo, flows, name=f"r{seed}")))
     return texts
 
 
+def _block_texts():
+    """Each fixture dumped in YAML's block style."""
+    return [yaml.safe_dump(yaml.safe_load(_fixture_text(name)), sort_keys=False)
+            for name in FIXTURES]
+
+
 @needs_libyaml
 def test_libyaml_loader_builds_the_pure_loaders_documents():
     # unlike ==, repr tells 1, 1.0 and True apart and matches nan with nan
-    for text in _scenario_texts():
+    for text in _row_texts() + _block_texts():
         assert repr(topology._parse_yaml(text)) == repr(yaml.safe_load(text))
 
 
 def test_scenario_documents_skip_the_composer():
-    texts = _scenario_texts()
-    with counting_compositions() as calls:
-        for text in texts:
+    rows, blocks = _row_texts(), _block_texts()
+    with counting_compositions() as composed, counting_builds() as built:
+        for text in rows:
             load_scenario(text)
-    assert calls == []
+        assert built == []  # the row reader took every one
+        for text in blocks:
+            load_scenario(text)
+        assert len(built) == len(blocks)
+    assert composed == []
+
+
+# dump_scenario's layout with every optional part: a top-level name, the
+# reconstructed flag, bare and quoted node names, an integer and a
+# fractional distance and demand rates
+ROWS = dump_scenario(Scenario(
+    Topology.from_edge_list([(0, 1, 10), (1, 2, 2.5), (0, 2, 7)],
+                            names={0: "A", 1: "b.c-d_1", 2: "7"}),
+    [Flow(0, 2, 3), Flow(1, 0, 1)],
+    name="tri",
+    reconstructed=True,
+))
+
+
+def _int_limit():
+    # 0 where int() takes any number of digits
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# (old, new, taken by the row reader): ROWS with its first ``old`` made ``new``
+ROW_MUTATIONS = {
+    # numbers: YAML 1.1 reads each of these otherwise, or not as a number
+    "octal": ("distance: 7}", "distance: 007}", False),
+    "plus-sign": ("rate: 1}", "rate: +1}", False),
+    "underscore": ("distance: 10}", "distance: 1_0}", False),
+    "exponent": ("distance: 10}", "distance: 1e3}", False),
+    "leading-dot": ("distance: 2.5}", "distance: .5}", False),
+    "trailing-dot": ("distance: 7}", "distance: 5.}", False),
+    "hex": ("{id: 0,", "{id: 0x1F,", False),
+    "rate-5000-digits": ("rate: 3}", "rate: " + "7" * 5000 + "}", not 0 < _int_limit() < 5000),
+    "rate-4000-digits": ("rate: 3}", "rate: " + "7" * 4000 + "}", True),
+    "trailing-zero": ("distance: 2.5}", "distance: 2.50}", True),
+    # names: YAML words, escapes, non-ASCII and single quotes
+    "name-yes": ("name: A}", "name: yes}", False),
+    "name-No": ("name: A}", "name: No}", False),
+    "name-NULL": ("name: A}", "name: NULL}", False),
+    "name-On": ("name: A}", "name: On}", False),
+    "name-None": ("name: A}", "name: None}", False),
+    "top-name-off": ("name: tri\n", "name: off\n", False),
+    "name-escape": ("name: A}", 'name: "a\\tb"}', False),
+    "name-accent": ("name: A}", 'name: "\u00e9"}', False),
+    "name-single-quotes": ("name: A}", "name: 'single'}", False),
+    "name-quoted-spaces": ("name: A}", 'name: "a #b {c}"}', True),
+    "name-empty": ("name: A}", 'name: ""}', True),
+    # text shape
+    "crlf": ("name: tri\n", "name: tri\r\n", False),
+    "trailing-space": ("topology:\n", "topology: \n", False),
+    "tab": (", name: A}", ",\tname: A}", False),
+    "bom": ("name: tri", "\ufeffname: tri", False),
+    "comment-bell": ("  links:\n", "  links:\n# \x07\n", False),
+    "comment-indented": ("  links:\n", "  links:\n  # note\n", False),
+    "comment-after-row": ("rate: 1}\n", "rate: 1}  # note\n", False),
+    "document-markers": ("name: tri\n", "---\nname: tri\n", False),
+    "document-end": ("rate: 1}\n", "rate: 1}\n...\n", False),
+    "comments-and-blanks": ("  links:\n", "  links:\n\n# note: {a: 1}\n\n", True),
+    # structure
+    "swapped-keys": ("{a: 0, b: 1,", "{b: 1, a: 0,", False),
+    "duplicated-key": ("{id: 0,", "{id: 0, id: 0,", False),
+    "duplicated-top-key": ("name: tri\n", "name: tri\nname: tro\n", False),
+    "flag-false": ("reconstructed: true", "reconstructed: false", True),
+    "flag-yes": ("reconstructed: true", "reconstructed: yes", False),
+    "no-flag": ("reconstructed: true\n", "", True),
+    "no-name": ("name: tri\n", "", True),
+    "no-rate": (", rate: 1}", "}", True),
+    "no-node-rows": ("    - {id: 0, name: A}\n    - {id: 1, name: b.c-d_1}\n"
+                     '    - {id: 2, name: "7"}\n', "", False),
+    # units
+    "unit-mi": ("unit: km", "unit: mi", True),
+    "unit-10mi": ("unit: km", "unit: 10mi", True),
+    "unit-furlong": ("unit: km", "unit: furlong", False),
+    "unit-list": ("unit: km", "unit: [km]", False),
+}
+
+
+@pytest.mark.parametrize("old, new, taken", ROW_MUTATIONS.values(), ids=ROW_MUTATIONS)
+def test_row_reader_matches_the_composer_on_mutated_dumps(old, new, taken):
+    assert old in ROWS
+    text = ROWS.replace(old, new, 1)
+    with counting_builds() as built:
+        outcome = parse_outcome(text)
+    assert outcome == composed_outcome(text)
+    assert (built == []) == taken
 
 
 # scalars the event builder resolves itself, each tried as a value, a key
