@@ -21,11 +21,17 @@ graph with 60 unit demands over 5 destinations, a pc plan
 200-link graph with 150 unit demands over 5 destinations, with both
 plans built before the timer starts, and ``pc-100n``: a pc plan of
 another graph and demand set of that shape, whose 200-link cycle masks
-span four 64-bit words.
+span four 64-bit words. ``import-cli`` is the time a fresh interpreter
+takes to run ``import divprotect.cli``, less the time it takes to run
+``pass``.
 """
 import argparse
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -99,6 +105,21 @@ def sweep_plans(topo, plans) -> None:
         sweep(topo, plan)
 
 
+def run_child(env, code: str) -> None:
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def import_cli_s(repeats: int) -> tuple[float, float]:
+    """Best and mean seconds of ``import divprotect.cli`` in a fresh
+    interpreter, over those of a bare one."""
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    best, mean = bench(run_child, [(env, "import divprotect.cli")], repeats)
+    bare_best, bare_mean = bench(run_child, [(env, "pass")], repeats)
+    return best - bare_best, mean - bare_mean
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=20)
@@ -133,6 +154,7 @@ def main(argv=None) -> int:
         ("load-block", *bench(load_scenario, [(block40,)], args.repeats)),
     ]
     if not args.skip_end_to_end:
+        rows.append(("import-cli", *import_cli_s(args.repeats)))
         sc = load_scenario(uslong)
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
         rows.append(("dc-40n", *bench(algorithm_one, [dc_instance(rng, 40, 60)], args.repeats)))

@@ -6,7 +6,6 @@ import functools
 import math
 import os
 import sys
-from importlib import resources
 
 from .coding import algorithm_one
 from .failsim import sweep
@@ -33,6 +32,8 @@ def fixture_path(name: str) -> str | None:
     if override:
         cand = os.path.join(override, fname)
         return cand if os.path.isfile(cand) else None
+    from importlib import resources
+
     ref = resources.files("divprotect").joinpath("fixtures", fname)
     return str(ref) if ref.is_file() else None
 
@@ -47,6 +48,8 @@ def fixture_names() -> list[str]:
                 f"cannot list fixtures in {FIXTURES_ENV}={override!r}: {exc.strerror}"
             )
         return sorted(f[:-5] for f in names if f.endswith(".yaml"))
+    from importlib import resources
+
     ref = resources.files("divprotect").joinpath("fixtures")
     return sorted(f.name[:-5] for f in ref.iterdir() if f.name.endswith(".yaml"))
 

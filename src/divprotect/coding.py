@@ -9,9 +9,8 @@ across thresholds.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import kernels, routing
 from .kernels import INF_MM
@@ -27,8 +26,14 @@ from .plan import (
 from .topology import Path, ScenarioError, Topology
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class _SearchFields(NamedTuple):
+    ratio_low: float = 1.6
+    ratio_high: float = 3.0
+    ratio_step: float = 0.2
+    max_group_size: int = 4
+
+
+class SearchParams(_SearchFields):
     """Admission sweep controls.
 
     The sweep accepts a group when its redundancy ratio (consumed
@@ -37,12 +42,10 @@ class SearchParams:
     never exceed ``ratio_high``; 1+1 fallback pairs are exempt.
     """
 
-    ratio_low: float = 1.6
-    ratio_high: float = 3.0
-    ratio_step: float = 0.2
-    max_group_size: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.ratio_low < 1.0:
             raise ValueError("ratio_low must be >= 1.0")
         if self.ratio_high < self.ratio_low:
@@ -51,6 +54,12 @@ class SearchParams:
             raise ValueError("ratio_step must be positive")
         if self.max_group_size < 2:
             raise ValueError("max_group_size must be >= 2")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here; keep its result checked too
+        return cls(*iterable)
 
     def thresholds(self) -> list[float]:
         out = []
@@ -192,6 +201,8 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
 
 
 def _ratio_fraction(threshold: float) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(str(threshold))
 
 
@@ -291,7 +302,7 @@ def algorithm_one(
                     if consumed > sum(fallback_mm(i) for i in combo):
                         continue
                     # a cached group may carry another combination's ids
-                    groups.append(replace(g, flow_ids=combo))
+                    groups.append(g._replace(flow_ids=combo))
                     for i in combo:
                         alive[i] = False
 

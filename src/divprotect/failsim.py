@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .coding import verify_decodable
 from .metrics import (
@@ -35,8 +35,7 @@ from .plan import (
 from .topology import Topology
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     """Outcome of one link failure: who was hit and how they recover."""
 
     link: int

@@ -1,11 +1,10 @@
 """Spare capacity, restoration time, and quality-of-recovery scoring."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RtParams:
+class RtParams(NamedTuple):
     """Timing constants for restoration-time accounting.
 
     Defaults: 100 us failure detection, 100 us per-node message
@@ -19,11 +18,10 @@ class RtParams:
     prop_speed_km_s: float = 2.0e5
 
     def with_switch(self, switch_s: float) -> "RtParams":
-        return replace(self, switch_s=switch_s)
+        return self._replace(switch_s=switch_s)
 
 
-@dataclass(frozen=True)
-class FailureGeometry:
+class FailureGeometry(NamedTuple):
     """Distances and hop counts that set one flow's restoration time.
 
     upstream_* describe the path from the failure-adjacent node back to
@@ -96,8 +94,7 @@ def qor(scp_pct: float, rt_s: float) -> float:
     return (2.0 * q_rt(rt_s) + q_scp(scp_pct)) / 3.0
 
 
-@dataclass
-class SchemeResult:
+class SchemeResult(NamedTuple):
     """Headline numbers for one scheme on one scenario."""
 
     scheme: str

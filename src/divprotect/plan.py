@@ -7,7 +7,7 @@ link as integral working and spare unit counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .topology import Flow, Path, Topology
 
@@ -22,8 +22,7 @@ SCHEME_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class CodingGroup:
+class CodingGroup(NamedTuple):
     """Flows whose working paths are protected by one XOR parity trail.
 
     All flows terminate at ``decode_node``; the parity trail, a Path that
@@ -41,8 +40,7 @@ class CodingGroup:
         return len(self.flow_ids)
 
 
-@dataclass(frozen=True)
-class BackupPair:
+class BackupPair(NamedTuple):
     """Dedicated (1+1) or shared backup path for a single flow."""
 
     flow_id: int
@@ -50,8 +48,7 @@ class BackupPair:
     backup: Path
 
 
-@dataclass(frozen=True)
-class CycleSelection:
+class CycleSelection(NamedTuple):
     """A protection cycle and how many unit copies of it were bought."""
 
     nodes: tuple[int, ...]
@@ -60,8 +57,7 @@ class CycleSelection:
     copies: int
 
 
-@dataclass
-class ProtectionPlan:
+class ProtectionPlan(NamedTuple):
     """One scheme's routes, recovery structures and link capacities.
 
     ``working_cap`` and ``spare_cap`` hold, per link in link-id order,

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 from yaml.composer import Composer
 
-from divprotect import routing, topology
+from divprotect import routing, topology, yamldoc
 from divprotect.cli import fixture_path
 from divprotect.coding import group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
@@ -64,7 +64,7 @@ def composed_outcome(text: str) -> str:
     """parse_outcome with PyYAML's composer building every document: the
     row reader and the event builder both decline."""
     with mock.patch.object(topology, "_read_rows", lambda text: None), \
-            mock.patch.object(topology, "_build_document", lambda text: topology._COMPOSE):
+            mock.patch.object(yamldoc, "_build_document", lambda text: yamldoc._COMPOSE):
         return parse_outcome(text)
 
 
@@ -86,13 +86,13 @@ def counting_compositions():
 def counting_builds():
     """Yield a list that gains an item per text the event builder reads."""
     calls = []
-    build = topology._build_document
+    build = yamldoc._build_document
 
     def counted(text):
         calls.append(None)
         return build(text)
 
-    with mock.patch.object(topology, "_build_document", counted):
+    with mock.patch.object(yamldoc, "_build_document", counted):
         yield calls
 
 

@@ -7,9 +7,12 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+import yaml
 
 import divprotect
+from divprotect import topology
 from divprotect.cli import FIXTURES_ENV, fixture_names, fixture_path, main
+from divprotect.topology import dump_scenario, load_scenario
 from helpers import load_fixture
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -302,6 +305,39 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cold_start_on_a_row_layout_fixture_needs_only_the_stdlib(capsys):
+    # python -S leaves site-packages off sys.path: importing the CLI loads
+    # none of these, and a dc,sr compare of a bundled fixture (row layout)
+    # runs without PyYAML or numpy and prints what it prints in-process
+    argv = ["compare", "--schemes", "dc,sr", "--scenario", "cost239-reconstruction"]
+    code = "\n".join([
+        "import sys",
+        "import divprotect.cli",
+        "lazy = ('yaml', 'numpy', 'dataclasses', 'fractions', 'importlib.resources')",
+        "print([m for m in lazy if m in sys.modules], file=sys.stderr)",
+        f"rc = divprotect.cli.main({argv!r})",
+        "print([m for m in ('yaml', 'numpy') if m in sys.modules], file=sys.stderr)",
+        "sys.exit(rc)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n[]\n"
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+    # the same fixture dumped block-style goes through PyYAML, to the same scenario
+    with open(fixture_path(argv[-1]), encoding="utf-8") as fh:
+        rows = fh.read()
+    block = yaml.safe_dump(yaml.safe_load(rows), sort_keys=False)
+    assert topology._read_rows(block) is None
+    sc, again = load_scenario(rows), load_scenario(block)
+    assert again._replace(topology=None) == sc._replace(topology=None)
+    assert dump_scenario(again) == dump_scenario(sc)
 
 
 def test_missing_fixture_dir_is_an_error(tmp_path, monkeypatch, capsys):

@@ -33,6 +33,9 @@ def test_search_params_validation():
         SearchParams(ratio_step=0)
     with pytest.raises(ValueError):
         SearchParams(max_group_size=1)
+    with pytest.raises(ValueError):
+        SearchParams()._replace(max_group_size=1)
+    assert SearchParams()._replace(ratio_low=1.0) == SearchParams(ratio_low=1.0)
 
 
 def test_threshold_ladder_is_decimal_exact():

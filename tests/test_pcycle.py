@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import numpy as np
@@ -275,7 +274,7 @@ def scaled_rates(seed):
     buys several copies per step and straddlers carry needs of 4 and up."""
     topo, flows = random_scenario(seed)
     rng = np.random.default_rng(1000 + seed)
-    return topo, [dataclasses.replace(f, rate=f.rate * int(rng.integers(2, 51))) for f in flows]
+    return topo, [f._replace(rate=f.rate * int(rng.integers(2, 51))) for f in flows]
 
 
 @pytest.mark.parametrize("seed", range(30))

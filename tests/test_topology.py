@@ -3,7 +3,7 @@ import sys
 import pytest
 import yaml
 
-from divprotect import topology
+from divprotect import topology, yamldoc
 from divprotect.cli import fixture_path
 from divprotect.kernels import INF_MM
 from divprotect.topology import (
@@ -400,7 +400,7 @@ def test_event_builder_matches_the_composer(text):
 def test_yaml_error_text_matches_the_pure_loader(monkeypatch, text, at_line):
     with pytest.raises(ScenarioError) as default:
         load_scenario(text)
-    monkeypatch.setattr(topology, "_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(yamldoc, "_LOADER", yaml.SafeLoader)
     with pytest.raises(ScenarioError) as pure:
         load_scenario(text)
     assert str(default.value) == str(pure.value)
