@@ -10,9 +10,11 @@ benchmark's rings meshes (2,054 cycles of at most 12 hops at the
 default seed).
 The load rows parse and validate the largest bundled fixture (88 lines)
 and the canonical dump of a 40-node, 56-link graph with 48 demands, the
-size of the benchmark's backbone meshes, both in the row layout, and
+size of the benchmark's backbone meshes, both in the flow row layout,
 (``load-block``) that same scenario dumped by ``yaml.safe_dump`` in block
-style, which takes the event builder instead of the row reader.
+style, which the row reader takes too, and (``load-pyyaml``) the same
+dump with ``indent=4``, a layout the row reader declines, so PyYAML's
+composer builds it.
 The end-to-end rows time a full dc plan and failure sweep of the largest
 bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
 graph with 60 unit demands over 5 destinations, a pc plan
@@ -144,6 +146,7 @@ def main(argv=None) -> int:
         uslong = fh.read()
     mesh40 = random_scenario_text(rng, 40, 16, 48)
     block40 = yaml.safe_dump(yaml.safe_load(mesh40), sort_keys=False)
+    indented40 = yaml.safe_dump(yaml.safe_load(mesh40), sort_keys=False, indent=4)
 
     rows = [
         ("dijkstra", *bench(kernels.dijkstra_distances, dij_calls, args.repeats)),
@@ -152,6 +155,7 @@ def main(argv=None) -> int:
         ("load", *bench(load_scenario, [(uslong,)], args.repeats)),
         ("load-40n", *bench(load_scenario, [(mesh40,)], args.repeats)),
         ("load-block", *bench(load_scenario, [(block40,)], args.repeats)),
+        ("load-pyyaml", *bench(load_scenario, [(indented40,)], args.repeats)),
     ]
     if not args.skip_end_to_end:
         rows.append(("import-cli", *import_cli_s(args.repeats)))

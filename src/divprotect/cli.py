@@ -24,34 +24,27 @@ EXIT_PARTIAL = 2
 FIXTURES_ENV = "DIVPROTECT_FIXTURES"
 
 
+def _fixture_dir() -> str:
+    return os.environ.get(FIXTURES_ENV) or os.path.join(os.path.dirname(__file__), "fixtures")
+
+
 def fixture_path(name: str) -> str | None:
     """Resolve a bundled scenario by name; DIVPROTECT_FIXTURES overrides
     the packaged directory."""
     fname = name if name.endswith(".yaml") else name + ".yaml"
-    override = os.environ.get(FIXTURES_ENV)
-    if override:
-        cand = os.path.join(override, fname)
-        return cand if os.path.isfile(cand) else None
-    from importlib import resources
-
-    ref = resources.files("divprotect").joinpath("fixtures", fname)
-    return str(ref) if ref.is_file() else None
+    cand = os.path.join(_fixture_dir(), fname)
+    return cand if os.path.isfile(cand) else None
 
 
 def fixture_names() -> list[str]:
-    override = os.environ.get(FIXTURES_ENV)
-    if override:
-        try:
-            names = os.listdir(override)
-        except OSError as exc:
-            raise ScenarioError(
-                f"cannot list fixtures in {FIXTURES_ENV}={override!r}: {exc.strerror}"
-            )
-        return sorted(f[:-5] for f in names if f.endswith(".yaml"))
-    from importlib import resources
-
-    ref = resources.files("divprotect").joinpath("fixtures")
-    return sorted(f.name[:-5] for f in ref.iterdir() if f.name.endswith(".yaml"))
+    folder = _fixture_dir()
+    try:
+        names = os.listdir(folder)
+    except OSError as exc:
+        raise ScenarioError(
+            f"cannot list fixtures in {FIXTURES_ENV}={folder!r}: {exc.strerror}"
+        )
+    return sorted(f[:-5] for f in names if f.endswith(".yaml"))
 
 
 def _resolve_scenario(arg: str) -> str:

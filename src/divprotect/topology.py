@@ -237,11 +237,11 @@ def _parse_yaml(text: str):
     """The one document of ``text``, as ``yaml.safe_load`` reads it, or
     ScenarioError.
 
-    ``_read_rows`` here reads the row layout ``dump_scenario`` writes,
-    which every bundled fixture uses, without PyYAML. Any other text goes
-    to ``yamldoc.parse``: its event builder for other plain documents,
-    such as a block-style dump, then PyYAML's composer for the rest. That
-    module, and with it PyYAML, is imported on the first such text only.
+    ``_read_rows`` here reads the flow rows ``dump_scenario`` writes,
+    which every bundled fixture uses, and the block rows of a
+    ``yaml.safe_dump``, without PyYAML. Any other text goes to
+    ``yamldoc.parse``, PyYAML's composer. That module, and with it
+    PyYAML, is imported on the first such text only.
     """
     doc = _read_rows(text)
     if doc is not None:
@@ -381,56 +381,87 @@ def dump_scenario(sc: Scenario) -> str:
     return "\n".join(out) + "\n"
 
 
-@functools.cache
-def _row_patterns():
-    """``_read_rows``' patterns, compiled on first use rather than at import.
+# whole-line comments and blank lines, as _read_rows' patterns allow them
+# after every line
+_SKIP = r"(?:#[ -~]*\n|\n)*"
+# a bare name, or a double- or single-quoted one without escapes
+_NAME = rf"""{_BARE_NAME.pattern}|"[ !#-\[\]-~]*"|'[ -&(-~]*'"""
+_NUM = "0|[1-9][0-9]*"  # YAML 1.1 reads 017 as octal
 
-    Each matches one line of the layout and the comment and blank lines
-    after it; every repetition consumes a newline, so matching is linear.
-    """
-    skip = r"(?:#[ -~]*\n|\n)*"  # whole-line comments, blank lines
-    num = "0|[1-9][0-9]*"  # YAML 1.1 reads 017 as octal
-    # a bare name, or a quoted one without escapes
-    name = rf'({_BARE_NAME.pattern}|"[ !#-\[\]-~]*")'
+
+@functools.cache
+def _head_pattern():
+    """``_read_rows``' pattern for the lines up to ``  nodes:``, which both
+    layouts share, compiled on first use rather than at import."""
     units = "|".join(map(re.escape, MM_PER_UNIT))
-    lines = (
-        rf"{skip}(?:name: {name}\n{skip})?(?:reconstructed: (true|false)\n{skip})?"
-        rf"topology:\n{skip}  unit: ({units})\n{skip}  nodes:",
-        rf"    - \{{id: ({num})(?:, name: {name})?\}}",
-        "  links:",
-        rf"    - \{{a: ({num}), b: ({num}), distance: ((?:{num})(?:\.[0-9]+)?)\}}",
-        "demands:",
-        rf"  - \{{src: ({num}), dst: ({num})(?:, rate: ({num}))?\}}",
+    return re.compile(
+        rf"{_SKIP}(?:name: ({_NAME})\n{_SKIP})?(?:reconstructed: (true|false)\n{_SKIP})?"
+        rf"topology:\n{_SKIP}  unit: ({units})\n{_SKIP}  nodes:\n{_SKIP}"
     )
-    return tuple(re.compile(line + r"\n" + skip) for line in lines)
+
+
+@functools.cache
+def _row_patterns(block: bool):
+    """``_read_rows``' node, links-head, link, demands-head and demand
+    patterns in the block layout or the flow one.
+
+    A row kind is one field list, (key, value pattern, optional) each.
+    Each pattern matches its lines and the comment and blank lines after
+    them; every repetition consumes a newline, so matching is linear.
+    """
+
+    def row(indent, *fields):
+        # a block row's later keys sit two columns deeper than its "- ";
+        # a flow row sits two columns deeper than the block row
+        if block:
+            out, sep, end = " " * indent + "- ", rf"\n{_SKIP}{' ' * (indent + 2)}", ""
+        else:
+            out, sep, end = " " * (indent + 2) + r"- \{", ", ", r"\}"
+        for i, (key, value, optional) in enumerate(fields):
+            field = f"{sep if i else ''}{key}: ({value})"
+            out += f"(?:{field})?" if optional else field
+        return out + end
+
+    lines = (
+        row(2, ("id", _NUM, False), ("name", _NAME, True)),
+        "  links:",
+        row(2, ("a", _NUM, False), ("b", _NUM, False),
+            ("distance", rf"(?:{_NUM})(?:\.[0-9]+)?", False)),
+        "demands:",
+        row(0, ("src", _NUM, False), ("dst", _NUM, False), ("rate", _NUM, True)),
+    )
+    return tuple(re.compile(line + r"\n" + _SKIP) for line in lines)
 
 
 def _row_name(s: str):
     """A name group's string, or None for a bare word YAML reads as
     another type."""
-    if s[0] == '"':
+    if s[0] in "\"'":
         return s[1:-1]
     return None if s.lower() in _YAML_WORDS else s
 
 
 def _read_rows(text: str):
-    """The document of ``text`` if it is in ``dump_scenario``'s row layout,
-    else None.
+    """The document of ``text`` if it is in a row layout, else None.
 
-    The layout: an optional ``name``, an optional ``reconstructed`` flag,
-    then ``topology`` with its unit, node rows and link rows, then the
-    demand rows; one flow mapping per row with its keys in that order,
-    whole-line comments and blank lines anywhere, and ``\\n`` line ends.
-    The document is the one ``yaml.safe_load`` builds. Any other text is
-    refused at its first line out of the layout, as is a value that would
-    not convert as PyYAML converts it.
+    Two layouts: the flow one ``dump_scenario`` writes, one ``- {k: v, ...}``
+    mapping per row, and the block one ``yaml.safe_dump(doc,
+    sort_keys=False)`` writes, a ``- k: v`` line per row followed by one
+    ``k: v`` line per further key, two columns deeper. Both have an
+    optional ``name``, an optional ``reconstructed`` flag, then
+    ``topology`` with its unit, node rows and link rows, then the demand
+    rows, with the keys in that order, whole-line comments and blank
+    lines anywhere, and ``\\n`` line ends. The first node row picks the
+    layout of every row. The document is the one ``yaml.safe_load``
+    builds. Any other text is refused at its first line out of the
+    layout, as is a value that would not convert as PyYAML converts it.
     """
     if not isinstance(text, str):  # bytes: the YAML parser decodes them
         return None
-    head, node, links_head, link, demands_head, demand = _row_patterns()
-    m = head.match(text)
+    m = _head_pattern().match(text)
     if m is None:
         return None
+    node, links_head, link, demands_head, demand = _row_patterns(text.startswith("  - ", m.end()))
     name, reconstructed, unit = m.groups()
     doc = {}
     if name is not None:

@@ -4,8 +4,7 @@ deliberately independent of the library's algorithms (different
 enumeration strategies, no shared code paths), reference copies of the
 p-cycle planner's, the parity-trail search's, the failure sweep's, sr
 spare sizing's and the recovery actions' earlier implementations, and
-the scenario parser with and without its row reader and event-stream
-builder."""
+the scenario parser with and without its row reader."""
 import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
@@ -62,9 +61,8 @@ def parse_outcome(text: str) -> str:
 
 def composed_outcome(text: str) -> str:
     """parse_outcome with PyYAML's composer building every document: the
-    row reader and the event builder both decline."""
-    with mock.patch.object(topology, "_read_rows", lambda text: None), \
-            mock.patch.object(yamldoc, "_build_document", lambda text: yamldoc._COMPOSE):
+    row reader declines."""
+    with mock.patch.object(topology, "_read_rows", lambda text: None):
         return parse_outcome(text)
 
 
@@ -83,16 +81,17 @@ def counting_compositions():
 
 
 @contextmanager
-def counting_builds():
-    """Yield a list that gains an item per text the event builder reads."""
+def counting_yaml_parses():
+    """Yield a list that gains an item per text ``yamldoc.parse`` reads,
+    that is per text the row reader declines."""
     calls = []
-    build = yamldoc._build_document
+    parse = yamldoc.parse
 
     def counted(text):
         calls.append(None)
-        return build(text)
+        return parse(text)
 
-    with mock.patch.object(yamldoc, "_build_document", counted):
+    with mock.patch.object(yamldoc, "parse", counted):
         yield calls
 
 

@@ -5,4 +5,5 @@ from helpers import load_bench_kernels
 def test_bench_kernels_runs(capsys):
     assert load_bench_kernels().main(["--repeats", "1", "--skip-end-to-end"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert rows == ["kernel", "dijkstra", "gf2_rank", "cycles", "load", "load-40n", "load-block"]
+    assert rows == ["kernel", "dijkstra", "gf2_rank", "cycles", "load", "load-40n", "load-block",
+                    "load-pyyaml"]

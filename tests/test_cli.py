@@ -307,18 +307,35 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_cold_start_on_a_row_layout_fixture_needs_only_the_stdlib(capsys):
-    # python -S leaves site-packages off sys.path: importing the CLI loads
-    # none of these, and a dc,sr compare of a bundled fixture (row layout)
-    # runs without PyYAML or numpy and prints what it prints in-process
+def test_cold_start_on_a_row_layout_fixture_needs_only_the_stdlib(capsys, tmp_path):
+    # the same fixture dumped block-style is in the other row layout, which
+    # the row reader takes too, to the same scenario
     argv = ["compare", "--schemes", "dc,sr", "--scenario", "cost239-reconstruction"]
+    with open(fixture_path(argv[-1]), encoding="utf-8") as fh:
+        rows = fh.read()
+    block = yaml.safe_dump(yaml.safe_load(rows), sort_keys=False)
+    assert repr(topology._read_rows(block)) == repr(yaml.safe_load(block))
+    sc, again = load_scenario(rows), load_scenario(block)
+    assert again._replace(topology=None) == sc._replace(topology=None)
+    assert dump_scenario(again) == dump_scenario(sc)
+    block_file = tmp_path / "block.yaml"
+    block_file.write_text(block, encoding="utf-8")
+
+    # python -S leaves site-packages off sys.path: importing the CLI loads
+    # none of these, and a dc,sr compare of a bundled fixture (flow rows)
+    # and loading the block dump run without PyYAML, numpy or
+    # importlib.resources, and the compare prints what it prints in-process
+    lazy = ("yaml", "numpy", "dataclasses", "fractions", "importlib.resources")
     code = "\n".join([
         "import sys",
         "import divprotect.cli",
-        "lazy = ('yaml', 'numpy', 'dataclasses', 'fractions', 'importlib.resources')",
+        f"lazy = {lazy!r}",
         "print([m for m in lazy if m in sys.modules], file=sys.stderr)",
         f"rc = divprotect.cli.main({argv!r})",
-        "print([m for m in ('yaml', 'numpy') if m in sys.modules], file=sys.stderr)",
+        f"with open({str(block_file)!r}, encoding='utf-8') as fh:",
+        "    divprotect.cli.load_scenario(fh.read())",
+        "print([m for m in ('yaml', 'numpy', 'importlib.resources') if m in sys.modules],",
+        "      file=sys.stderr)",
         "sys.exit(rc)",
     ])
     proc = subprocess.run(
@@ -329,15 +346,6 @@ def test_cold_start_on_a_row_layout_fixture_needs_only_the_stdlib(capsys):
     assert proc.stderr == "[]\n[]\n"
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
-
-    # the same fixture dumped block-style goes through PyYAML, to the same scenario
-    with open(fixture_path(argv[-1]), encoding="utf-8") as fh:
-        rows = fh.read()
-    block = yaml.safe_dump(yaml.safe_load(rows), sort_keys=False)
-    assert topology._read_rows(block) is None
-    sc, again = load_scenario(rows), load_scenario(block)
-    assert again._replace(topology=None) == sc._replace(topology=None)
-    assert dump_scenario(again) == dump_scenario(sc)
 
 
 def test_missing_fixture_dir_is_an_error(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
-"""The scenario parser's row reader and event builder against PyYAML's
-composer: on random documents dumped in flow, block and canonical style, on
-flow mappings spelled from plain scalars, anchors, aliases, tags and nested
-collections, and on scenario texts in ``dump_scenario``'s row layout with
-tricky values and comment and blank lines mixed in."""
+"""The scenario parser, row reader first, against PyYAML's composer alone:
+on random documents dumped in flow, block and canonical style, on flow
+mappings spelled from plain scalars, anchors, aliases, tags and nested
+collections, and on scenario texts in the flow row layout of
+``dump_scenario`` or the block one of ``yaml.safe_dump`` with tricky values
+and comment, blank and stray lines mixed in."""
 import datetime
 from itertools import count
 
@@ -55,14 +56,14 @@ flow_mappings = st.lists(
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(doc=documents, style=st.sampled_from(sorted(STYLES)))
-def test_event_builder_matches_the_composer_on_random_documents(doc, style):
+def test_parser_matches_the_composer_on_random_documents(doc, style):
     text = yaml.safe_dump(doc, allow_unicode=True, **STYLES[style])
     assert parse_outcome(text) == composed_outcome(text)
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(text=flow_mappings)
-def test_event_builder_matches_the_composer_on_spelled_mappings(text):
+def test_parser_matches_the_composer_on_spelled_mappings(text):
     assert parse_outcome(text) == composed_outcome(text)
 
 
@@ -71,7 +72,7 @@ def test_event_builder_matches_the_composer_on_spelled_mappings(text):
 ROW_VALUES = {
     "int": ["0", "1", "7", "12", "905"],
     "distance": ["1", "10", "2.5", "0.125", "1.000000001"],
-    "name": ["A", "b.c-d_1", "x9", '"7"', '"a #b {c}"', '""'],
+    "name": ["A", "b.c-d_1", "x9", '"7"', '"a #b {c}"', '""', "'7'", "''", "' a\\b, #}'"],
     "unit": ["km", "mi", "10mi"],
     "flag": ["true", "false"],
     "filler": ["", "#", "# note: {a: 1}"],
@@ -81,22 +82,42 @@ TRICKY = {
     "distance": ["1e3", ".5", "5.", "1_0.5", ".inf", ".NaN", "-1", "007", "2001-12-14", "1:30.5"],
     "name": [
         "yes", "No", "NULL", "On", "none", "~", "", "é", '"é"', '"a\\tb"', "'q'", "a b",
-        "x #c", "!!str 1", "&a 1", "*a", "[1]", "{a: 1}",
+        "x #c", "!!str 1", "&a 1", "*a", "[1]", "{a: 1}", "'it''s'",
     ],
     "unit": ["furlong", "KM", "[km]", "{km: 1}", ""],
     "flag": ["yes", "True", "FALSE", "on", "1", ""],
-    "filler": ["  # indented", "# \x07", " ", "# \u00e9", "---", "...", "\t"],
+    "filler": [
+        "  # indented", "# \x07", " ", "# \u00e9", "---", "...", "\t",
+        # a more-indented continuation line, a key without a value, and an
+        # item nested one level deeper
+        "      more", "    name:", "    - id: 9",
+    ],
 }
 
 
 @st.composite
 def row_texts(draw):
-    """A scenario text in the row layout with at most two of its values or
-    filler lines tricky, and now and then a section without rows."""
+    """A scenario text in the flow or the block row layout with at most two
+    of its values or filler lines tricky, and now and then a section
+    without rows. Filler lines may fall between the keys of a block row."""
+    block = draw(st.booleans())
     counts = [draw(st.integers(1, 3)) for _ in range(3)]
     if draw(st.integers(0, 9)) == 0:
         counts[draw(st.integers(0, 2))] = 0
     lines = []  # (format, kinds of its slots)
+
+    def row(indent, *fields):
+        # fields: (key, kind); a flow row sits two columns deeper than a
+        # block row, whose later keys sit two columns deeper than its "- "
+        if block:
+            lead = " " * indent + "- "
+            for key, kind in fields:
+                lines.append((f"{lead}{key}: {{}}", [kind]))
+                lead = " " * (indent + 2)
+        else:
+            spelled = ", ".join(f"{key}: {{}}" for key, _ in fields)
+            lines.append((" " * (indent + 2) + "- {{" + spelled + "}}", [k for _, k in fields]))
+
     if draw(st.booleans()):
         lines.append(("name: {}", ["name"]))
     if draw(st.booleans()):
@@ -104,15 +125,14 @@ def row_texts(draw):
     lines += [("topology:", []), ("  unit: {}", ["unit"]), ("  nodes:", [])]
     for _ in range(counts[0]):
         named = draw(st.booleans())
-        lines.append(("    - {{id: {}, name: {}}}", ["int", "name"]) if named
-                     else ("    - {{id: {}}}", ["int"]))
+        row(2, ("id", "int"), *[("name", "name")] * named)
     lines.append(("  links:", []))
-    lines += [("    - {{a: {}, b: {}, distance: {}}}", ["int", "int", "distance"])] * counts[1]
+    for _ in range(counts[1]):
+        row(2, ("a", "int"), ("b", "int"), ("distance", "distance"))
     lines.append(("demands:", []))
     for _ in range(counts[2]):
         rated = draw(st.booleans())
-        lines.append(("  - {{src: {}, dst: {}, rate: {}}}", ["int"] * 3) if rated
-                     else ("  - {{src: {}, dst: {}}}", ["int"] * 2))
+        row(0, ("src", "int"), ("dst", "int"), *[("rate", "int")] * rated)
     for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
         lines.insert(at, ("{}", ["filler"]))
     slots = sum(len(kinds) for _, kinds in lines)
