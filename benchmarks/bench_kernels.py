@@ -3,7 +3,11 @@
 
 Usage: python benchmarks/bench_kernels.py [--repeats N] [--seed S] [--skip-end-to-end]
 
-Dijkstra runs on seeded ring-plus-chord graphs of 20, 60 and 120 nodes;
+Dijkstra runs on seeded ring-plus-chord graphs of 20, 60 and 120 nodes,
+building fresh masked trees through ``Topology.distances``: full ones
+(``dijkstra``, no link blocked) and, with a random link blocked, ones
+grown only until one random target is settled (``dijkstra-until``, the
+shape of a backup-path search);
 the rank on random binary matrices from decode-matrix size (5x4) up.
 Cycle enumeration runs on one 16-node, 30-link graph, the shape of the
 benchmark's rings meshes (2,054 cycles of at most 12 hops at the
@@ -17,7 +21,11 @@ dump with ``indent=4``, a layout the row reader declines, so PyYAML's
 composer builds it.
 The end-to-end rows time a full dc plan and failure sweep of the largest
 bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
-graph with 60 unit demands over 5 destinations, a pc plan
+graph with 60 unit demands over 5 destinations, an sr plan
+(``sr-40n``) of a 40-node, 56-link graph with 48 unit demands to
+distinct random nodes, the size of the benchmark's backbone meshes,
+each on a fresh copy of its topology, so no shared tree or route
+carries over between repeats, a pc plan
 (``pc_design``) of another graph and demand set of that shape, and
 ``sweep-100n``: the failure sweeps of the sr and pc plans of a 100-node,
 200-link graph with 150 unit demands over 5 destinations, with both
@@ -86,6 +94,22 @@ def dc_instance(rng, n: int, demands: int, destinations: int = 5):
     return topo, flows
 
 
+def planned(design, topo, flows):
+    """``design``'s plan on a fresh copy of topo: nothing is shared yet."""
+    return design(Topology(topo.n, [(l.a, l.b, l.length_mm) for l in topo.links]), flows)
+
+
+def sr_instance(rng, n: int, m: int, demands: int):
+    """An m-link graph with unit demands between random node pairs."""
+    topo = random_graph(rng, n, m - n)
+    flows = []
+    while len(flows) < demands:
+        src, dst = (int(v) for v in rng.integers(0, n, size=2))
+        if src != dst:
+            flows.append(Flow(src, dst, 1))
+    return topo, flows
+
+
 def bench(fn, calls, repeats: int) -> tuple[float, float]:
     for args in calls:  # warmup
         fn(*args)
@@ -131,8 +155,13 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
 
     graphs = [random_graph(rng, n, extra) for n in (20, 60, 120) for extra in (n,)]
-    dij_calls = [
-        (t.adj_indptr, t.adj_node, t.adj_link, t.link_mm, 0, t.blocked_mask())
+    dij_calls = [(t, 0, t.blocked_mask()) for t in graphs for _ in range(10)]
+    # the rows added later draw from their own generator, so every other
+    # row keeps the instances it had
+    late = np.random.default_rng([args.seed, 1])
+    until_calls = [
+        (t, int(late.integers(0, t.n)), t.blocked_mask([int(late.integers(0, t.m))]),
+         (int(late.integers(0, t.n)),))
         for t in graphs
         for _ in range(10)
     ]
@@ -149,7 +178,8 @@ def main(argv=None) -> int:
     indented40 = yaml.safe_dump(yaml.safe_load(mesh40), sort_keys=False, indent=4)
 
     rows = [
-        ("dijkstra", *bench(kernels.dijkstra_distances, dij_calls, args.repeats)),
+        ("dijkstra", *bench(Topology.distances, dij_calls, args.repeats)),
+        ("dijkstra-until", *bench(Topology.distances, until_calls, args.repeats)),
         ("gf2_rank", *bench(kernels.gf2_rank, gf2_calls, args.repeats)),
         ("cycles", *bench(enumerate_cycles, cycle_calls, args.repeats)),
         ("load", *bench(load_scenario, [(uslong,)], args.repeats)),
@@ -161,16 +191,19 @@ def main(argv=None) -> int:
         rows.append(("import-cli", *import_cli_s(args.repeats)))
         sc = load_scenario(uslong)
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
-        rows.append(("dc-40n", *bench(algorithm_one, [dc_instance(rng, 40, 60)], args.repeats)))
+        rows.append(("dc-40n", *bench(planned, [(algorithm_one, *dc_instance(rng, 40, 60))],
+                                      args.repeats)))
+        rows.append(("sr-40n", *bench(planned, [(sr_design, *sr_instance(late, 40, 56, 48))],
+                                      args.repeats)))
         rows.append(("pc-40n", *bench(pc_design, [dc_instance(rng, 40, 60)], args.repeats)))
         topo, flows = dc_instance(rng, 100, 150)
         plans = [sr_design(topo, flows), pc_design(topo, flows)]
         rows.append(("sweep-100n", *bench(sweep_plans, [(topo, plans)], args.repeats)))
         rows.append(("pc-100n", *bench(pc_design, [dc_instance(rng, 100, 150)], args.repeats)))
 
-    print(f"{'kernel':<12}{'best ms':>10}{'mean ms':>10}")
+    print(f"{'kernel':<16}{'best ms':>10}{'mean ms':>10}")
     for kernel, best, mean in rows:
-        print(f"{kernel:<12}{best * 1e3:>10.3f}{mean * 1e3:>10.3f}")
+        print(f"{kernel:<16}{best * 1e3:>10.3f}{mean * 1e3:>10.3f}")
     return 0
 
 

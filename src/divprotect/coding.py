@@ -108,11 +108,12 @@ def _parity_route(
     and a start's mask only grows, so no abandoned trail could have come
     in within the limit; the comparison is strict, so trails of equal
     length still compete on node sequence. Each leg reads every
-    remaining source off one tree rooted at the trail's end.
+    remaining source off one tree rooted at the trail's end. Every tree
+    is grown only until the nodes read off it are settled.
     """
     base = topo.blocked_mask(blocked)
-    to_dst = topo.distances(dst, base)
     uniq = sorted(set(sources))
+    to_dst = topo.distances(dst, base, uniq)
     # a trail never reuses a link, so it is shorter than all links together
     limit = INF_MM // 4 if budget is None else budget
     # every trail runs on from each source to dst
@@ -127,7 +128,7 @@ def _parity_route(
         cur = start
         remaining = [u for u in uniq if u != start]
         while remaining:
-            dist = topo.distances(cur, mask)
+            dist = topo.distances(cur, mask, remaining)
             if partial + max(dist[u] + to_dst[u] for u in remaining) > limit:
                 break
             u = min(remaining, key=lambda u: (dist[u], u))
@@ -142,7 +143,7 @@ def _parity_route(
         if remaining:
             continue
         # with no leg taken the mask is still the working links' one
-        tree = topo.distances(dst, mask) if links else to_dst
+        tree = topo.distances(dst, mask, (cur,)) if links else to_dst
         if partial + tree[cur] > limit:
             continue
         tail = routing.path_to_root(topo, tree, cur, dst, mask)
@@ -244,14 +245,9 @@ def algorithm_one(
     cache: dict[tuple, tuple[CodingGroup, int, int] | None] = {}
     top = _ratio_fraction(params.thresholds()[-1])
 
-    # 1+1 routes per (src, dst): a rate-r demand's unit flows share them
-    aps: dict[tuple[int, int], tuple[Path, Path | None]] = {}
-
     def aps_pair(i: int) -> tuple[Path, Path | None]:
-        key = flows[i].src, flows[i].dst
-        if key not in aps:
-            aps[key] = routing.protected_pair(topo, *key)
-        return aps[key]
+        # 1+1 routes: memoised per (src, dst) on the topology
+        return routing.protected_pair(topo, flows[i].src, flows[i].dst)
 
     def fallback_mm(i: int) -> int:
         # capacity-distance the flow costs if left to the 1+1 fallback;

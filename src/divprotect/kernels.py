@@ -1,7 +1,8 @@
-"""Hot kernels: Dijkstra over CSR adjacency and GF(2) rank.
+"""Hot kernels: Dijkstra over per-node link rows and GF(2) rank.
 
-Both are plain Python. Dijkstra is a binary-heap scan over the CSR tuples
-of a ``Topology``; the rank is elimination over rows packed into int
+Both are plain Python. Dijkstra is a binary-heap scan over the per-node
+rows of a ``Topology`` that can stop once given nodes are settled and
+resume later; the rank is elimination over rows packed into int
 bitmasks, which suits the small decode matrices (at most a handful of
 rows and columns) the planners and the failure sweep check.
 """
@@ -18,30 +19,49 @@ INF_MM = 2**62
 NUMBA_ENABLED = False
 
 
-def dijkstra_distances(indptr, nbr_node, nbr_link, link_mm, src, blocked) -> list[int]:
-    """Distance (mm) from src to every node, INF_MM where unreachable.
+def dijkstra_distances(rows, dist, heap, settled, root, blocked, until=None) -> list[int]:
+    """Grow the shortest-path tree from root held in ``dist``, ``heap`` and
+    ``settled``, in place, and return ``dist``.
 
-    The first four arguments are a topology's CSR int tuples (row
-    pointers, neighbour node, neighbour link, link length) and
-    ``blocked`` is a per-link mask such as ``Topology.blocked_mask``'s
-    byte array; links with a non-zero entry are skipped.
+    ``rows[v]`` holds a ``(neighbour, link, length_mm)`` triple per link
+    at v; links whose entry in the per-link mask ``blocked`` (such as
+    ``Topology.blocked_mask``'s byte array) is non-zero are skipped. A
+    fresh tree is ``dist`` all INF_MM, ``heap`` empty and ``settled``
+    all zero; the kernel seeds it with root. A tree it stopped early is
+    resumed by passing its state back with the same root and mask.
+
+    With ``until`` a collection of nodes, the scan stops right after it
+    settles, and relaxes the links of, the last of them still unsettled;
+    with None it runs until every reachable node is settled. A settled
+    node's entry is its exact distance (mm); every other entry is at
+    least the last distance settled, and INF_MM where the scan has not
+    reached the node, which at the end means unreachable.
     """
-    dist = [INF_MM] * (len(indptr) - 1)
-    dist[src] = 0
-    heap = [(0, src)]
+    if until is None:
+        left = None
+    else:
+        left = {t for t in until if not settled[t]}
+        if not left:
+            return dist
+    if not settled[root]:  # only a fresh tree: root is settled first
+        dist[root] = 0
+        heap.append((0, root))
     while heap:
         d, u = heappop(heap)
-        if d > dist[u]:
+        if settled[u]:
             continue  # stale entry: u was settled at a shorter distance
-        for k in range(indptr[u], indptr[u + 1]):
-            lk = nbr_link[k]
+        settled[u] = 1
+        for w, lk, mm in rows[u]:
             if blocked[lk]:
                 continue
-            nd = d + link_mm[lk]
-            w = nbr_node[k]
+            nd = d + mm
             if nd < dist[w]:
                 dist[w] = nd
                 heappush(heap, (nd, w))
+        if left is not None and u in left:
+            left.remove(u)
+            if not left:
+                break
     return dist
 
 

@@ -124,9 +124,14 @@ def shortest_working_capacity_mm(topo: Topology, demand) -> int:
     """Capacity-distance of routing every demand on its shortest path.
 
     This is the no-protection floor that spare-capacity percentages are
-    measured against.
+    measured against. Each destination's tree is grown until its
+    demands' sources are settled.
     """
-    return sum(f.rate * topo.distances(f.dst)[f.src] for f in demand)
+    sources: dict[int, list[int]] = {}
+    for f in demand:
+        sources.setdefault(f.dst, []).append(f.src)
+    trees = {dst: topo.distances(dst, None, srcs) for dst, srcs in sources.items()}
+    return sum(f.rate * trees[f.dst][f.src] for f in demand)
 
 
 def detour_arcs(topo: Topology, cycle, lid: int) -> list[tuple[int, int]]:

@@ -20,13 +20,15 @@ def shortest_path(topo: Topology, src: int, dst: int, excluded=()) -> Path | Non
     if src == dst:
         raise ValueError("src and dst must differ")
     blocked = topo.blocked_mask(excluded)
-    dist = topo.distances(dst, blocked if excluded else None)
+    dist = topo.distances(dst, blocked if excluded else None, (src,))
     return path_to_root(topo, dist, src, dst, blocked)
 
 
 def path_to_root(topo: Topology, dist, src: int, root: int, blocked) -> Path | None:
     """Lexicographically smallest shortest src->root path, read off
     ``dist``, the distances from root with the ``blocked`` links skipped.
+    A tree grown until src is settled is enough (see
+    ``Topology.distances``): every node of the walk is nearer root.
 
     Returns None when src is unreachable.
     """
@@ -66,7 +68,9 @@ def path_from_root(topo: Topology, dist, root: int, target: int, blocked) -> Pat
     exactly when it is tight and w reaches target over tight arcs, which
     is what ``shortest_path``'s test dist_t[v] == len + dist_t[w] picks
     with distances dist_t to target; so both walks take the same
-    smallest neighbour at every step.
+    smallest neighbour at every step. A tree grown until target is
+    settled is enough: both passes only step to nodes nearer root than
+    one already known exact, and those are exact too.
     """
     if root == target:
         raise ValueError("root and target must differ")
@@ -254,10 +258,16 @@ def protected_pair(topo: Topology, src: int, dst: int):
     The working path stays on the unconstrained shortest path when a
     disjoint backup exists around it; otherwise both come from the
     jointly routed disjoint pair. When src and dst have no two
-    link-disjoint routes, returns (shortest path, None).
+    link-disjoint routes, returns (shortest path, None). Each pair is
+    routed once per topology and shared by every planner.
     """
-    w = shortest_path(topo, src, dst)
-    b = shortest_path(topo, src, dst, excluded=w.links)
-    if b is not None:
-        return w, b
-    return disjoint_path_pair(topo, src, dst) or (w, None)
+    pair = topo.protected_pairs.get((src, dst))
+    if pair is None:
+        w = shortest_path(topo, src, dst)
+        b = shortest_path(topo, src, dst, excluded=w.links)
+        if b is not None:
+            pair = w, b
+        else:
+            pair = disjoint_path_pair(topo, src, dst) or (w, None)
+        topo.protected_pairs[src, dst] = pair
+    return pair

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import re
 from array import array
-from itertools import accumulate
 from typing import NamedTuple
 
 from . import kernels
@@ -80,8 +79,8 @@ class Path(NamedTuple):
 class Topology:
     """Connected undirected graph with positive integer-mm span lengths.
 
-    Exposes CSR adjacency (sorted by neighbour id) as int tuples for the
-    routing kernels plus convenience lookups for everything else.
+    Exposes per-node adjacency rows (sorted by neighbour id) for the
+    Dijkstra kernel plus convenience lookups for everything else.
     """
 
     def __init__(
@@ -124,11 +123,18 @@ class Topology:
             adj[l.a].append((l.b, l.id))
             adj[l.b].append((l.a, l.id))
         self._nbrs = tuple(tuple(sorted(row)) for row in adj)
-        self.adj_indptr = tuple(accumulate(map(len, self._nbrs), initial=0))
-        self.adj_node = tuple(w for row in self._nbrs for w, _ in row)
-        self.adj_link = tuple(lid for row in self._nbrs for _, lid in row)
         self.link_mm = tuple(l.length_mm for l in self.links)
-        self._trees: dict[int, tuple[int, ...]] = {}  # root -> distances()
+        # the Dijkstra kernel's adjacency: (neighbour, link, length_mm)
+        # per link at each node, by neighbour id
+        self.adj_rows = tuple(
+            tuple((w, lid, self.link_mm[lid]) for w, lid in row) for row in self._nbrs
+        )
+        self._open = self.blocked_mask()
+        # root -> [dist, heap, settled, tuple(dist) or None]: the shared
+        # unmasked trees, as far as distances() has grown them
+        self._trees: dict[int, list] = {}
+        # (src, dst) -> routing.protected_pair(self, src, dst)
+        self.protected_pairs: dict[tuple[int, int], tuple] = {}
         # keeps every path sum and every residual distance in the
         # disjoint-route search clear of the INF_MM sentinels
         total_mm = sum(self.link_mm)
@@ -169,20 +175,35 @@ class Topology:
             mask[lid] = 1
         return mask
 
-    def distances(self, root: int, blocked: array | None = None):
-        """Distance (mm) from root to every node, INF_MM where unreachable:
-        every shortest-path tree in the package. With ``blocked``, a
-        ``blocked_mask`` whose links are skipped, a fresh list; with none,
-        each root's tree is built once and shared as a tuple."""
+    def distances(self, root: int, blocked: array | None = None, until=None):
+        """Distances (mm) from root, INF_MM where unreachable: every
+        shortest-path tree in the package.
+
+        With ``until`` a collection of nodes, the tree is grown only until
+        they are settled, so their entries, and the entries of every node
+        nearer root than the farthest of them, are exact; any other entry
+        is an upper bound no smaller than those. With None, every entry is
+        exact. With ``blocked``, a ``blocked_mask`` whose links are
+        skipped, the tree is fresh and comes as a list; with none, each
+        root's tree is kept, resumed by later requests, and handed out as
+        a tuple.
+        """
         if blocked is not None:
             # through the module, so a wrapper set there sees every tree
             return kernels.dijkstra_distances(
-                self.adj_indptr, self.adj_node, self.adj_link, self.link_mm, root, blocked
+                self.adj_rows, [INF_MM] * self.n, [], bytearray(self.n), root, blocked, until
             )
         tree = self._trees.get(root)
         if tree is None:
-            tree = self._trees[root] = tuple(self.distances(root, self.blocked_mask()))
-        return tree
+            tree = self._trees[root] = [[INF_MM] * self.n, [], bytearray(self.n), None]
+        dist, heap, settled, shared = tree
+        # the topology is connected: a full tree settles every node
+        if not all(settled[t] for t in (range(self.n) if until is None else until)):
+            kernels.dijkstra_distances(self.adj_rows, dist, heap, settled, root, self._open, until)
+            shared = None
+        if shared is None:
+            shared = tree[3] = tuple(dist)
+        return shared
 
     def _validate_connectivity(self) -> None:
         seen = [False] * self.n

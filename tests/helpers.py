@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 from yaml.composer import Composer
 
-from divprotect import routing, topology, yamldoc
+from divprotect import kernels, routing, topology, yamldoc
 from divprotect.cli import fixture_path
 from divprotect.coding import group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
@@ -93,6 +93,13 @@ def counting_yaml_parses():
 
     with mock.patch.object(yamldoc, "parse", counted):
         yield calls
+
+
+def fresh_tree(topo: Topology, root: int, blocked, until=None) -> list[int]:
+    """Distances from root off one direct kernel call on a fresh tree."""
+    return kernels.dijkstra_distances(
+        topo.adj_rows, [kernels.INF_MM] * topo.n, [], bytearray(topo.n), root, blocked, until
+    )
 
 
 def make_path(topo: Topology, nodes) -> topology.Path:

@@ -130,6 +130,60 @@ def test_bounded_parity_search_matches_reference():
     assert checked > 500
 
 
+def test_parity_routes_off_partial_trees_match_full_trees(monkeypatch):
+    # every tree _parity_route reads is grown only until the nodes it
+    # reads are settled; growing each one to the end changes nothing
+    full = Topology.distances
+
+    def whole(self, root, blocked=None, until=None):
+        return full(self, root, blocked)
+
+    rng = np.random.default_rng(9)
+    cases = []
+    for topo in _parity_instances():
+        for dst in range(topo.n):
+            sources = [int(s) for s in rng.integers(0, topo.n, size=int(rng.integers(2, 5)))]
+            if dst in sources:
+                continue
+            workings = routing.disjoint_routes(topo, sources, dst)
+            if workings is not None:
+                blocked = {lid for p in workings for lid in p.links}
+                cases.append((topo, sources, dst, blocked))
+    got = [coding._parity_route(*case) for case in cases]
+    with monkeypatch.context() as m:
+        m.setattr(Topology, "distances", whole)
+        want = [coding._parity_route(*case) for case in cases]
+    assert got == want
+    assert len(cases) > 300 and sum(w is not None for w in want) > 200
+    for case, w in zip(cases, want):
+        if w is not None:  # bounded at the trail's own length, and below it
+            assert coding._parity_route(*case, w.length_mm) == w
+            assert coding._parity_route(*case, w.length_mm - 1) is None
+
+
+def test_working_floor_does_not_depend_on_the_order_trees_grow_in():
+    # the floor reads each destination's shared tree grown only to its
+    # sources; requests in any order, each growing the tree a little
+    # further, give the values of full trees
+    rng = np.random.default_rng(4)
+    for seed in range(20):
+        topo, _ = random_scenario(seed, max_nodes=14, max_links=30)
+        for t in (topo, unit_lengths(topo)):
+            edges = [(l.a, l.b, l.length_mm) for l in t.links]
+            demands = [
+                [Flow(int(s), int(d), int(r)) for s, d, r in zip(
+                    rng.integers(0, t.n, size=6), rng.integers(0, t.n, size=6),
+                    rng.integers(1, 4, size=6)) if s != d]
+                for _ in range(8)
+            ]
+            want = [sum(f.rate * t.distances(f.dst)[f.src] for f in dem) for dem in demands]
+            for _ in range(3):
+                fresh = Topology(t.n, edges)
+                order = rng.permutation(len(demands))
+                got = {int(i): shortest_working_capacity_mm(fresh, demands[i]) for i in order}
+                assert [got[i] for i in range(len(demands))] == want
+
+
 def test_ratio_at_equal_lengths_is_n_plus_1_over_n():
     topo = load_fixture("fig1-star").topology
     for n in (2, 3):
@@ -270,17 +324,19 @@ def test_high_rate_demand_routes_each_source_tuple_once(monkeypatch):
     monkeypatch.setattr(
         coding, "find_group", lambda *a, **kw: calls.append(1) or real(*a, **kw)
     )
-    pairs = []
-    real_pair = routing.protected_pair
+    # protected_pair searches a working path, then its backup, once per
+    # (src, dst) on a topology
+    searches = []
+    real_path = routing.shortest_path
     monkeypatch.setattr(
-        routing, "protected_pair", lambda *a: pairs.append(a[1:]) or real_pair(*a)
+        routing, "shortest_path", lambda *a, **kw: searches.append(a[1:3]) or real_path(*a, **kw)
     )
     topo = Topology.from_edge_list(
         [(a, b, 1) for a in range(6) for b in range(a + 1, 6)], unit="km"
     )
     plan = algorithm_one(topo, [Flow(0, 1, 12)])
     assert len(calls) <= 3
-    assert pairs == [(0, 1)]
+    assert searches == [(0, 1), (0, 1)]
     assert sorted(i for g in plan.groups for i in g.flow_ids) == list(range(12))
     assert plan.pairs == () and plan.unprotected == ()
 

@@ -2,7 +2,7 @@ import numpy as np
 
 from divprotect import kernels
 from divprotect.kernels import INF_MM
-from helpers import all_simple_paths, random_scenario
+from helpers import all_simple_paths, fresh_tree, random_scenario
 
 
 def python_int_rank(rows):
@@ -46,10 +46,7 @@ def test_dijkstra_matches_path_enumeration():
             ]
             # any per-link mask works; the planners pass blocked_mask's
             for mask in (blocked, topo.blocked_mask([cut])):
-                dist = kernels.dijkstra_distances(
-                    topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm,
-                    src, mask,
-                )
+                dist = fresh_tree(topo, src, mask)
                 assert list(dist) == want, (seed, src, type(mask))
 
 
@@ -64,12 +61,33 @@ def test_dijkstra_unreachable_is_inf():
     ])
     blocked = np.zeros(topo.m, dtype=np.uint8)
     blocked[6] = 1
-    dist = kernels.dijkstra_distances(
-        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, 0, blocked
-    )
+    dist = fresh_tree(topo, 0, blocked)
     assert dist[0] == 0
     assert dist[1] == 10 and dist[2] == 10
     assert dist[3] == INF_MM and dist[4] == INF_MM and dist[5] == INF_MM
+
+
+def test_dijkstra_until_stops_at_the_target_and_resumes():
+    # on the path 0-1-...-9, a tree grown until node 3 settles 0..3 only:
+    # 4 holds the bound relaxed from 3, and the rest are unreached
+    from divprotect.topology import Topology
+
+    topo = Topology(10, [(v, v + 1, 10) for v in range(9)])
+    dist, heap, settled = [INF_MM] * 10, [], bytearray(10)
+    state = (topo.adj_rows, dist, heap, settled, 0, topo.blocked_mask())
+    assert kernels.dijkstra_distances(*state, (3,)) is dist
+    assert list(settled) == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
+    assert dist == [0, 10, 20, 30, 40] + [INF_MM] * 5
+    assert heap == [(40, 4)]
+    # every target settled already: nothing moves
+    kernels.dijkstra_distances(*state, (2, 3))
+    assert list(settled) == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
+    # resumed to the end, it is the full tree
+    kernels.dijkstra_distances(*state)
+    assert dist == [10 * v for v in range(10)] and all(settled) and heap == []
+    # a blocked link leaves what lies past it at INF_MM
+    dist = fresh_tree(topo, 0, topo.blocked_mask([5]), (8,))
+    assert dist == [10 * v for v in range(6)] + [INF_MM] * 4
 
 
 def test_gf2_rank_known_cases():

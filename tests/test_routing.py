@@ -11,7 +11,7 @@ from divprotect.routing import (
 )
 from divprotect.kernels import INF_MM
 from divprotect.topology import Topology
-from helpers import load_fixture, make_path, random_scenario, unit_lengths
+from helpers import fresh_tree, load_fixture, make_path, random_scenario, unit_lengths
 
 FIXTURES = [
     "example2",
@@ -72,17 +72,19 @@ def test_shortest_distances_vector():
     assert d[4] == INF_MM
 
 
-def _walk_fresh_tree(topo, src, dst):
-    """Smallest-neighbour walk down a tree from a direct kernel call."""
-    dist = kernels.dijkstra_distances(
-        topo.adj_indptr, topo.adj_node, topo.adj_link, topo.link_mm, dst,
-        topo.blocked_mask(),
-    )
+def _walk_fresh_tree(topo, src, dst, excluded=()):
+    """Smallest-neighbour walk down a full tree from a direct kernel call,
+    or None when the excluded links cut src off."""
+    blocked = topo.blocked_mask(excluded)
+    dist = fresh_tree(topo, dst, blocked)
+    if dist[src] >= INF_MM:
+        return None
     nodes = [src]
     while nodes[-1] != dst:
         v = nodes[-1]
         nodes.append(min(
-            w for w, lid in topo.neighbors(v) if dist[v] == topo.link_mm[lid] + dist[w]
+            w for w, lid in topo.neighbors(v)
+            if not blocked[lid] and dist[v] == topo.link_mm[lid] + dist[w]
         ))
     return make_path(topo, nodes)
 
@@ -95,6 +97,43 @@ def test_unmasked_paths_from_shared_trees_match_fresh_trees():
             for src in range(topo.n):
                 if src != dst:
                     assert shortest_path(topo, src, dst) == _walk_fresh_tree(topo, src, dst)
+
+
+def test_paths_off_partial_trees_match_full_trees():
+    # shared trees are grown one source at a time, in a random order, and
+    # masked ones stop at their source; unit lengths make ties everywhere
+    rng = np.random.default_rng(11)
+    topos = [random_scenario(seed, max_nodes=14, max_links=30)[0] for seed in range(20)]
+    topos += [unit_lengths(t) for t in topos]
+    masked = unreachable = 0
+    for topo in topos:
+        pairs = [(s, d) for d in range(topo.n) for s in range(topo.n) if s != d]
+        for k in rng.permutation(len(pairs)):
+            src, dst = pairs[k]
+            assert shortest_path(topo, src, dst) == _walk_fresh_tree(topo, src, dst)
+            excluded = [lid for lid in range(topo.m) if rng.random() < 0.25]
+            want = _walk_fresh_tree(topo, src, dst, excluded)
+            assert shortest_path(topo, src, dst, excluded) == want
+            masked += 1
+            unreachable += want is None
+    assert masked > 2000 and unreachable > 0
+
+
+def test_shared_trees_resume_and_skip_settled_targets(monkeypatch):
+    topo = km([(v, v + 1, 1) for v in range(7)] + [(0, 7, 10)])
+    want = tuple(fresh_tree(topo, 0, topo.blocked_mask()))
+    calls = []
+    real = kernels.dijkstra_distances
+    monkeypatch.setattr(kernels, "dijkstra_distances", lambda *a: calls.append(a[6]) or real(*a))
+    assert topo.distances(0, None, (2,))[:3] == (0, 1_000_000, 2_000_000)
+    assert topo.distances(0, None, (1, 2))[:3] == (0, 1_000_000, 2_000_000)
+    assert calls == [(2,)]  # every target settled: no kernel call
+    assert topo.distances(0, None, (5,))[5] == 5_000_000
+    full = topo.distances(0)
+    assert calls == [(2,), (5,), None]
+    assert full == want
+    assert topo.distances(0) is full and topo.distances(0, None, (7,)) is full
+    assert len(calls) == 3
 
 
 def test_shared_trees_are_not_handed_out_mutable():
