@@ -19,6 +19,9 @@ size of the benchmark's backbone meshes, both in the flow row layout,
 style, which the row reader takes too, and (``load-pyyaml``) the same
 dump with ``indent=4``, a layout the row reader declines, so PyYAML's
 composer builds it.
+``dc-dense`` is a dc plan (``algorithm_one``) of ``dense_instance(0)``:
+14 unit demands into one node, more than the planner's dense-destination
+limit, so its hop guard decides which sources are combined.
 The end-to-end rows time a full dc plan and failure sweep of the largest
 bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
 graph with 60 unit demands over 5 destinations, an sr plan
@@ -37,6 +40,7 @@ takes to run ``import divprotect.cli``, less the time it takes to run
 """
 import argparse
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -92,6 +96,25 @@ def dc_instance(rng, n: int, demands: int, destinations: int = 5):
             src = int(rng.integers(0, n))
         flows.append(Flow(src, dst, 1))
     return topo, flows
+
+
+def dense_instance(seed: int, n: int = 18, m: int = 30, flows: int = 14):
+    """An n-node, m-link graph (a random ring, at least six links at node
+    0, then random chords; 1-9 km spans) with ``flows`` unit demands into
+    node 0 from random sources."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[i], perm[(i + 1) % n]))) for i in range(n)}
+    while sum(0 in e for e in edges) < 6:
+        edges.add((0, rng.randrange(1, n)))
+    while len(edges) < m:
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    topo = Topology.from_edge_list(
+        [(a, b, rng.randint(1, 9)) for a, b in sorted(edges)], unit="km"
+    )
+    return topo, [Flow(rng.randrange(1, n), 0, 1) for _ in range(flows)]
 
 
 def planned(design, topo, flows):
@@ -186,6 +209,7 @@ def main(argv=None) -> int:
         ("load-40n", *bench(load_scenario, [(mesh40,)], args.repeats)),
         ("load-block", *bench(load_scenario, [(block40,)], args.repeats)),
         ("load-pyyaml", *bench(load_scenario, [(indented40,)], args.repeats)),
+        ("dc-dense", *bench(planned, [(algorithm_one, *dense_instance(0))], args.repeats)),
     ]
     if not args.skip_end_to_end:
         rows.append(("import-cli", *import_cli_s(args.repeats)))

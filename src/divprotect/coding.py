@@ -2,14 +2,17 @@
 
 The planner walks an admission threshold from loose to tight redundancy
 (low to high ratio), preferring larger groups, and falls back to 1+1
-duplication for whatever cannot be grouped economically. Group routing
-is independent of planner state, so candidate evaluations are memoised
+duplication for whatever cannot be grouped economically. Groups never
+span destinations, so each destination is swept alone; group routing is
+independent of planner state, so its candidate evaluations are memoised
 across thresholds.
 """
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from . import kernels, routing
@@ -78,6 +81,10 @@ class SearchParams(_SearchFields):
 # of each other are considered together.
 _DENSE_FLOW_LIMIT = 12
 _SOURCE_HOP_RADIUS = 3
+
+# Most combinations one destination's sweep walks per threshold, summed
+# over the group sizes it tries; more is refused before the walk.
+_MAX_COMBINATIONS = 1_000_000
 
 # Most unit flows algorithm_one splits the demand into. Each unit is its
 # own Flow, so the split takes memory in proportion to the total rate; a
@@ -201,10 +208,11 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
     )
 
 
-def _ratio_fraction(threshold: float) -> Fraction:
+@cache
+def _threshold_fractions(params: SearchParams) -> tuple[Fraction, ...]:
     from fractions import Fraction
 
-    return Fraction(str(threshold))
+    return tuple(Fraction(str(t)) for t in params.thresholds())
 
 
 def algorithm_one(
@@ -212,16 +220,14 @@ def algorithm_one(
 ) -> ProtectionPlan:
     """Threshold sweep planner.
 
-    Demand rows are split into unit-rate subflows. For each admission
-    threshold (loose to tight redundancy never loosens: the sweep runs
-    from ratio_low up to ratio_high), and for each group size from
-    max_group_size down to 2, every combination of still-unprotected
-    same-destination subflows is evaluated; a group is accepted when it
-    routes, its redundancy ratio is within the threshold, and it does
-    not consume more capacity-distance than 1+1 pairs for the same
-    flows would. Remaining subflows get 1+1 pairs; flows without two
-    disjoint routes are left unprotected and the plan is marked partial.
-    A demand of more than _MAX_UNIT_FLOWS units in all is a ScenarioError.
+    Demand rows are split into unit-rate subflows, and each destination's
+    subflows are planned alone (``_plan_destination``): no group spans
+    two destinations. Their groups are merged in sweep order: threshold
+    (loose to tight: ratio_low up to ratio_high), then group size from
+    max_group_size down to 2, then destination, then acceptance.
+    Remaining subflows get 1+1 pairs; flows without two disjoint routes
+    are left unprotected and the plan is marked partial. A demand of
+    more than _MAX_UNIT_FLOWS units in all is a ScenarioError.
     """
     params = params or SearchParams()
     demand = tuple(demand)
@@ -232,91 +238,29 @@ def algorithm_one(
             f"parity planning handles at most {_MAX_UNIT_FLOWS}"
         )
     flows, demand_idx = split_unit_flows(demand)
-    nf = len(flows)
-    alive = [True] * nf
     by_dst: dict[int, list[int]] = {}
     for i, f in enumerate(flows):
         by_dst.setdefault(f.dst, []).append(i)
 
-    hop_ok = _make_hop_guard(topo, flows, by_dst)
-
-    # keyed by (dst, sources in combination order): flows are unit rate,
-    # so routes, floor and ceiling depend on nothing else
-    cache: dict[tuple, tuple[CodingGroup, int, int] | None] = {}
-    top = _ratio_fraction(params.thresholds()[-1])
-
-    def aps_pair(i: int) -> tuple[Path, Path | None]:
-        # 1+1 routes: memoised per (src, dst) on the topology
-        return routing.protected_pair(topo, flows[i].src, flows[i].dst)
-
-    def fallback_mm(i: int) -> int:
-        # capacity-distance the flow costs if left to the 1+1 fallback;
-        # unpairable flows count as unbounded so any group beats them
-        w, b = aps_pair(i)
-        return w.length_mm + b.length_mm if b is not None else 1 << 62
-
-    def evaluate(combo) -> tuple[CodingGroup, int, int] | None:
-        key = (flows[combo[0]].dst, tuple(flows[i].src for i in combo))
-        if key not in cache:
-            members = [flows[i] for i in combo]
-            baseline = shortest_working_capacity_mm(topo, members)
-            # admission ceiling: no threshold admits a group dearer than
-            # the loosest ratio allows or than 1+1 pairs for its flows
-            max_mm = min(
-                baseline * top.numerator // top.denominator,
-                sum(fallback_mm(i) for i in combo),
-            )
-            g = find_group(topo, members, flow_ids=combo, max_mm=max_mm)
-            cache[key] = None if g is None else (g, group_capacity_mm(g), baseline)
-        return cache[key]
-
-    groups: list[CodingGroup] = []
-    for threshold in params.thresholds():
-        frac = _ratio_fraction(threshold)
-        for size in range(params.max_group_size, 1, -1):
-            for dst in sorted(by_dst):
-                ids = by_dst[dst]
-                # size link-disjoint working paths enter dst on size
-                # distinct links and the parity trail needs one more
-                if len(ids) < size or topo.degree(dst) <= size:
-                    continue
-                for combo in combinations(ids, size):
-                    if not all(alive[i] for i in combo):
-                        continue
-                    if not hop_ok(combo):
-                        continue
-                    res = evaluate(combo)
-                    if res is None:
-                        continue
-                    g, consumed, baseline = res
-                    # admission: redundancy within the threshold (exact
-                    # rational comparison) and never dearer than leaving
-                    # the same flows to 1+1 pairs; the latter keeps total
-                    # capacity monotone in the threshold ceiling
-                    if consumed * frac.denominator > baseline * frac.numerator:
-                        continue
-                    if consumed > sum(fallback_mm(i) for i in combo):
-                        continue
-                    # a cached group may carry another combination's ids
-                    groups.append(g._replace(flow_ids=combo))
-                    for i in combo:
-                        alive[i] = False
+    tagged = []
+    for dst in sorted(by_dst):
+        tagged += _plan_destination(topo, flows, by_dst[dst], params)
+    # stable: equal tags keep destination order, then acceptance order
+    groups = [g for _, g in sorted(tagged, key=lambda t: t[0])]
 
     pairs: list[BackupPair] = []
     unprotected: list[int] = []
-    working_paths: list[Path | None] = [None] * nf
+    working_paths: list[Path | None] = [None] * len(flows)
     for g in groups:
         for fid, w in zip(g.flow_ids, g.working):
             working_paths[fid] = w
-    for i in range(nf):
-        if not alive[i]:
-            continue
-        w, b = aps_pair(i)
-        working_paths[i] = w
-        if b is None:
-            unprotected.append(i)
-        else:
-            pairs.append(BackupPair(flow_id=i, working=w, backup=b))
+    for i, f in enumerate(flows):
+        if working_paths[i] is None:
+            working_paths[i], b = routing.protected_pair(topo, f.src, f.dst)
+            if b is None:
+                unprotected.append(i)
+            else:
+                pairs.append(BackupPair(flow_id=i, working=working_paths[i], backup=b))
 
     working_cap = link_load(topo.m, ((p.links, 1) for p in working_paths if p is not None))
     spare_cap = link_load(
@@ -337,29 +281,83 @@ def algorithm_one(
     )
 
 
-def _make_hop_guard(topo, flows, by_dst):
-    dense = {d for d, ids in by_dst.items() if len(ids) > _DENSE_FLOW_LIMIT}
-    if not dense:
-        return lambda combo: True
-    hop = {}
-    for d in dense:
-        for i in by_dst[d]:
-            s = flows[i].src
-            if s not in hop:
-                hop[s] = routing.hop_distances(topo, s)
+def _plan_destination(
+    topo: Topology, flows, ids: list[int], params: SearchParams
+) -> list[tuple[tuple[int, int], CodingGroup]]:
+    """The sweep over the unit flows ``ids``, which share one destination.
 
-    def ok(combo):
-        f0 = flows[combo[0]]
-        if f0.dst not in dense:
-            return True
-        srcs = [flows[i].src for i in combo]
-        for a in srcs:
-            for b in srcs:
-                if hop[a][b] > _SOURCE_HOP_RADIUS:
-                    return False
-        return True
+    For each admission threshold, and for each group size from
+    max_group_size down to 2, every combination of still-unprotected
+    flows is evaluated; a group is accepted when it routes, its
+    redundancy ratio is within the threshold, and it does not consume
+    more capacity-distance than 1+1 pairs for the same flows would.
+    Returns the accepted groups in acceptance order, each tagged
+    (threshold index, -size). More than _MAX_COMBINATIONS combinations
+    per threshold is a ScenarioError.
+    """
+    dst = flows[ids[0]].dst
+    # size link-disjoint working paths enter dst on size distinct links
+    # and the parity trail needs one more
+    sizes = range(min(params.max_group_size, len(ids), topo.degree(dst) - 1), 1, -1)
+    if not sizes:
+        return []
+    walk = sum(comb(len(ids), size) for size in sizes)
+    if walk > _MAX_COMBINATIONS:
+        raise ScenarioError(
+            f"the {len(ids)} unit flows into node {dst} make {walk} candidate groups; "
+            f"parity planning walks at most {_MAX_COMBINATIONS} per destination"
+        )
+    hop = None
+    if len(ids) > _DENSE_FLOW_LIMIT:
+        hop = {s: routing.hop_distances(topo, s) for s in {flows[i].src for i in ids}}
+    fracs = _threshold_fractions(params)
 
-    return ok
+    def fallback_mm(src: int) -> int:
+        # capacity-distance a flow costs if left to the 1+1 fallback;
+        # unpairable flows count as unbounded so any group beats them
+        w, b = routing.protected_pair(topo, src, dst)
+        return w.length_mm + b.length_mm if b is not None else 1 << 62
+
+    # keyed by the sources in combination order: flows are unit rate,
+    # so routes, floor and ceiling depend on nothing else
+    cache: dict[tuple[int, ...], tuple[CodingGroup, int, int] | None] = {}
+    alive = set(ids)
+    accepted = []
+    for t, frac in enumerate(fracs):
+        for size in sizes:
+            for combo in combinations(ids, size):
+                if not alive.issuperset(combo):
+                    continue
+                srcs = tuple(flows[i].src for i in combo)
+                if hop and any(hop[a][b] > _SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)):
+                    continue
+                if srcs not in cache:
+                    members = [flows[i] for i in combo]
+                    baseline = shortest_working_capacity_mm(topo, members)
+                    # admission ceiling: no threshold admits a group dearer
+                    # than the loosest ratio allows or than 1+1 pairs
+                    max_mm = min(
+                        baseline * fracs[-1].numerator // fracs[-1].denominator,
+                        sum(fallback_mm(s) for s in srcs),
+                    )
+                    g = find_group(topo, members, flow_ids=combo, max_mm=max_mm)
+                    cache[srcs] = None if g is None else (g, group_capacity_mm(g), baseline)
+                if cache[srcs] is None:
+                    continue
+                g, consumed, baseline = cache[srcs]
+                # admission: redundancy within the threshold (exact
+                # rational comparison) and never dearer than leaving the
+                # same flows to 1+1 pairs, which keeps total capacity
+                # monotone in the threshold ceiling; max_mm implies the
+                # latter, but admission does not rely on find_group for it
+                if consumed * frac.denominator > baseline * frac.numerator:
+                    continue
+                if consumed > sum(fallback_mm(s) for s in srcs):
+                    continue
+                # a cached group may carry another combination's ids
+                accepted.append(((t, -size), g._replace(flow_ids=combo)))
+                alive.difference_update(combo)
+    return accepted
 
 
 def decode_matrix(

@@ -134,7 +134,6 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
         return []
     if any(s == dst for s in sources):
         raise ValueError("a source equals the destination")
-    arcs = [(l.id, l.a, l.b, topo.link_mm[l.id]) for l in topo.links]
     # orient[l]: 0 unused, +1 carries flow a->b, -1 carries flow b->a
     orient = [0] * topo.m
     supply: dict[int, int] = {}
@@ -142,7 +141,7 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
         supply[s] = supply.get(s, 0) + 1
 
     for _ in range(k):
-        parent_node, parent_link = _augment(topo.n, arcs, orient, supply, dst)
+        parent_node, parent_link = _augment(topo.n, topo.arcs, orient, supply, dst)
         if parent_node is None:
             return None
         # walk dst back to the source the search reached
@@ -168,7 +167,8 @@ _UNREACHED = (2**63 - 1) // 4
 
 
 def _augment(n, arcs, orient, supply, dst):
-    """Bellman-Ford over the residual graph; reverse arcs cost -length."""
+    """Bellman-Ford over the residual graph of ``arcs``, (id, a, b,
+    length_mm) per link; reverse arcs cost -length."""
     if not supply:
         return None, None
     dist = [_UNREACHED] * n

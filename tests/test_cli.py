@@ -296,6 +296,22 @@ def test_dc_refuses_a_demand_past_its_unit_flow_limit(tmp_path):
         assert proc.stdout == ""
 
 
+def test_dc_refuses_a_destination_past_its_walk_bound(tmp_path, capsys):
+    # 100 unit flows into one node of K6 would walk 4,087,875 candidate
+    # groups per threshold: exit 1 with a message before the walk
+    k6 = topology.Topology.from_edge_list(
+        [(a, b, 1) for a in range(6) for b in range(a + 1, 6)], unit="km"
+    )
+    path = tmp_path / "k6.yaml"
+    path.write_text(
+        dump_scenario(topology.Scenario(k6, [topology.Flow(0, 1, 100)])), encoding="utf-8"
+    )
+    assert main(["compare", "--schemes", "dc", "--scenario", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the 100 unit flows into node 1 make 4087875 candidate groups;")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is imported by the p-cycle planner when it runs, so validate
     # and the dc and sr schemes do not pay for loading it

@@ -1,3 +1,7 @@
+import hashlib
+import time
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from divprotect.coding import (
 from divprotect.plan import serialize_plan, shortest_working_capacity_mm
 from divprotect.topology import Flow, ScenarioError, Topology
 from helpers import (
+    load_bench_kernels,
     load_fixture,
     random_scenario,
     redundancy_ratio,
@@ -402,3 +407,81 @@ def test_algorithm_one_counts_the_unit_flow_limit_over_all_rows():
     half = coding._MAX_UNIT_FLOWS // 2
     with pytest.raises(ScenarioError, match=f"at most {coding._MAX_UNIT_FLOWS}$"):
         algorithm_one(topo, [Flow(0, 3, half), Flow(1, 3, coding._MAX_UNIT_FLOWS - half + 1)])
+
+
+def _plan_digest(topo, flows) -> str:
+    return hashlib.sha256(serialize_plan(algorithm_one(topo, flows), topo).encode()).hexdigest()
+
+
+# Plans of ``dense_instance(seed)`` from benchmarks/bench_kernels.py:
+# 14 unit flows into node 0 (degree 6 or more) of an 18-node, 30-link
+# graph, more than _DENSE_FLOW_LIMIT, so the hop guard picks which
+# sources are combined. These seeds are ones where it changes the plan.
+DENSE_DIGESTS = {
+    0: "a47217393c07b783fb7ff025277cb20964948ed1b28678f87e8a95c22bc8a26a",
+    5: "d6b811ecb281a37e8611c838313543fd34b9cf7ea48f8c30801f8b86a9a535d9",
+    8: "d14d62f21c31543bbfb6c120746e6adde7398a99a5f2e02ad10bd662d5688727",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DENSE_DIGESTS))
+def test_hop_guard_plans_keep_their_bytes(monkeypatch, seed):
+    topo, flows = load_bench_kernels().dense_instance(seed)
+    assert len(flows) > coding._DENSE_FLOW_LIMIT and topo.degree(0) >= 6
+    assert _plan_digest(topo, flows) == DENSE_DIGESTS[seed]
+    # the guard is live: without it the same demand plans differently
+    monkeypatch.setattr(coding, "_DENSE_FLOW_LIMIT", len(flows))
+    assert _plan_digest(topo, flows) != DENSE_DIGESTS[seed]
+
+
+def _unit_keys(plan) -> list[tuple[int, int]]:
+    """(demand row, unit within the row) of each flow id."""
+    seen: dict[int, int] = {}
+    keys = []
+    for row in plan.demand_idx:
+        keys.append((row, seen.get(row, 0)))
+        seen[row] = seen.get(row, 0) + 1
+    return keys
+
+
+def test_destinations_plan_independently():
+    # planning one destination's demand rows alone gives exactly that
+    # destination's groups, pairs and unprotected flows of the full plan
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances = [(sc.topology, sc.demands) for sc in instances]
+    instances += [random_scenario(seed, max_flows=12) for seed in range(30)]
+    instances += [load_bench_kernels().dense_instance(seed) for seed in (0, 5)]
+    for topo, demand in instances:
+        demand = list(demand)
+        full = algorithm_one(topo, demand)
+        full_keys = _unit_keys(full)
+        for dst in sorted({f.dst for f in demand}):
+            rows = [r for r, f in enumerate(demand) if f.dst == dst]
+            part = algorithm_one(topo, [demand[r] for r in rows])
+            # a flow id of the part plan, as the full plan numbers it
+            fid = {i: full_keys.index((rows[r], k)) for i, (r, k) in enumerate(_unit_keys(part))}
+            assert [
+                g._replace(flow_ids=tuple(fid[i] for i in g.flow_ids)) for g in part.groups
+            ] == [g for g in full.groups if g.decode_node == dst]
+            assert [p._replace(flow_id=fid[p.flow_id]) for p in part.pairs] == [
+                p for p in full.pairs if full.flows[p.flow_id].dst == dst
+            ]
+            assert [fid[i] for i in part.unprotected] == [
+                i for i in full.unprotected if full.flows[i].dst == dst
+            ]
+
+
+def test_dc_walk_bound_refuses_only_destinations_past_it():
+    # one 0->1 demand on K6 (degree 5) tries groups of 2 to 4 of its unit
+    # flows: C(k, 4) + C(k, 3) + C(k, 2) combinations per threshold
+    k6 = Topology.from_edge_list(
+        [(a, b, 1) for a in range(6) for b in range(a + 1, 6)], unit="km"
+    )
+    walk = lambda k: comb(k, 4) + comb(k, 3) + comb(k, 2)
+    assert walk(40) == 102_050 <= coding._MAX_COMBINATIONS < walk(100) == 4_087_875
+    plan = algorithm_one(k6, [Flow(0, 1, 40)])
+    assert [g.size for g in plan.groups] == [4] * 10
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError, match="^the 100 unit flows into node 1 make 4087875 "):
+        algorithm_one(k6, [Flow(0, 1, 100)])
+    assert time.perf_counter() - t0 < 1.0
