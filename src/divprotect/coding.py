@@ -309,7 +309,7 @@ def _plan_destination(
         )
     hop = None
     if len(ids) > _DENSE_FLOW_LIMIT:
-        hop = {s: routing.hop_distances(topo, s) for s in {flows[i].src for i in ids}}
+        hop = {s: topo.hop_distances(s) for s in {flows[i].src for i in ids}}
     fracs = _threshold_fractions(params)
 
     def fallback_mm(src: int) -> int:

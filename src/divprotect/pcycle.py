@@ -52,13 +52,13 @@ def cycle_ring(topo: Topology, mask: int) -> tuple[tuple[int, ...], tuple[int, .
         low = rest & -rest
         rest ^= low
         first = min(first, topo.links[low.bit_length() - 1].a)
-    # walk the ring from its smallest node: neighbors() is sorted, so the
+    # walk the ring from its smallest node: adj_rows is sorted, so the
     # first step goes to the smaller of its two ring neighbours
     nodes, links = [first], []
     v, lid = first, -1
     while True:
         back = lid
-        for w, lid in topo.neighbors(v):
+        for w, lid, _ in topo.adj_rows[v]:
             if lid != back and mask >> lid & 1:
                 break
         links.append(lid)
@@ -98,11 +98,10 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     if max_hops < 3:
         return []
     n = topo.n
-    link_mm = topo.link_mm
     # up[v]: (w, distance, link bit) for v's neighbours w >= anchor;
-    # neighbors() is sorted, so raising the anchor past a node drops at
+    # adj_rows is sorted, so raising the anchor past a node drops at
     # most the first entry of each list
-    up = [[(w, link_mm[lid], 1 << lid) for w, lid in topo.neighbors(v)] for v in range(n)]
+    up = [[(w, mm, 1 << lid) for w, lid, mm in row] for row in topo.adj_rows]
     # the bound allows no step to a node at hop ``far``, which is where
     # the nodes on the path are put
     far = max_hops + 1

@@ -165,7 +165,7 @@ def cycle_users(topo: Topology, cycles) -> list[list[tuple[int, list[tuple[int, 
     users = [[] for _ in range(topo.m)]
     for ci, cycle in enumerate(cycles):
         ring = set(cycle.nodes)
-        for lid in {lid for v in ring for w, lid in topo.neighbors(v) if w in ring}:
+        for lid in {lid for v in ring for w, lid, _ in topo.adj_rows[v] if w in ring}:
             users[lid].append((ci, detour_arcs(topo, cycle, lid)))
     return users
 

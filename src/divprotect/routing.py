@@ -6,8 +6,6 @@ search relaxes links in id order so repeated runs give identical routes.
 """
 from __future__ import annotations
 
-from collections import deque
-
 from .kernels import INF_MM
 from .topology import Path, Topology
 
@@ -37,15 +35,15 @@ def path_to_root(topo: Topology, dist, src: int, root: int, blocked) -> Path | N
     # Walk the shortest-path DAG from src, always taking the smallest
     # neighbour that stays on a shortest route. Valid because lengths are
     # strictly positive, so dist decreases at every step.
-    link_mm = topo.link_mm
+    rows = topo.adj_rows
     nodes = [src]
     links = []
     v = src
     while v != root:
-        for w, lid in topo.neighbors(v):
+        for w, lid, mm in rows[v]:
             if blocked[lid]:
                 continue
-            if dist[v] == link_mm[lid] + dist[w]:
+            if dist[v] == mm + dist[w]:
                 nodes.append(w)
                 links.append(lid)
                 v = w
@@ -76,15 +74,15 @@ def path_from_root(topo: Topology, dist, root: int, target: int, blocked) -> Pat
         raise ValueError("root and target must differ")
     if dist[target] >= INF_MM:
         return None
-    link_mm = topo.link_mm
+    rows = topo.adj_rows
     on = bytearray(topo.n)
     on[target] = 1
     stack = [target]
     while stack:
         y = stack.pop()
         dy = dist[y]
-        for x, lid in topo.neighbors(y):
-            if not on[x] and not blocked[lid] and dist[x] + link_mm[lid] == dy:
+        for x, lid, mm in rows[y]:
+            if not on[x] and not blocked[lid] and dist[x] + mm == dy:
                 on[x] = 1
                 stack.append(x)
     nodes = [root]
@@ -92,8 +90,8 @@ def path_from_root(topo: Topology, dist, root: int, target: int, blocked) -> Pat
     v = root
     while v != target:
         dv = dist[v]
-        for w, lid in topo.neighbors(v):
-            if on[w] and not blocked[lid] and dv + link_mm[lid] == dist[w]:
+        for w, lid, mm in rows[v]:
+            if on[w] and not blocked[lid] and dv + mm == dist[w]:
                 nodes.append(w)
                 links.append(lid)
                 v = w
@@ -101,20 +99,6 @@ def path_from_root(topo: Topology, dist, root: int, target: int, blocked) -> Pat
         else:  # pragma: no cover - v reaches target over tight arcs
             raise AssertionError("shortest-path walk stalled")
     return Path(tuple(nodes), tuple(links), dist[target])
-
-
-def hop_distances(topo: Topology, src: int) -> list[int]:
-    """BFS hop counts from src (ignores link lengths)."""
-    dist = [-1] * topo.n
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        v = q.popleft()
-        for w, _ in topo.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                q.append(w)
-    return dist
 
 
 def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
@@ -160,18 +144,15 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
     return _decompose(topo, orient, sources, dst)
 
 
-# Starting distance of the residual search. Topology keeps the total
-# link length below 2**60, so every node the search reaches ends far
-# below this value.
-_UNREACHED = (2**63 - 1) // 4
-
-
 def _augment(n, arcs, orient, supply, dst):
     """Bellman-Ford over the residual graph of ``arcs``, (id, a, b,
-    length_mm) per link; reverse arcs cost -length."""
+    length_mm) per link; reverse arcs cost -length. Topology keeps the
+    total link length below INF_MM // 4, so a reached node's distance
+    stays within INF_MM // 4 of zero and one relaxed from an unreached
+    node stays above 3 * INF_MM // 4."""
     if not supply:
         return None, None
-    dist = [_UNREACHED] * n
+    dist = [INF_MM] * n
     parent_node = [-1] * n
     parent_link = [-1] * n
     for s in supply:

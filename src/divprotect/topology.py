@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import re
 from array import array
+from collections import deque
 from typing import NamedTuple
 
 from . import kernels
@@ -79,8 +80,9 @@ class Path(NamedTuple):
 class Topology:
     """Connected undirected graph with positive integer-mm span lengths.
 
-    Exposes per-node adjacency rows (sorted by neighbour id) for the
-    Dijkstra kernel plus convenience lookups for everything else.
+    ``adj_rows`` is its one adjacency, (neighbour, link, length_mm) rows
+    sorted by neighbour id, read by the Dijkstra kernel and every other
+    walk; the rest are convenience lookups.
     """
 
     def __init__(
@@ -98,12 +100,16 @@ class Topology:
         self.unit = unit
         self.names = dict(names or {})
         self.links: list[Link] = []
+        # (a, b) with a < b -> link id, kept for link_between
         seen: dict[tuple[int, int], int] = {}
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for idx, (a, b, mm) in enumerate(links):
             if not (0 <= a < n and 0 <= b < n):
                 raise ScenarioError(f"link {idx}: endpoint out of range")
             if a == b:
                 raise ScenarioError(f"link {idx}: self-loop at node {a}")
+            # converted first: a fraction of a millimetre would be a 0-mm link
+            mm = int(mm)
             if mm <= 0:
                 raise ScenarioError(f"link {idx}: distance must be positive")
             key = (min(a, b), max(a, b))
@@ -112,23 +118,17 @@ class Topology:
                     f"link {idx}: duplicate span {key[0]}-{key[1]} (first at link {seen[key]})"
                 )
             seen[key] = idx
-            self.links.append(Link(idx, key[0], key[1], int(mm)))
+            self.links.append(Link(idx, key[0], key[1], mm))
+            adj[a].append((b, idx, mm))
+            adj[b].append((a, idx, mm))
         self.m = len(self.links)
         if self.m == 0:
             raise ScenarioError("topology has no links")
-        self._link_by_pair = {(l.a, l.b): l for l in self.links}
-
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for l in self.links:
-            adj[l.a].append((l.b, l.id))
-            adj[l.b].append((l.a, l.id))
-        self._nbrs = tuple(tuple(sorted(row)) for row in adj)
+        self._link_id = seen
         self.link_mm = tuple(l.length_mm for l in self.links)
-        # the Dijkstra kernel's adjacency: (neighbour, link, length_mm)
-        # per link at each node, by neighbour id
-        self.adj_rows = tuple(
-            tuple((w, lid, self.link_mm[lid]) for w, lid in row) for row in self._nbrs
-        )
+        # the one adjacency: (neighbour, link, length_mm) per link at each
+        # node, by neighbour id; a node has one link per neighbour
+        self.adj_rows = tuple(tuple(sorted(row)) for row in adj)
         # the disjoint-route search's arcs: each Link as a plain tuple,
         # which its inner loop unpacks 2.6x faster than the NamedTuple
         self.arcs = tuple(map(tuple, self.links))
@@ -148,10 +148,13 @@ class Topology:
             )
 
         self.warnings: list[str] = []
-        self._validate_connectivity()
+        hops = self.hop_distances(0)
+        if -1 in hops:
+            missing = [self.label(v) for v in range(n) if hops[v] < 0][:5]
+            raise ScenarioError(f"topology is disconnected; unreachable nodes: {', '.join(missing)}")
         for v in range(n):
             if self.degree(v) == 1:
-                lid = self._nbrs[v][0][1]
+                lid = self.adj_rows[v][0][1]
                 self.warnings.append(
                     f"node {self.label(v)} has degree 1; link {lid} cannot be protected"
                 )
@@ -161,14 +164,30 @@ class Topology:
         return f"{v} ({name})" if name else str(v)
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return len(self.adj_rows[v])
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(neighbor, link_id) pairs sorted by neighbor id."""
-        return self._nbrs[v]
+    def neighbors(self, v: int) -> tuple[tuple[int, int, int], ...]:
+        """(neighbor, link_id, length_mm) rows sorted by neighbor id:
+        ``adj_rows[v]`` itself."""
+        return self.adj_rows[v]
 
     def link_between(self, a: int, b: int) -> Link | None:
-        return self._link_by_pair.get((min(a, b), max(a, b)))
+        lid = self._link_id.get((min(a, b), max(a, b)))
+        return None if lid is None else self.links[lid]
+
+    def hop_distances(self, src: int) -> list[int]:
+        """Breadth-first hop counts from src, ignoring link lengths; -1
+        where unreachable."""
+        dist = [-1] * self.n
+        dist[src] = 0
+        q = deque([src])
+        while q:
+            v = q.popleft()
+            for w, _, _ in self.adj_rows[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    q.append(w)
+        return dist
 
     def blocked_mask(self, excluded=()) -> array:
         """Per-link bytes, 1 for each excluded link id or Link."""
@@ -207,20 +226,6 @@ class Topology:
         if shared is None:
             shared = tree[3] = tuple(dist)
         return shared
-
-    def _validate_connectivity(self) -> None:
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w, _ in self.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not all(seen):
-            missing = [self.label(v) for v in range(self.n) if not seen[v]][:5]
-            raise ScenarioError(f"topology is disconnected; unreachable nodes: {', '.join(missing)}")
 
     @classmethod
     def from_edge_list(cls, edges, unit: str = "km", names=None) -> "Topology":
@@ -405,9 +410,6 @@ def dump_scenario(sc: Scenario) -> str:
     return "\n".join(out) + "\n"
 
 
-# whole-line comments and blank lines, as _read_rows' patterns allow them
-# after every line
-_SKIP = r"(?:#[ -~]*\n|\n)*"
 # a bare name, or a double- or single-quoted one without escapes
 _NAME = rf"""{_BARE_NAME.pattern}|"[ !#-\[\]-~]*"|'[ -&(-~]*'"""
 _NUM = "0|[1-9][0-9]*"  # YAML 1.1 reads 017 as octal
@@ -419,8 +421,8 @@ def _head_pattern():
     layouts share, compiled on first use rather than at import."""
     units = "|".join(map(re.escape, MM_PER_UNIT))
     return re.compile(
-        rf"{_SKIP}(?:name: ({_NAME})\n{_SKIP})?(?:reconstructed: (true|false)\n{_SKIP})?"
-        rf"topology:\n{_SKIP}  unit: ({units})\n{_SKIP}  nodes:\n{_SKIP}"
+        rf"(?:name: ({_NAME})\n)?(?:reconstructed: (true|false)\n)?"
+        rf"topology:\n  unit: ({units})\n  nodes:\n"
     )
 
 
@@ -430,15 +432,16 @@ def _row_patterns(block: bool):
     patterns in the block layout or the flow one.
 
     A row kind is one field list, (key, value pattern, optional) each.
-    Each pattern matches its lines and the comment and blank lines after
-    them; every repetition consumes a newline, so matching is linear.
+    Each pattern matches its lines, which ``_read_rows`` has cleared of
+    comment and blank lines; every repetition consumes a newline, so
+    matching is linear.
     """
 
     def row(indent, *fields):
         # a block row's later keys sit two columns deeper than its "- ";
         # a flow row sits two columns deeper than the block row
         if block:
-            out, sep, end = " " * indent + "- ", rf"\n{_SKIP}{' ' * (indent + 2)}", ""
+            out, sep, end = " " * indent + "- ", "\n" + " " * (indent + 2), ""
         else:
             out, sep, end = " " * (indent + 2) + r"- \{", ", ", r"\}"
         for i, (key, value, optional) in enumerate(fields):
@@ -454,7 +457,7 @@ def _row_patterns(block: bool):
         "demands:",
         row(0, ("src", _NUM, False), ("dst", _NUM, False), ("rate", _NUM, True)),
     )
-    return tuple(re.compile(line + r"\n" + _SKIP) for line in lines)
+    return tuple(re.compile(line + r"\n") for line in lines)
 
 
 def _row_name(s: str):
@@ -482,6 +485,17 @@ def _read_rows(text: str):
     """
     if not isinstance(text, str):  # bytes: the YAML parser decodes them
         return None
+    # "\n" only: CR and the other breaks splitlines() knows stay in their
+    # lines, out of the layout
+    lines = text.split("\n")
+    if lines.pop():  # no final newline
+        return None
+    # a whole-line comment is "#" and printable ASCII
+    text = "".join(
+        line + "\n"
+        for line in lines
+        if line and not (line[0] == "#" and line.isascii() and line.isprintable())
+    )
     m = _head_pattern().match(text)
     if m is None:
         return None

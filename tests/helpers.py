@@ -176,11 +176,10 @@ def all_simple_paths(topo: Topology, src: int, dst: int, excluded=frozenset()):
         if v == dst:
             out.append((dist, nodes, links))
             continue
-        for w, lid in topo.neighbors(v):
+        for w, lid, mm in topo.neighbors(v):
             if lid in excluded or w in nodes:
                 continue
-            stack.append((w, nodes + (w,), links + (lid,),
-                          dist + topo.link_mm[lid]))
+            stack.append((w, nodes + (w,), links + (lid,), dist + mm))
     return out
 
 
@@ -278,7 +277,7 @@ def _ref_enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[R
     path = []
 
     def dfs(anchor: int, v: int):
-        for w, _ in topo.neighbors(v):
+        for w, _, _ in topo.neighbors(v):
             if w == anchor and len(path) >= 3:
                 out.append(_ref_canonical(topo, path))
             elif w > anchor and w not in on_path and len(path) < max_hops:

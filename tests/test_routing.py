@@ -5,7 +5,6 @@ from divprotect import kernels
 from divprotect.routing import (
     disjoint_path_pair,
     disjoint_routes,
-    hop_distances,
     path_from_root,
     shortest_path,
 )
@@ -83,8 +82,8 @@ def _walk_fresh_tree(topo, src, dst, excluded=()):
     while nodes[-1] != dst:
         v = nodes[-1]
         nodes.append(min(
-            w for w, lid in topo.neighbors(v)
-            if not blocked[lid] and dist[v] == topo.link_mm[lid] + dist[w]
+            w for w, lid, mm in topo.neighbors(v)
+            if not blocked[lid] and dist[v] == mm + dist[w]
         ))
     return make_path(topo, nodes)
 
@@ -172,7 +171,7 @@ def test_paths_read_off_a_source_tree_match_shortest_path():
 
 def test_hop_distances_ignore_lengths():
     topo = km([(0, 1, 100), (1, 2, 100), (0, 2, 1)])
-    assert list(hop_distances(topo, 0)) == [0, 1, 1]
+    assert topo.hop_distances(0) == [0, 1, 1]
 
 
 def test_disjoint_pair_example2():

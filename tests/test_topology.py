@@ -71,7 +71,7 @@ def test_load_triangle():
     assert [l.length_mm for l in topo.links] == [1_000_000, 2_000_000, 2_500_000]
     assert sc.demands == [Flow(0, 2, 1)]
     assert topo.degree(0) == 2
-    assert list(topo.neighbors(0)) == [(1, 0), (2, 2)]
+    assert topo.neighbors(0) == ((1, 0, 1_000_000), (2, 2, 2_500_000))
     assert topo.link_between(2, 1).id == 1
     assert topo.link_between(0, 0) is None
 
@@ -422,6 +422,31 @@ def test_total_link_length_stays_below_the_sentinels():
     assert sum(topo.link_mm) == limit - 1
     with pytest.raises(ScenarioError, match="too large"):
         Topology(3, [(0, 1, limit - 2), (1, 2, 1), (0, 2, 1)])
+
+
+def test_sub_millimetre_length_is_refused():
+    # int(0.5) is a 0-mm link, on which the shortest-path walks never end
+    with pytest.raises(ScenarioError, match="link 0: distance must be positive"):
+        Topology(3, [(0, 1, 0.5), (1, 2, 1), (0, 2, 2)])
+
+
+def test_adj_rows_are_the_one_adjacency():
+    topos = [load_fixture(name).topology for name in FIXTURES]
+    topos += [random_scenario(seed)[0] for seed in range(30)]
+    for topo in topos:
+        seen = [0] * topo.m
+        for v in range(topo.n):
+            rows = topo.adj_rows[v]
+            assert topo.neighbors(v) is rows
+            assert topo.degree(v) == len(rows)
+            assert [w for w, _, _ in rows] == sorted(w for w, _, _ in rows)
+            for w, lid, mm in rows:
+                link = topo.links[lid]
+                assert {link.a, link.b} == {v, w}
+                assert mm == topo.link_mm[lid]
+                assert topo.link_between(w, v) is link
+                seen[lid] += 1
+        assert seen == [2] * topo.m
 
 
 @pytest.mark.parametrize("unit", [["km"], {"a": 1}])
