@@ -24,7 +24,10 @@ composer builds it.
 limit, so its hop guard decides which sources are combined.
 The end-to-end rows time a full dc plan and failure sweep of the largest
 bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
-graph with 60 unit demands over 5 destinations, an sr plan
+graph with 60 unit demands over 5 destinations, ``routes-40n``:
+``disjoint_routes`` on that graph for 200 seeded sets of 2-5 sources
+of one destination's demands (the working sets the dc planner routes),
+with each destination's shared tree grown by the warmup, an sr plan
 (``sr-40n``) of a 40-node, 56-link graph with 48 unit demands to
 distinct random nodes, the size of the benchmark's backbone meshes,
 each on a fresh copy of its topology, so no shared tree or route
@@ -55,6 +58,7 @@ from divprotect.cli import fixture_path
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep
 from divprotect.pcycle import enumerate_cycles, pc_design
+from divprotect.routing import disjoint_routes
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow, Scenario, Topology, dump_scenario, load_scenario
 
@@ -131,6 +135,21 @@ def sr_instance(rng, n: int, m: int, demands: int):
         if src != dst:
             flows.append(Flow(src, dst, 1))
     return topo, flows
+
+
+def route_calls(instance, seed: int, per_dst: int = 40):
+    """``disjoint_routes`` calls on a ``dc_instance``'s topology: for each
+    destination, ``per_dst`` sets of 2-5 of its demands' sources, drawn
+    without replacement, so a source repeats as often as its demands do."""
+    topo, flows = instance
+    rng = np.random.default_rng([seed, 2])
+    calls = []
+    for dst in sorted({f.dst for f in flows}):
+        srcs = [f.src for f in flows if f.dst == dst]
+        for _ in range(per_dst):
+            picked = rng.choice(len(srcs), size=int(rng.integers(2, 6)), replace=False)
+            calls.append((topo, [srcs[int(i)] for i in picked], dst))
+    return calls
 
 
 def bench(fn, calls, repeats: int) -> tuple[float, float]:
@@ -215,8 +234,10 @@ def main(argv=None) -> int:
         rows.append(("import-cli", *import_cli_s(args.repeats)))
         sc = load_scenario(uslong)
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
-        rows.append(("dc-40n", *bench(planned, [(algorithm_one, *dc_instance(rng, 40, 60))],
-                                      args.repeats)))
+        dc40 = dc_instance(rng, 40, 60)
+        rows.append(("dc-40n", *bench(planned, [(algorithm_one, *dc40)], args.repeats)))
+        rows.append(("routes-40n", *bench(disjoint_routes, route_calls(dc40, args.seed),
+                                          args.repeats)))
         rows.append(("sr-40n", *bench(planned, [(sr_design, *sr_instance(late, 40, 56, 48))],
                                       args.repeats)))
         rows.append(("pc-40n", *bench(pc_design, [dc_instance(rng, 40, 60)], args.repeats)))

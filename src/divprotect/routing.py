@@ -2,9 +2,13 @@
 
 All tie-breaks are deterministic: among equal-length shortest paths the
 lexicographically smallest node sequence wins, and the disjoint-set
-search relaxes links in id order so repeated runs give identical routes.
+search, a Dijkstra on reduced costs, keeps the parent a Bellman-Ford
+sweep over the links in id order would keep (see ``disjoint_routes``),
+so repeated runs give identical routes.
 """
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .kernels import INF_MM
 from .topology import Path, Topology
@@ -111,6 +115,25 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
     remove-and-reroute fails are handled: earlier routes are re-split
     when an augmentation cancels part of them. Returns None when no
     disjoint set of this size exists.
+
+    Each augmentation is a Dijkstra over the residual graph, in which a
+    link direction that cancels flow costs minus the link's length. It
+    is seeded with every node that has supply left and stops once dst
+    settles. It runs on reduced costs c - h[u] + h[v] with Johnson
+    potentials h, which start as h[v] = dist(v, dst) off dst's shared
+    shortest-path tree: every reduced cost is then >= 0, and the first
+    search heads straight for dst. After each search a settled node's h
+    falls by its reduced distance and every other node's by dst's, which
+    keeps the reduced costs >= 0.
+
+    Ties go as in a Bellman-Ford that sweeps the links in id order, in
+    place, relaxing link l as a->b at sweep position 2l and as b->a at
+    2l + 1: a node's parent is the tight link into it that such a sweep
+    would relax first with its tail already final. The heap key is the
+    pair (reduced distance, sweep time), where a seed has time -1 and
+    u->v at position p gives v the first sweep time after u's that is p
+    modulo 2m. Along a link the distance never falls and the time rises,
+    so Dijkstra on the pair settles every node with that parent.
     """
     sources = list(sources)
     k = len(sources)
@@ -118,6 +141,14 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
         return []
     if any(s == dst for s in sources):
         raise ValueError("a source equals the destination")
+    n = topo.n
+    rows = topo.adj_rows
+    sweep = 2 * topo.m
+    # the pair (K, t) packs into K * span + t + 1; a tree path has fewer
+    # than n links and each adds at most one sweep to t
+    span = sweep * (n + 1) + 1
+    unseen = INF_MM * span
+    h = list(topo.distances(dst))
     # orient[l]: 0 unused, +1 carries flow a->b, -1 carries flow b->a
     orient = [0] * topo.m
     supply: dict[int, int] = {}
@@ -125,16 +156,49 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
         supply[s] = supply.get(s, 0) + 1
 
     for _ in range(k):
-        parent_node, parent_link = _augment(topo.n, topo.arcs, orient, supply, dst)
-        if parent_node is None:
+        label = [unseen] * n
+        parent_node = [-1] * n
+        parent_link = [-1] * n
+        heap = []
+        for s in supply:
+            label[s] = h[s] * span
+            heap.append((label[s], s))
+        heapify(heap)
+        settled = []
+        while heap:
+            key, u = heappop(heap)
+            if key != label[u]:
+                continue  # stale entry: u was relabelled lower
+            settled.append(u)
+            if u == dst:
+                break
+            t1 = key % span  # u's sweep time + 1
+            base = key - h[u] * span + 1
+            for w, lid, mm in rows[u]:
+                o = orient[lid]
+                if o:
+                    if (o == 1) == (u < w):
+                        continue  # the link already carries flow u->w
+                    mm = -mm  # u->w cancels flow w->u
+                nk = base + (mm + h[w]) * span + (2 * lid + (u > w) - t1) % sweep
+                if nk < label[w]:
+                    label[w] = nk
+                    parent_node[w] = u
+                    parent_link[w] = lid
+                    heappush(heap, (nk, w))
+        else:
             return None
+        # h[v] -= min(K[v], K[dst]), plus K[dst] everywhere: reduced
+        # costs only read differences of h
+        kd = label[dst] // span
+        for v in settled:
+            h[v] += kd - label[v] // span
         # walk dst back to the source the search reached
         v = dst
         while parent_link[v] >= 0:
             lid = parent_link[v]
             u = parent_node[v]
-            l = topo.links[lid]
-            step = 1 if (u == l.a and v == l.b) else -1
+            step = 1 if u < v else -1  # every Link has a < b
             orient[lid] = 0 if orient[lid] == -step else step
             v = u
         supply[v] -= 1
@@ -144,57 +208,16 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
     return _decompose(topo, orient, sources, dst)
 
 
-def _augment(n, arcs, orient, supply, dst):
-    """Bellman-Ford over the residual graph of ``arcs``, (id, a, b,
-    length_mm) per link; reverse arcs cost -length. Topology keeps the
-    total link length below INF_MM // 4, so a reached node's distance
-    stays within INF_MM // 4 of zero and one relaxed from an unreached
-    node stays above 3 * INF_MM // 4."""
-    if not supply:
-        return None, None
-    dist = [INF_MM] * n
-    parent_node = [-1] * n
-    parent_link = [-1] * n
-    for s in supply:
-        dist[s] = 0
-    for _ in range(n):
-        changed = False
-        for lid, a, b, w in arcs:
-            o = orient[lid]
-            # forward a->b allowed unless already a->b; cost -w if cancelling b->a
-            if o != 1:
-                nd = dist[a] + (-w if o == -1 else w)
-                if nd < dist[b]:
-                    dist[b] = nd
-                    parent_node[b] = a
-                    parent_link[b] = lid
-                    changed = True
-            if o != -1:
-                nd = dist[b] + (-w if o == 1 else w)
-                if nd < dist[a]:
-                    dist[a] = nd
-                    parent_node[a] = b
-                    parent_link[a] = lid
-                    changed = True
-        if not changed:
-            break
-    if parent_link[dst] < 0:
-        return None, None
-    return parent_node, parent_link
-
-
 def _decompose(topo, orient, sources, dst):
-    """Split the oriented unit flow into one path per source entry."""
+    """Split the oriented unit flow into one path per source entry, each
+    leaving every node by its smallest unused flow link."""
+    # per node, (link, head) of each flow link leaving it, largest first
     out: dict[int, list[tuple[int, int]]] = {}
-    for l in topo.links:
-        o = orient[l.id]
-        if o == 0:
-            continue
-        u, v = (l.a, l.b) if o == 1 else (l.b, l.a)
-        out.setdefault(u, []).append((l.id, v))
-    for row in out.values():
-        row.sort()
-    used = set()
+    for lid, o in enumerate(orient):
+        if o:
+            _, a, b, _ = topo.links[lid]
+            u, v = (a, b) if o == 1 else (b, a)
+            out.setdefault(u, []).insert(0, (lid, v))
     walks: dict[int, list[Path]] = {}
     for s in sources:
         nodes = [s]
@@ -202,18 +225,10 @@ def _decompose(topo, orient, sources, dst):
         total = 0
         v = s
         while v != dst:
-            nxt = None
-            for lid, w in out.get(v, ()):
-                if lid not in used:
-                    nxt = (lid, w)
-                    break
-            if nxt is None:  # pragma: no cover - conservation guarantees an arc
-                raise AssertionError("flow decomposition stalled")
-            used.add(nxt[0])
-            links.append(nxt[0])
-            total += topo.link_mm[nxt[0]]
-            nodes.append(nxt[1])
-            v = nxt[1]
+            lid, v = out[v].pop()  # conservation leaves one for each visit
+            links.append(lid)
+            total += topo.link_mm[lid]
+            nodes.append(v)
         walks.setdefault(s, []).append(Path(tuple(nodes), tuple(links), total))
     # hand each repeated source's paths out shortest first
     for row in walks.values():

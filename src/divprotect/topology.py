@@ -129,17 +129,14 @@ class Topology:
         # the one adjacency: (neighbour, link, length_mm) per link at each
         # node, by neighbour id; a node has one link per neighbour
         self.adj_rows = tuple(tuple(sorted(row)) for row in adj)
-        # the disjoint-route search's arcs: each Link as a plain tuple,
-        # which its inner loop unpacks 2.6x faster than the NamedTuple
-        self.arcs = tuple(map(tuple, self.links))
         self._open = self.blocked_mask()
         # root -> [dist, heap, settled, tuple(dist) or None]: the shared
         # unmasked trees, as far as distances() has grown them
         self._trees: dict[int, list] = {}
         # (src, dst) -> routing.protected_pair(self, src, dst)
         self.protected_pairs: dict[tuple[int, int], tuple] = {}
-        # keeps every path sum and every residual distance in the
-        # disjoint-route search clear of the INF_MM sentinels
+        # keeps every path sum, and every potential and reduced distance
+        # in the disjoint-route search, clear of the INF_MM sentinels
         total_mm = sum(self.link_mm)
         if total_mm >= INF_MM // 4:
             raise ScenarioError(
@@ -220,7 +217,7 @@ class Topology:
             tree = self._trees[root] = [[INF_MM] * self.n, [], bytearray(self.n), None]
         dist, heap, settled, shared = tree
         # the topology is connected: a full tree settles every node
-        if not all(settled[t] for t in (range(self.n) if until is None else until)):
+        if not (all(settled) if until is None else all(settled[t] for t in until)):
             kernels.dijkstra_distances(self.adj_rows, dist, heap, settled, root, self._open, until)
             shared = None
         if shared is None:

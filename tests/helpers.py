@@ -2,9 +2,10 @@
 path and group helpers only the tests use, brute-force oracles kept
 deliberately independent of the library's algorithms (different
 enumeration strategies, no shared code paths), reference copies of the
-p-cycle planner's, the parity-trail search's, the failure sweep's, sr
-spare sizing's and the recovery actions' earlier implementations, and
-the scenario parser with and without its row reader."""
+p-cycle planner's, the parity-trail search's, the disjoint-route
+search's, the failure sweep's, sr spare sizing's and the recovery
+actions' earlier implementations, and the scenario parser with and
+without its row reader."""
 import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
@@ -200,6 +201,38 @@ def brute_disjoint_pair_total(topo: Topology, src: int, dst: int):
             continue
         if best is None or la + lb < best:
             best = la + lb
+    return best
+
+
+def brute_disjoint_total(topo: Topology, sources, dst: int):
+    """Minimum total length over pairwise link-disjoint assignments of one
+    simple path per source entry, or None when there is none, by
+    branch-and-bound over every simple path of every source."""
+    sources = sorted(sources)
+    cands = {s: sorted(all_simple_paths(topo, s, dst)) for s in set(sources)}
+    if any(not cands[s] for s in sources):
+        return None
+    floor = [cands[s][0][0] for s in sources]
+    best = None
+
+    def place(i, first, used, total):
+        # entries of one source take paths in increasing index order, so
+        # each assignment is visited once
+        nonlocal best
+        if i == len(sources):
+            best = total
+            return
+        rest = sum(floor[i + 1:])
+        for j in range(first, len(cands[sources[i]])):
+            length, _, links = cands[sources[i]][j]
+            if best is not None and total + length + rest >= best:
+                break
+            if used.isdisjoint(links):
+                nxt = sources[i + 1] if i + 1 < len(sources) else None
+                place(i + 1, j + 1 if nxt == sources[i] else 0, used | set(links),
+                      total + length)
+
+    place(0, 0, frozenset(), 0)
     return best
 
 
@@ -428,6 +461,83 @@ def reference_parity_route(topo: Topology, sources, dst: int, blocked: set[int])
         if best is None or key < best[0]:
             best = (key, route)
     return best[1] if best else None
+
+
+def reference_disjoint_routes(topo: Topology, sources, dst: int):
+    """``routing.disjoint_routes`` as it was when each augmentation ran a
+    Bellman-Ford over every link in id order, in place; the tie rule of
+    the Dijkstra that replaced it is defined by this search."""
+    sources = list(sources)
+    k = len(sources)
+    if k == 0:
+        return []
+    if any(s == dst for s in sources):
+        raise ValueError("a source equals the destination")
+    arcs = tuple(map(tuple, topo.links))
+    # orient[l]: 0 unused, +1 carries flow a->b, -1 carries flow b->a
+    orient = [0] * topo.m
+    supply: dict[int, int] = {}
+    for s in sources:
+        supply[s] = supply.get(s, 0) + 1
+
+    for _ in range(k):
+        parent_node, parent_link = _ref_augment(topo.n, arcs, orient, supply, dst)
+        if parent_node is None:
+            return None
+        # walk dst back to the source the search reached
+        v = dst
+        while parent_link[v] >= 0:
+            lid = parent_link[v]
+            u = parent_node[v]
+            l = topo.links[lid]
+            step = 1 if (u == l.a and v == l.b) else -1
+            orient[lid] = 0 if orient[lid] == -step else step
+            v = u
+        supply[v] -= 1
+        if supply[v] == 0:
+            del supply[v]
+
+    return routing._decompose(topo, orient, sources, dst)
+
+
+def _ref_augment(n, arcs, orient, supply, dst):
+    """Bellman-Ford over the residual graph of ``arcs``, (id, a, b,
+    length_mm) per link; reverse arcs cost -length. Topology keeps the
+    total link length below INF_MM // 4, so a reached node's distance
+    stays within INF_MM // 4 of zero and one relaxed from an unreached
+    node stays above 3 * INF_MM // 4."""
+    INF_MM = kernels.INF_MM
+    if not supply:
+        return None, None
+    dist = [INF_MM] * n
+    parent_node = [-1] * n
+    parent_link = [-1] * n
+    for s in supply:
+        dist[s] = 0
+    for _ in range(n):
+        changed = False
+        for lid, a, b, w in arcs:
+            o = orient[lid]
+            # forward a->b allowed unless already a->b; cost -w if cancelling b->a
+            if o != 1:
+                nd = dist[a] + (-w if o == -1 else w)
+                if nd < dist[b]:
+                    dist[b] = nd
+                    parent_node[b] = a
+                    parent_link[b] = lid
+                    changed = True
+            if o != -1:
+                nd = dist[b] + (-w if o == 1 else w)
+                if nd < dist[a]:
+                    dist[a] = nd
+                    parent_node[a] = b
+                    parent_link[a] = lid
+                    changed = True
+        if not changed:
+            break
+    if parent_link[dst] < 0:
+        return None, None
+    return parent_node, parent_link
 
 
 # The failure sweep, sr spare sizing and recovery actions as they were

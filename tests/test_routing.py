@@ -10,7 +10,15 @@ from divprotect.routing import (
 )
 from divprotect.kernels import INF_MM
 from divprotect.topology import Topology
-from helpers import fresh_tree, load_fixture, make_path, random_scenario, unit_lengths
+from helpers import (
+    brute_disjoint_total,
+    fresh_tree,
+    load_fixture,
+    make_path,
+    random_scenario,
+    reference_disjoint_routes,
+    unit_lengths,
+)
 
 FIXTURES = [
     "example2",
@@ -255,3 +263,64 @@ def test_disjoint_routes_min_total_length():
     topo = km([(0, 2, 5), (2, 3, 5), (0, 1, 1), (1, 3, 1)])
     routes = disjoint_routes(topo, [0, 0], 3)
     assert [p.nodes for p in routes] == [(0, 1, 3), (0, 2, 3)]
+
+
+def _sparse_graph(seed: int, max_nodes: int = 12) -> Topology:
+    """A random tree plus a few chords, 1-9 km spans: most links are
+    bridges, so many disjoint route sets do not exist."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, max_nodes + 1))
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(0, 4))):
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((a, b))
+    return km([(a, b, int(rng.integers(1, 10))) for a, b in sorted(edges)])
+
+
+def _route_calls(topos, rng, per_topo):
+    """(topo, sources, dst) with 1-5 sources drawn with repeats, none dst."""
+    for topo in topos:
+        for _ in range(per_topo):
+            dst = int(rng.integers(0, topo.n))
+            k = int(rng.integers(1, 6))
+            others = [v for v in range(topo.n) if v != dst]
+            yield topo, [others[int(i)] for i in rng.integers(0, len(others), size=k)], dst
+
+
+def test_disjoint_routes_match_bellman_ford_reference():
+    # the Dijkstra keeps the parent the old in-place Bellman-Ford sweep
+    # kept, so routes match it exactly, ties (unit lengths) included
+    rng = np.random.default_rng(5)
+    topos = [random_scenario(seed)[0] for seed in range(60)]
+    topos += [_sparse_graph(seed) for seed in range(40)]
+    topos += [unit_lengths(t) for t in topos]
+    found = none = 0
+    for topo, sources, dst in _route_calls(topos, rng, 6):
+        want = reference_disjoint_routes(topo, sources, dst)
+        assert disjoint_routes(topo, sources, dst) == want, (topo.links, sources, dst)
+        found += want is not None and len(sources) > 2
+        none += want is None
+    assert found > 200 and none > 200
+
+
+def test_disjoint_routes_total_matches_exhaustive_search():
+    rng = np.random.default_rng(8)
+    topos = [random_scenario(seed, max_nodes=7, max_links=12)[0] for seed in range(40)]
+    topos += [_sparse_graph(seed, max_nodes=7) for seed in range(20)]
+    topos += [unit_lengths(t) for t in topos]
+    deep = none = 0
+    for topo, sources, dst in _route_calls(topos, rng, 5):
+        want = brute_disjoint_total(topo, sources, dst)
+        routes = disjoint_routes(topo, sources, dst)
+        if want is None:
+            assert routes is None
+            none += 1
+            continue
+        assert routes is not None
+        assert [p.src for p in routes] == sources
+        assert all(p == make_path(topo, p.nodes) and p.dst == dst for p in routes)
+        used = [lid for p in routes for lid in p.links]
+        assert len(used) == len(set(used))
+        assert sum(p.length_mm for p in routes) == want
+        deep += len(sources) >= 3
+    assert deep > 50 and none > 50
