@@ -209,10 +209,10 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
 
 
 @cache
-def _threshold_fractions(params: SearchParams) -> tuple[Fraction, ...]:
+def _threshold_fractions(params: SearchParams) -> tuple[tuple[int, int], ...]:
     from fractions import Fraction
 
-    return tuple(Fraction(str(t)) for t in params.thresholds())
+    return tuple(Fraction(str(t)).as_integer_ratio() for t in params.thresholds())
 
 
 def algorithm_one(
@@ -311,6 +311,7 @@ def _plan_destination(
     if len(ids) > _DENSE_FLOW_LIMIT:
         hop = {s: topo.hop_distances(s) for s in {flows[i].src for i in ids}}
     fracs = _threshold_fractions(params)
+    top_num, top_den = fracs[-1]
 
     def fallback_mm(src: int) -> int:
         # capacity-distance a flow costs if left to the 1+1 fallback;
@@ -323,7 +324,7 @@ def _plan_destination(
     cache: dict[tuple[int, ...], tuple[CodingGroup, int, int] | None] = {}
     alive = set(ids)
     accepted = []
-    for t, frac in enumerate(fracs):
+    for t, (num, den) in enumerate(fracs):
         for size in sizes:
             for combo in combinations(ids, size):
                 if not alive.issuperset(combo):
@@ -337,7 +338,7 @@ def _plan_destination(
                     # admission ceiling: no threshold admits a group dearer
                     # than the loosest ratio allows or than 1+1 pairs
                     max_mm = min(
-                        baseline * fracs[-1].numerator // fracs[-1].denominator,
+                        baseline * top_num // top_den,
                         sum(fallback_mm(s) for s in srcs),
                     )
                     g = find_group(topo, members, flow_ids=combo, max_mm=max_mm)
@@ -350,7 +351,7 @@ def _plan_destination(
                 # same flows to 1+1 pairs, which keeps total capacity
                 # monotone in the threshold ceiling; max_mm implies the
                 # latter, but admission does not rely on find_group for it
-                if consumed * frac.denominator > baseline * frac.numerator:
+                if consumed * den > baseline * num:
                     continue
                 if consumed > sum(fallback_mm(s) for s in srcs):
                     continue

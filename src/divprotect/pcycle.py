@@ -4,8 +4,8 @@ Cycles are enumerated up to a hop bound, each as its distance and a
 bitmask of its links, and bought greedily by a-priori efficiency:
 protected working units per unit of cycle distance. A copy
 protects a link once per detour ``plan.detour_arcs`` gives it; pc_design
-holds the same rule as coverage matrices, scores every cycle once and
-then rescores through the rows of the links each purchase changes.
+holds the same rule as one matrix of detours per copy, scores every cycle
+once and then rescores through the rows of the links each purchase changes.
 numpy is imported by pc_design itself, so importing this module (and the
 CLI) does not load it.
 """
@@ -165,20 +165,50 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     return out
 
 
+def _coverage(topo: Topology, cycles):
+    """Detours per copy, int8 links x cycles: cover[l, c] is 1 when link l
+    is on cycle c, 2 when l straddles c (both endpoints on c, l not on it)
+    and 0 otherwise, the count ``plan.detour_arcs`` gives. The masks are
+    packed little-endian, one row of bytes per cycle, and unpacked along
+    the link axis of the contiguous transpose: no full-size temporary."""
+    import numpy as np
+
+    nc = len(cycles)
+    nb = (topo.m + 7) // 8
+    packed = np.frombuffer(b"".join([c.mask.to_bytes(nb, "little") for c in cycles]), np.uint8)
+    packed = np.ascontiguousarray(packed.reshape(nc, nb).T)
+    cover = np.unpackbits(packed, axis=0, count=topo.m, bitorder="little").view(np.int8)
+    del packed
+    # a cycle's nodes are the endpoints of its links: OR each link's row
+    # into its endpoints' rows, which are views of has
+    has = np.zeros((topo.n, nc), dtype=bool)
+    node_rows = list(has)
+    for l, on in zip(topo.links, cover.view(bool)):
+        row = node_rows[l.a]
+        row |= on
+        row = node_rows[l.b]
+        row |= on
+    ends_a = np.array([l.a for l in topo.links], dtype=np.intp)
+    ends_b = np.array([l.b for l in topo.links], dtype=np.intp)
+    # both ends on c: 2 - 1 for a ring link, 2 - 0 for a straddler
+    for i in range(0, topo.m, 64):  # blocks of rows keep the temporaries small
+        rows = slice(i, i + 64)
+        cover[rows] = 2 * (has[ends_a[rows]] & has[ends_b[rows]]).view(np.int8) - cover[rows]
+    return cover
+
+
 def pc_design(topo: Topology, demand) -> ProtectionPlan:
     """Greedy selection of cycle copies until every working unit is covered.
 
     Each step buys the cycle with the most unmet working units protected
-    per unit distance, ``protected / length``, where protected sums
-    min(need, 1) over the cycle's own links and min(need, 2) over its
-    straddlers; the first maximum in (distance, ring) order wins ties.
-    One step buys k copies at once, with k the fewest purchases that
-    change one of the cycle's terms: need over its on-cycle links and
-    max(1, need // 2) over its straddlers, each with need > 0. Copies
-    before the k-th change no min(need, 1) or min(need, 2) anywhere, so
-    ``protected`` and hence the argmax would pick the same cycle again:
-    buying them one at a time gives the same copies. k <= need on every
-    on-cycle link and 2k <= need on every straddler with need >= 2, so
+    per unit distance, ``protected / length``, where protected is
+    Σ min(need, cover) over the links (``_coverage``); the first maximum
+    in (distance, ring) order wins ties. One step buys k copies at once,
+    k = min max(1, need // cover) over the links with need and cover: the
+    fewest purchases that change one of the cycle's terms. Copies before
+    the k-th change no term anywhere, so ``protected`` and hence the
+    argmax would pick the same cycle again: buying them one at a time
+    gives the same copies. k * cover <= need wherever need >= cover, so
     no product leaves the int64 range, however large the rates.
 
     ``protected`` is computed once and then updated only through the
@@ -191,12 +221,7 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
 
     flows = tuple(demand)
     demand_idx = tuple(range(len(flows)))
-    working_paths = []
-    for f in flows:
-        w = routing.shortest_path(topo, f.src, f.dst)
-        if w is None:  # pragma: no cover - connected topologies
-            raise ValueError(f"no route {f.src}->{f.dst}")
-        working_paths.append(w)
+    working_paths = [routing.shortest_path(topo, f.src, f.dst) for f in flows]
     working_cap = link_load(topo.m, ((w.links, f.rate) for f, w in zip(flows, working_paths)))
 
     for lid, load in enumerate(working_cap):
@@ -208,48 +233,21 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
 
     cycles = enumerate_cycles(topo)
     nc = len(cycles)
-    # coverage, links x cycles: onT[l, c] = 1 when l is on c, strT[l, c]
-    # = 1 when l straddles c (both endpoints on c, l not on it). The
-    # masks are packed little-endian, one row of bytes per cycle, and
-    # unpacked along the link axis of the contiguous transpose, so onT
-    # comes out links-major with no full-size temporary.
-    nb = (topo.m + 7) // 8
-    packed = np.frombuffer(b"".join([c.mask.to_bytes(nb, "little") for c in cycles]), np.uint8)
-    packed = np.ascontiguousarray(packed.reshape(nc, nb).T)
-    onT = np.unpackbits(packed, axis=0, count=topo.m, bitorder="little").view(np.int8)
-    del packed
-    # a cycle's nodes are the endpoints of its links: OR each link's row
-    # into its endpoints' rows, which are views of has
-    has = np.zeros((topo.n, nc), dtype=bool)
-    node_rows = list(has)
-    for l, on in zip(topo.links, onT.view(bool)):
-        row = node_rows[l.a]
-        row |= on
-        row = node_rows[l.b]
-        row |= on
-    del node_rows, row  # views of has, which is freed below
-    ends_a = np.array([l.a for l in topo.links], dtype=np.intp)
-    ends_b = np.array([l.b for l in topo.links], dtype=np.intp)
-    strT = np.empty((topo.m, nc), dtype=np.int8)
-    for i in range(0, topo.m, 64):  # blocks of rows keep the temporaries small
-        rows = slice(i, i + 64)
-        strT[rows] = has[ends_a[rows]] & has[ends_b[rows]]
-    strT -= onT
-    del has
+    cover = _coverage(topo, cycles)
     lengths = np.array([c.length_mm for c in cycles], dtype=np.float64)
 
     def change(rows, old, new):
         """How ``protected`` moves when the need of links ``rows`` goes
-        from old to new, summed a few rows at a time: the int8 rows
-        widen to int64 in the product."""
+        from old to new, summed 16 rows at a time: d1 and d2 lie in
+        -2..2, so a block's products stay within int8."""
         d1 = np.minimum(new, 1) - np.minimum(old, 1)
         d2 = np.minimum(new, 2) - np.minimum(old, 2)
         keep = (d1 != 0) | (d2 != 0)
-        rows, d1, d2 = rows[keep], d1[keep], d2[keep]
+        rows, d1, d2 = rows[keep], d1[keep].astype(np.int8), d2[keep].astype(np.int8)
         out = np.zeros(nc, dtype=np.int64)
         for i in range(0, len(rows), 16):
-            part = rows[i:i + 16]
-            out += d1[i:i + 16] @ onT[part] + d2[i:i + 16] @ strT[part]
+            part = cover[rows[i:i + 16]]
+            out += d1[i:i + 16] @ (part & 1) + d2[i:i + 16] @ (part >> 1)
         return out
 
     need = np.array(working_cap, dtype=np.int64)
@@ -261,8 +259,7 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
         best = int(np.argmax(protected / lengths))
         if protected[best] == 0:
             break
-        # units of need one copy covers: 1 on the cycle, 2 straddling it
-        per = onT[:, best] + 2 * strT[:, best]
+        per = cover[:, best]
         rows = np.flatnonzero((per > 0) & (need > 0))
         per = per[rows].astype(np.int64)
         old = need[rows]

@@ -160,18 +160,32 @@ def test_enumeration_matches_bruteforce_within_hop_bound(seed):
 @pytest.mark.parametrize("name", fixture_names())
 def test_coverage_matches_all_links_scan(name):
     # one detour for an on-cycle link, two for a straddler, none otherwise;
-    # together the detours of a failed link run the rest of the ring
+    # together the detours of a failed link run the rest of the ring.
+    # pc_design's coverage matrix holds the same counts
     topo = load_fixture(name).topology
-    for c in rings(topo, enumerate_cycles(topo)):
+    cycles = enumerate_cycles(topo)
+    cover = pcycle._coverage(topo, cycles)
+    for ci, c in enumerate(rings(topo, cycles)):
         on, straddle = all_links_coverage(topo, c)
         for lid in range(topo.m):
             arcs = detour_arcs(topo, c, lid)
             want = 1 if lid in on else 2 if lid in straddle else 0
-            assert len(arcs) == want
+            assert len(arcs) == want == cover[lid, ci]
             if arcs:
                 cut = lid in on
                 assert sum(mm for mm, _ in arcs) == c.length_mm - cut * topo.link_mm[lid]
                 assert sum(hops for _, hops in arcs) == len(c.links) - cut
+
+
+def test_coverage_counts_the_detours_past_two_mask_words():
+    topo, _ = ring_with_chords(0, 120, 24)
+    assert topo.m > 128
+    cycles = enumerate_cycles(topo)
+    cover = pcycle._coverage(topo, cycles)
+    assert cover.dtype == np.int8
+    assert cover.shape == (topo.m, len(cycles))
+    for ci, ring in enumerate(rings(topo, cycles)):
+        assert cover[:, ci].tolist() == [len(detour_arcs(topo, ring, lid)) for lid in range(topo.m)]
 
 
 def test_apriori_efficiency_counts_straddlers_twice():
@@ -219,6 +233,7 @@ def test_pc_design_bridge_is_partial():
 def test_pc_design_on_a_tree_protects_nothing():
     topo = km([(0, 1, 1), (1, 2, 1), (1, 3, 1)])
     flows = [Flow(0, 2, 1), Flow(3, 0, 2)]
+    assert pcycle._coverage(topo, enumerate_cycles(topo)).shape == (topo.m, 0)
     plan = pc_design(topo, flows)
     assert plan.cycles == ()
     assert plan.unprotected == (0, 1)
