@@ -27,7 +27,10 @@ bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
 graph with 60 unit demands over 5 destinations, ``routes-40n``:
 ``disjoint_routes`` on that graph for 200 seeded sets of 2-5 sources
 of one destination's demands (the working sets the dc planner routes),
-with each destination's shared tree grown by the warmup, an sr plan
+with each destination's shared tree grown by the warmup, ``groups-40n``:
+``find_group`` on that graph for 200 seeded sets of 2-4 of one
+destination's demands, each with the ceiling the dc planner would pass
+it (the candidate groups it prices), an sr plan
 (``sr-40n``) of a 40-node, 56-link graph with 48 unit demands to
 distinct random nodes, the size of the benchmark's backbone meshes,
 each on a fresh copy of its topology, so no shared tree or route
@@ -53,9 +56,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from divprotect import kernels
+from divprotect import coding, kernels, routing
 from divprotect.cli import fixture_path
-from divprotect.coding import algorithm_one
+from divprotect.coding import SearchParams, algorithm_one, find_group
 from divprotect.failsim import sweep
 from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.routing import disjoint_routes
@@ -152,6 +155,31 @@ def route_calls(instance, seed: int, per_dst: int = 40):
     return calls
 
 
+def group_calls(instance, seed: int, per_dst: int = 40):
+    """``find_group`` calls on a ``dc_instance``'s topology: for each
+    destination, ``per_dst`` sets of 2-4 of its demands, drawn without
+    replacement, each with the ceiling ``coding._plan_destination``
+    passes: the loosest threshold's multiple of the set's shortest-path
+    floor, or what 1+1 pairs would cost the set if that is less."""
+    topo, flows = instance
+    rng = np.random.default_rng([seed, 3])
+    num, den = coding._threshold_fractions(SearchParams())[-1]
+    calls = []
+    for dst in sorted({f.dst for f in flows}):
+        mine = [f for f in flows if f.dst == dst]
+        floor = topo.distances(dst)
+        for _ in range(per_dst):
+            picked = rng.choice(len(mine), size=int(rng.integers(2, 5)), replace=False)
+            members = [mine[int(i)] for i in picked]
+            pairs_mm = 0
+            for f in members:
+                w, b = routing.protected_pair(topo, f.src, dst)
+                pairs_mm += w.length_mm + b.length_mm if b is not None else 1 << 62
+            max_mm = min(sum(floor[f.src] for f in members) * num // den, pairs_mm)
+            calls.append((topo, members, None, max_mm))
+    return calls
+
+
 def bench(fn, calls, repeats: int) -> tuple[float, float]:
     for args in calls:  # warmup
         fn(*args)
@@ -237,6 +265,8 @@ def main(argv=None) -> int:
         dc40 = dc_instance(rng, 40, 60)
         rows.append(("dc-40n", *bench(planned, [(algorithm_one, *dc40)], args.repeats)))
         rows.append(("routes-40n", *bench(disjoint_routes, route_calls(dc40, args.seed),
+                                          args.repeats)))
+        rows.append(("groups-40n", *bench(find_group, group_calls(dc40, args.seed),
                                           args.repeats)))
         rows.append(("sr-40n", *bench(planned, [(sr_design, *sr_instance(late, 40, 56, 48))],
                                       args.repeats)))

@@ -5,7 +5,8 @@ The planner walks an admission threshold from loose to tight redundancy
 duplication for whatever cannot be grouped economically. Groups never
 span destinations, so each destination is swept alone; group routing is
 independent of planner state, so its candidate evaluations are memoised
-across thresholds.
+across thresholds. A candidate is priced on its working flow, and only
+a group that routes is split into paths.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .plan import (
     CodingGroup,
     ProtectionPlan,
     link_load,
-    shortest_working_capacity_mm,
     split_unit_flows,
 )
 from .topology import Path, ScenarioError, Topology
@@ -176,6 +176,8 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
     None. The routes that fit are the ones found without a ceiling,
     because the search only drops trails that provably exceed it
     (lengths are positive and a trail's excluded links only grow).
+    The working set is priced and blocked as its flow (``disjoint_flow``),
+    whose links are the paths'; only a group that routes gets it split.
     """
     flows = list(flows)
     if len(flows) < 2:
@@ -188,21 +190,22 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
     if flow_ids is None:
         flow_ids = tuple(range(len(flows)))
 
-    workings = routing.disjoint_routes(topo, [f.src for f in flows], dst)
-    if workings is None:
+    srcs = [f.src for f in flows]
+    orient = routing.disjoint_flow(topo, srcs, dst)
+    if orient is None:
         return None
+    blocked = {lid for lid, o in enumerate(orient) if o}
     budget = None
     if max_mm is not None:
-        budget = max_mm - sum(p.length_mm for p in workings)
+        budget = max_mm - sum(topo.link_mm[lid] for lid in blocked)
         if budget < 0:
             return None
-    blocked = {lid for p in workings for lid in p.links}
-    parity = _parity_route(topo, [f.src for f in flows], dst, blocked, budget)
+    parity = _parity_route(topo, srcs, dst, blocked, budget)
     if parity is None:
         return None
     return CodingGroup(
         flow_ids=tuple(flow_ids),
-        working=tuple(workings),
+        working=tuple(routing._decompose(topo, orient, srcs, dst)),
         parity=parity,
         decode_node=dst,
     )
@@ -293,7 +296,8 @@ def _plan_destination(
     more capacity-distance than 1+1 pairs for the same flows would.
     Returns the accepted groups in acceptance order, each tagged
     (threshold index, -size). More than _MAX_COMBINATIONS combinations
-    per threshold is a ScenarioError.
+    per threshold is a ScenarioError. A combination's floor and 1+1 cost
+    are sums over per-source tables built once, cached with its group.
     """
     dst = flows[ids[0]].dst
     # size link-disjoint working paths enter dst on size distinct links
@@ -312,16 +316,17 @@ def _plan_destination(
         hop = {s: topo.hop_distances(s) for s in {flows[i].src for i in ids}}
     fracs = _threshold_fractions(params)
     top_num, top_den = fracs[-1]
-
-    def fallback_mm(src: int) -> int:
-        # capacity-distance a flow costs if left to the 1+1 fallback;
-        # unpairable flows count as unbounded so any group beats them
-        w, b = routing.protected_pair(topo, src, dst)
-        return w.length_mm + b.length_mm if b is not None else 1 << 62
+    # per source, a unit flow's floor and its 1+1 cost; an unpairable
+    # flow counts as unbounded so any group beats it
+    floor = topo.distances(dst)
+    fallback = {}
+    for s in sorted({flows[i].src for i in ids}):
+        w, b = routing.protected_pair(topo, s, dst)
+        fallback[s] = w.length_mm + b.length_mm if b is not None else 1 << 62
 
     # keyed by the sources in combination order: flows are unit rate,
     # so routes, floor and ceiling depend on nothing else
-    cache: dict[tuple[int, ...], tuple[CodingGroup, int, int] | None] = {}
+    cache: dict[tuple[int, ...], tuple[CodingGroup, int, int, int] | None] = {}
     alive = set(ids)
     accepted = []
     for t, (num, den) in enumerate(fracs):
@@ -333,19 +338,19 @@ def _plan_destination(
                 if hop and any(hop[a][b] > _SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)):
                     continue
                 if srcs not in cache:
-                    members = [flows[i] for i in combo]
-                    baseline = shortest_working_capacity_mm(topo, members)
+                    baseline = sum(floor[s] for s in srcs)
+                    pairs_mm = sum(fallback[s] for s in srcs)
                     # admission ceiling: no threshold admits a group dearer
                     # than the loosest ratio allows or than 1+1 pairs
-                    max_mm = min(
-                        baseline * top_num // top_den,
-                        sum(fallback_mm(s) for s in srcs),
-                    )
+                    max_mm = min(baseline * top_num // top_den, pairs_mm)
+                    members = [flows[i] for i in combo]
                     g = find_group(topo, members, flow_ids=combo, max_mm=max_mm)
-                    cache[srcs] = None if g is None else (g, group_capacity_mm(g), baseline)
+                    cache[srcs] = (
+                        None if g is None else (g, group_capacity_mm(g), baseline, pairs_mm)
+                    )
                 if cache[srcs] is None:
                     continue
-                g, consumed, baseline = cache[srcs]
+                g, consumed, baseline, pairs_mm = cache[srcs]
                 # admission: redundancy within the threshold (exact
                 # rational comparison) and never dearer than leaving the
                 # same flows to 1+1 pairs, which keeps total capacity
@@ -353,7 +358,7 @@ def _plan_destination(
                 # latter, but admission does not rely on find_group for it
                 if consumed * den > baseline * num:
                     continue
-                if consumed > sum(fallback_mm(s) for s in srcs):
+                if consumed > pairs_mm:
                     continue
                 # a cached group may carry another combination's ids
                 accepted.append(((t, -size), g._replace(flow_ids=combo)))

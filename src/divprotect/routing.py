@@ -3,7 +3,7 @@
 All tie-breaks are deterministic: among equal-length shortest paths the
 lexicographically smallest node sequence wins, and the disjoint-set
 search, a Dijkstra on reduced costs, keeps the parent a Bellman-Ford
-sweep over the links in id order would keep (see ``disjoint_routes``),
+sweep over the links in id order would keep (see ``disjoint_flow``),
 so repeated runs give identical routes.
 """
 from __future__ import annotations
@@ -106,15 +106,23 @@ def path_from_root(topo: Topology, dist, root: int, target: int, blocked) -> Pat
 
 
 def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
-    """Min-total-length pairwise link-disjoint paths, one per source entry.
+    """Min-total-length pairwise link-disjoint paths, one per source entry;
+    a repeated source's entries get its routes shortest first, then by
+    node sequence. None when ``disjoint_flow`` finds no such set."""
+    sources = list(sources)
+    orient = disjoint_flow(topo, sources, dst)
+    return None if orient is None else _decompose(topo, orient, sources, dst)
 
-    Sources may repeat (several routes leaving one node); the entries of
-    a repeated source get its routes shortest first, then by node
-    sequence. Solved as a unit-capacity min-cost flow with successive
-    shortest augmenting paths, so trap layouts where greedy
-    remove-and-reroute fails are handled: earlier routes are re-split
-    when an augmentation cancels part of them. Returns None when no
-    disjoint set of this size exists.
+
+def disjoint_flow(topo: Topology, sources, dst: int) -> list[int] | None:
+    """Min-cost unit flow from the source entries (a list) to dst.
+
+    ``orient[l]`` is 0 when link l is unused, +1 when the flow crosses it
+    a->b and -1 when b->a; None when no disjoint set of this size exists.
+    Lengths are positive, so the flow holds no cycle and its links' total
+    length is its paths'. Successive shortest augmenting paths handle
+    trap layouts where greedy remove-and-reroute fails: earlier routes
+    are re-split when an augmentation cancels part of them.
 
     Each augmentation is a Dijkstra over the residual graph, in which a
     link direction that cancels flow costs minus the link's length. It
@@ -135,10 +143,7 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
     modulo 2m. Along a link the distance never falls and the time rises,
     so Dijkstra on the pair settles every node with that parent.
     """
-    sources = list(sources)
     k = len(sources)
-    if k == 0:
-        return []
     if any(s == dst for s in sources):
         raise ValueError("a source equals the destination")
     n = topo.n
@@ -149,7 +154,6 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
     span = sweep * (n + 1) + 1
     unseen = INF_MM * span
     h = list(topo.distances(dst))
-    # orient[l]: 0 unused, +1 carries flow a->b, -1 carries flow b->a
     orient = [0] * topo.m
     supply: dict[int, int] = {}
     for s in sources:
@@ -205,7 +209,7 @@ def disjoint_routes(topo: Topology, sources, dst: int) -> list[Path] | None:
         if supply[v] == 0:
             del supply[v]
 
-    return _decompose(topo, orient, sources, dst)
+    return orient
 
 
 def _decompose(topo, orient, sources, dst):

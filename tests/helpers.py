@@ -3,9 +3,9 @@ path and group helpers only the tests use, brute-force oracles kept
 deliberately independent of the library's algorithms (different
 enumeration strategies, no shared code paths), reference copies of the
 p-cycle planner's, the parity-trail search's, the disjoint-route
-search's, the failure sweep's, sr spare sizing's and the recovery
-actions' earlier implementations, and the scenario parser with and
-without its row reader."""
+search's, the group search's, the failure sweep's, sr spare sizing's
+and the recovery actions' earlier implementations, and the scenario
+parser with and without its row reader."""
 import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 from yaml.composer import Composer
 
-from divprotect import kernels, routing, topology, yamldoc
+from divprotect import coding, kernels, routing, topology, yamldoc
 from divprotect.cli import fixture_path
 from divprotect.coding import group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
@@ -461,6 +461,33 @@ def reference_parity_route(topo: Topology, sources, dst: int, blocked: set[int])
         if best is None or key < best[0]:
             best = (key, route)
     return best[1] if best else None
+
+
+def reference_find_group(topo: Topology, flows, flow_ids=None, max_mm=None):
+    """``coding.find_group`` as it was when it split the working flow
+    into paths (``routing.disjoint_routes``) before pricing it: the
+    ceiling is met by the paths' total length."""
+    flows = list(flows)
+    dst = flows[0].dst
+    if any(f.dst != dst for f in flows) or len({f.rate for f in flows}) != 1:
+        return None
+    if flow_ids is None:
+        flow_ids = tuple(range(len(flows)))
+    workings = routing.disjoint_routes(topo, [f.src for f in flows], dst)
+    if workings is None:
+        return None
+    budget = None
+    if max_mm is not None:
+        budget = max_mm - sum(p.length_mm for p in workings)
+        if budget < 0:
+            return None
+    blocked = {lid for p in workings for lid in p.links}
+    parity = coding._parity_route(topo, [f.src for f in flows], dst, blocked, budget)
+    if parity is None:
+        return None
+    return CodingGroup(
+        flow_ids=tuple(flow_ids), working=tuple(workings), parity=parity, decode_node=dst
+    )
 
 
 def reference_disjoint_routes(topo: Topology, sources, dst: int):

@@ -22,6 +22,7 @@ from helpers import (
     load_fixture,
     random_scenario,
     redundancy_ratio,
+    reference_find_group,
     reference_parity_route,
     unit_lengths,
 )
@@ -107,6 +108,40 @@ def _parity_instances():
         topo, _ = random_scenario(seed, max_nodes=12, max_links=26)
         yield topo
         yield unit_lengths(topo)
+
+
+def test_flow_priced_groups_match_path_first_reference():
+    # find_group prices the working flow and splits it into paths only
+    # for a group that routes; at every kind of ceiling it gives the
+    # group, or None, of the search that split the flow first
+    rng = np.random.default_rng(24)
+    kinds = dict.fromkeys(("none", "below", "between", "above", "unrouted"), 0)
+    routed = 0
+    for topo in _parity_instances():
+        for _ in range(12):
+            dst = int(rng.integers(0, topo.n))
+            others = [v for v in range(topo.n) if v != dst]
+            picks = rng.integers(0, len(others), size=int(rng.integers(2, 5)))
+            flows = [Flow(others[int(i)], dst, 1) for i in picks]
+            free = reference_find_group(topo, flows)
+            if free is None:
+                ceilings = {"none": None, "unrouted": int(rng.integers(1, 200)) * KM}
+            else:
+                working = sum(w.length_mm for w in free.working)
+                total = group_capacity_mm(free)
+                ceilings = {
+                    "none": None,
+                    "below": int(rng.integers(0, working)),
+                    "between": int(rng.integers(working, total)),
+                    "above": int(rng.integers(total, 2 * total)),
+                }
+            for kind, max_mm in ceilings.items():
+                want = reference_find_group(topo, flows, max_mm=max_mm)
+                assert find_group(topo, flows, max_mm=max_mm) == want, (topo.links, flows, max_mm)
+                kinds[kind] += 1
+                routed += want is not None
+    assert sum(kinds.values()) >= 1000 and min(kinds.values()) > 100
+    assert routed > 300
 
 
 def test_bounded_parity_search_matches_reference():

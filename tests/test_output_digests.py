@@ -2,13 +2,19 @@
 
 The example2 goldens spell out their bytes; these digests pin the other
 fixtures too, so a change to routing, tie-breaking or formatting that
-moves any output byte shows here.
+moves any output byte shows here. One seeded 40-node benchmark instance,
+larger than any fixture, pins the dc plan where its candidate search
+does most of its work.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from divprotect.cli import main
+from divprotect.coding import algorithm_one
+from divprotect.plan import serialize_plan
+from helpers import load_bench_kernels
 
 COMMANDS = {
     "plan": ["plan", "--schemes", "dc,sr,pc"],
@@ -34,3 +40,12 @@ def test_output_bytes_match_the_recorded_digest(tmp_path, name, command):
     out = tmp_path / "out.txt"
     assert main([*COMMANDS[command], "--scenario", name, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[(name, command)]
+
+
+DC_40N_DIGEST = "2291f2fc831321e3a0d3af45ea4e8e67848e528ace90c219ab2174ce950f61f7"
+
+
+def test_dc_plan_of_a_40_node_mesh_matches_the_recorded_digest():
+    topo, flows = load_bench_kernels().dc_instance(np.random.default_rng(1), 40, 60)
+    plan = serialize_plan(algorithm_one(topo, flows), topo)
+    assert hashlib.sha256(plan.encode()).hexdigest() == DC_40N_DIGEST

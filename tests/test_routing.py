@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from divprotect import kernels
+from divprotect import kernels, routing
 from divprotect.routing import (
+    disjoint_flow,
     disjoint_path_pair,
     disjoint_routes,
     path_from_root,
@@ -287,19 +288,41 @@ def _route_calls(topos, rng, per_topo):
             yield topo, [others[int(i)] for i in rng.integers(0, len(others), size=k)], dst
 
 
-def test_disjoint_routes_match_bellman_ford_reference():
-    # the Dijkstra keeps the parent the old in-place Bellman-Ford sweep
-    # kept, so routes match it exactly, ties (unit lengths) included
-    rng = np.random.default_rng(5)
+def _reference_route_calls():
+    """The seeded route calls checked against the Bellman-Ford reference."""
     topos = [random_scenario(seed)[0] for seed in range(60)]
     topos += [_sparse_graph(seed) for seed in range(40)]
     topos += [unit_lengths(t) for t in topos]
+    return _route_calls(topos, np.random.default_rng(5), 6)
+
+
+def test_disjoint_routes_match_bellman_ford_reference():
+    # the Dijkstra keeps the parent the old in-place Bellman-Ford sweep
+    # kept, so routes match it exactly, ties (unit lengths) included
     found = none = 0
-    for topo, sources, dst in _route_calls(topos, rng, 6):
+    for topo, sources, dst in _reference_route_calls():
         want = reference_disjoint_routes(topo, sources, dst)
         assert disjoint_routes(topo, sources, dst) == want, (topo.links, sources, dst)
         found += want is not None and len(sources) > 2
         none += want is None
+    assert found > 200 and none > 200
+
+
+def test_disjoint_flow_holds_the_routes_links():
+    # the flow's links, split, are the routes; their total length is the
+    # routes' total, since a min-cost flow of positive lengths has no cycle
+    found = none = 0
+    for topo, sources, dst in _reference_route_calls():
+        routes = disjoint_routes(topo, sources, dst)
+        orient = disjoint_flow(topo, sources, dst)
+        if routes is None:
+            assert orient is None
+            none += 1
+            continue
+        assert routing._decompose(topo, orient, sources, dst) == routes
+        flow_mm = sum(topo.link_mm[lid] for lid, o in enumerate(orient) if o)
+        assert flow_mm == sum(p.length_mm for p in routes)
+        found += len(sources) > 2
     assert found > 200 and none > 200
 
 
