@@ -24,7 +24,10 @@ composer builds it.
 limit, so its hop guard decides which sources are combined.
 The end-to-end rows time a full dc plan and failure sweep of the largest
 bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
-graph with 60 unit demands over 5 destinations, ``routes-40n``:
+graph with 60 unit demands over 5 destinations, ``dc-k6``: a dc plan of
+K6 (unit spans) with one 0->1 demand of rate 70, whose 70 unit flows
+make 974,050 candidate groups per threshold over three source tuples,
+``routes-40n``:
 ``disjoint_routes`` on that graph for 200 seeded sets of 2-5 sources
 of one destination's demands (the working sets the dc planner routes),
 with each destination's shared tree grown by the warmup, ``groups-40n``:
@@ -264,6 +267,9 @@ def main(argv=None) -> int:
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
         dc40 = dc_instance(rng, 40, 60)
         rows.append(("dc-40n", *bench(planned, [(algorithm_one, *dc40)], args.repeats)))
+        k6 = Topology.from_edge_list([(a, b, 1) for a in range(6) for b in range(a + 1, 6)])
+        rows.append(("dc-k6", *bench(planned, [(algorithm_one, k6, [Flow(0, 1, 70)])],
+                                     args.repeats)))
         rows.append(("routes-40n", *bench(disjoint_routes, route_calls(dc40, args.seed),
                                           args.repeats)))
         rows.append(("groups-40n", *bench(find_group, group_calls(dc40, args.seed),

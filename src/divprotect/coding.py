@@ -3,10 +3,10 @@
 The planner walks an admission threshold from loose to tight redundancy
 (low to high ratio), preferring larger groups, and falls back to 1+1
 duplication for whatever cannot be grouped economically. Groups never
-span destinations, so each destination is swept alone; group routing is
-independent of planner state, so its candidate evaluations are memoised
-across thresholds. A candidate is priced on its working flow, and only
-a group that routes is split into paths.
+span destinations, so each destination is swept alone; each source
+tuple is decided once, and only thresholds some tuple is admitted at
+are walked. A candidate is priced on its working flow, and only a group
+that routes is split into paths.
 """
 from __future__ import annotations
 
@@ -291,13 +291,15 @@ def _plan_destination(
 
     For each admission threshold, and for each group size from
     max_group_size down to 2, every combination of still-unprotected
-    flows is evaluated; a group is accepted when it routes, its
+    flows is considered; a group is accepted when it routes, its
     redundancy ratio is within the threshold, and it does not consume
     more capacity-distance than 1+1 pairs for the same flows would.
     Returns the accepted groups in acceptance order, each tagged
     (threshold index, -size). More than _MAX_COMBINATIONS combinations
-    per threshold is a ScenarioError. A combination's floor and 1+1 cost
-    are sums over per-source tables built once, cached with its group.
+    per threshold is a ScenarioError. Flows are unit rate, so ``decide``
+    settles each source tuple once, as its first admitting threshold and
+    group. The unprotected set only shrinks, so the first pass meets every
+    tuple a later one accepts; a threshold no tuple holds is skipped.
     """
     dst = flows[ids[0]].dst
     # size link-disjoint working paths enter dst on size distinct links
@@ -324,45 +326,43 @@ def _plan_destination(
         w, b = routing.protected_pair(topo, s, dst)
         fallback[s] = w.length_mm + b.length_mm if b is not None else 1 << 62
 
-    # keyed by the sources in combination order: flows are unit rate,
-    # so routes, floor and ceiling depend on nothing else
-    cache: dict[tuple[int, ...], tuple[CodingGroup, int, int, int] | None] = {}
+    def decide(combo, srcs) -> tuple[int, CodingGroup] | None:
+        if hop and any(hop[a][b] > _SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)):
+            return None
+        baseline = sum(floor[s] for s in srcs)
+        pairs_mm = sum(fallback[s] for s in srcs)
+        # no threshold admits a group dearer than the loosest ratio or
+        # than 1+1 pairs for the same flows (which keeps total capacity
+        # monotone in the threshold); admission re-tests the latter itself
+        max_mm = min(baseline * top_num // top_den, pairs_mm)
+        g = find_group(topo, [flows[i] for i in combo], flow_ids=combo, max_mm=max_mm)
+        if g is None or (consumed := group_capacity_mm(g)) > pairs_mm:
+            return None
+        # the first threshold the ratio is within, compared exactly
+        for t, (num, den) in enumerate(fracs):
+            if consumed * den <= baseline * num:
+                return t, g
+        return None
+
+    # keyed by the sources in combination order
+    decided: dict[tuple[int, ...], tuple[int, CodingGroup] | None] = {}
     alive = set(ids)
     accepted = []
-    for t, (num, den) in enumerate(fracs):
+    for t in range(len(fracs)):
+        if t and all(v is None or v[0] != t for v in decided.values()):
+            continue
         for size in sizes:
             for combo in combinations(ids, size):
                 if not alive.issuperset(combo):
                     continue
                 srcs = tuple(flows[i].src for i in combo)
-                if hop and any(hop[a][b] > _SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)):
-                    continue
-                if srcs not in cache:
-                    baseline = sum(floor[s] for s in srcs)
-                    pairs_mm = sum(fallback[s] for s in srcs)
-                    # admission ceiling: no threshold admits a group dearer
-                    # than the loosest ratio allows or than 1+1 pairs
-                    max_mm = min(baseline * top_num // top_den, pairs_mm)
-                    members = [flows[i] for i in combo]
-                    g = find_group(topo, members, flow_ids=combo, max_mm=max_mm)
-                    cache[srcs] = (
-                        None if g is None else (g, group_capacity_mm(g), baseline, pairs_mm)
-                    )
-                if cache[srcs] is None:
-                    continue
-                g, consumed, baseline, pairs_mm = cache[srcs]
-                # admission: redundancy within the threshold (exact
-                # rational comparison) and never dearer than leaving the
-                # same flows to 1+1 pairs, which keeps total capacity
-                # monotone in the threshold ceiling; max_mm implies the
-                # latter, but admission does not rely on find_group for it
-                if consumed * den > baseline * num:
-                    continue
-                if consumed > pairs_mm:
-                    continue
-                # a cached group may carry another combination's ids
-                accepted.append(((t, -size), g._replace(flow_ids=combo)))
-                alive.difference_update(combo)
+                if srcs not in decided:
+                    decided[srcs] = decide(combo, srcs)
+                v = decided[srcs]
+                if v is not None and v[0] == t:
+                    # a decided group may carry another combination's ids
+                    accepted.append(((t, -size), v[1]._replace(flow_ids=combo)))
+                    alive.difference_update(combo)
     return accepted
 
 

@@ -163,11 +163,6 @@ class Topology:
     def degree(self, v: int) -> int:
         return len(self.adj_rows[v])
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int, int], ...]:
-        """(neighbor, link_id, length_mm) rows sorted by neighbor id:
-        ``adj_rows[v]`` itself."""
-        return self.adj_rows[v]
-
     def link_between(self, a: int, b: int) -> Link | None:
         lid = self._link_id.get((min(a, b), max(a, b)))
         return None if lid is None else self.links[lid]

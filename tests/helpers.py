@@ -3,12 +3,14 @@ path and group helpers only the tests use, brute-force oracles kept
 deliberately independent of the library's algorithms (different
 enumeration strategies, no shared code paths), reference copies of the
 p-cycle planner's, the parity-trail search's, the disjoint-route
-search's, the group search's, the failure sweep's, sr spare sizing's
-and the recovery actions' earlier implementations, and the scenario
-parser with and without its row reader."""
+search's, the group search's, the dc destination sweep's, the failure
+sweep's, sr spare sizing's and the recovery actions' earlier
+implementations, and the scenario parser with and without its row
+reader."""
 import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -18,7 +20,7 @@ from yaml.composer import Composer
 
 from divprotect import coding, kernels, routing, topology, yamldoc
 from divprotect.cli import fixture_path
-from divprotect.coding import group_capacity_mm, verify_decodable
+from divprotect.coding import SearchParams, group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
 from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, rt_dc, rt_pc, rt_sr, scp
 from divprotect.pcycle import cycle_ring
@@ -177,7 +179,7 @@ def all_simple_paths(topo: Topology, src: int, dst: int, excluded=frozenset()):
         if v == dst:
             out.append((dist, nodes, links))
             continue
-        for w, lid, mm in topo.neighbors(v):
+        for w, lid, mm in topo.adj_rows[v]:
             if lid in excluded or w in nodes:
                 continue
             stack.append((w, nodes + (w,), links + (lid,), dist + mm))
@@ -310,7 +312,7 @@ def _ref_enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[R
     path = []
 
     def dfs(anchor: int, v: int):
-        for w, _, _ in topo.neighbors(v):
+        for w, _, _ in topo.adj_rows[v]:
             if w == anchor and len(path) >= 3:
                 out.append(_ref_canonical(topo, path))
             elif w > anchor and w not in on_path and len(path) < max_hops:
@@ -488,6 +490,93 @@ def reference_find_group(topo: Topology, flows, flow_ids=None, max_mm=None):
     return CodingGroup(
         flow_ids=tuple(flow_ids), working=tuple(workings), parity=parity, decode_node=dst
     )
+
+
+def reference_plan_destination(
+    topo: Topology, flows, ids: list[int], params: SearchParams
+) -> list[tuple[tuple[int, int], CodingGroup]]:
+    """``coding._plan_destination`` as it was when every threshold walked
+    every combination, re-running the hop guard and re-testing a cached
+    group's four numbers each time. The sweep over the unit flows
+    ``ids``, which share one destination.
+
+    For each admission threshold, and for each group size from
+    max_group_size down to 2, every combination of still-unprotected
+    flows is evaluated; a group is accepted when it routes, its
+    redundancy ratio is within the threshold, and it does not consume
+    more capacity-distance than 1+1 pairs for the same flows would.
+    Returns the accepted groups in acceptance order, each tagged
+    (threshold index, -size). More than _MAX_COMBINATIONS combinations
+    per threshold is a ScenarioError. A combination's floor and 1+1 cost
+    are sums over per-source tables built once, cached with its group.
+    """
+    dst = flows[ids[0]].dst
+    # size link-disjoint working paths enter dst on size distinct links
+    # and the parity trail needs one more
+    sizes = range(min(params.max_group_size, len(ids), topo.degree(dst) - 1), 1, -1)
+    if not sizes:
+        return []
+    walk = sum(comb(len(ids), size) for size in sizes)
+    if walk > coding._MAX_COMBINATIONS:
+        raise ScenarioError(
+            f"the {len(ids)} unit flows into node {dst} make {walk} candidate groups; "
+            f"parity planning walks at most {coding._MAX_COMBINATIONS} per destination"
+        )
+    hop = None
+    if len(ids) > coding._DENSE_FLOW_LIMIT:
+        hop = {s: topo.hop_distances(s) for s in {flows[i].src for i in ids}}
+    fracs = coding._threshold_fractions(params)
+    top_num, top_den = fracs[-1]
+    # per source, a unit flow's floor and its 1+1 cost; an unpairable
+    # flow counts as unbounded so any group beats it
+    floor = topo.distances(dst)
+    fallback = {}
+    for s in sorted({flows[i].src for i in ids}):
+        w, b = routing.protected_pair(topo, s, dst)
+        fallback[s] = w.length_mm + b.length_mm if b is not None else 1 << 62
+
+    # keyed by the sources in combination order: flows are unit rate,
+    # so routes, floor and ceiling depend on nothing else
+    cache: dict[tuple[int, ...], tuple[CodingGroup, int, int, int] | None] = {}
+    alive = set(ids)
+    accepted = []
+    for t, (num, den) in enumerate(fracs):
+        for size in sizes:
+            for combo in combinations(ids, size):
+                if not alive.issuperset(combo):
+                    continue
+                srcs = tuple(flows[i].src for i in combo)
+                if hop and any(
+                    hop[a][b] > coding._SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)
+                ):
+                    continue
+                if srcs not in cache:
+                    baseline = sum(floor[s] for s in srcs)
+                    pairs_mm = sum(fallback[s] for s in srcs)
+                    # admission ceiling: no threshold admits a group dearer
+                    # than the loosest ratio allows or than 1+1 pairs
+                    max_mm = min(baseline * top_num // top_den, pairs_mm)
+                    members = [flows[i] for i in combo]
+                    g = coding.find_group(topo, members, flow_ids=combo, max_mm=max_mm)
+                    cache[srcs] = (
+                        None if g is None else (g, group_capacity_mm(g), baseline, pairs_mm)
+                    )
+                if cache[srcs] is None:
+                    continue
+                g, consumed, baseline, pairs_mm = cache[srcs]
+                # admission: redundancy within the threshold (exact
+                # rational comparison) and never dearer than leaving the
+                # same flows to 1+1 pairs, which keeps total capacity
+                # monotone in the threshold ceiling; max_mm implies the
+                # latter, but admission does not rely on find_group for it
+                if consumed * den > baseline * num:
+                    continue
+                if consumed > pairs_mm:
+                    continue
+                # a cached group may carry another combination's ids
+                accepted.append(((t, -size), g._replace(flow_ids=combo)))
+                alive.difference_update(combo)
+    return accepted
 
 
 def reference_disjoint_routes(topo: Topology, sources, dst: int):

@@ -1,6 +1,8 @@
 import hashlib
 import time
+from itertools import count
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from divprotect.coding import (
     group_capacity_mm,
     verify_decodable,
 )
-from divprotect.plan import serialize_plan, shortest_working_capacity_mm
+from divprotect.plan import serialize_plan, shortest_working_capacity_mm, split_unit_flows
 from divprotect.topology import Flow, ScenarioError, Topology
 from helpers import (
     load_bench_kernels,
@@ -24,6 +26,7 @@ from helpers import (
     redundancy_ratio,
     reference_find_group,
     reference_parity_route,
+    reference_plan_destination,
     unit_lengths,
 )
 
@@ -382,12 +385,13 @@ def test_high_rate_demand_routes_each_source_tuple_once(monkeypatch):
 
 
 def test_cached_groups_keep_each_flow_on_its_own_route():
-    # cache hits are shared by every combination with the same source
-    # tuple; each flow must still get the working route from its source
+    # a decided group is shared by every combination with the same
+    # source tuple; each flow must still get the working route from its
+    # source
     instances = [load_fixture(name) for name in fixture_names()]
     instances = [(sc.topology, sc.demands) for sc in instances]
     instances += [random_scenario(seed, max_flows=12) for seed in range(30)]
-    # seeds where a permuted source tuple is accepted from the cache
+    # seeds where a permuted source tuple is accepted from the table
     instances += [random_scenario(seed, 8, 16, 8) for seed in (63, 376, 384)]
     for topo, demand in instances:
         plan = algorithm_one(topo, demand)
@@ -520,3 +524,60 @@ def test_dc_walk_bound_refuses_only_destinations_past_it():
     with pytest.raises(ScenarioError, match="^the 100 unit flows into node 1 make 4087875 "):
         algorithm_one(k6, [Flow(0, 1, 100)])
     assert time.perf_counter() - t0 < 1.0
+
+
+def _k6() -> Topology:
+    return Topology.from_edge_list(
+        [(a, b, 1) for a in range(6) for b in range(a + 1, 6)], unit="km"
+    )
+
+
+def test_plan_destination_matches_the_reference():
+    # deciding each source tuple once and skipping thresholds that admit
+    # none gives each destination the tagged groups of the sweep that
+    # walked every threshold and re-tested every live combination
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances = [(sc.topology, sc.demands) for sc in instances]
+    instances += [random_scenario(seed, max_flows=12) for seed in range(30)]
+    instances += [load_bench_kernels().dense_instance(seed) for seed in (0, 5, 8)]
+    instances += [(_k6(), [Flow(0, 1, rate)]) for rate in (12, 40)]
+    params = SearchParams()
+    for topo, demand in instances:
+        flows, _ = split_unit_flows(demand)
+        for dst in sorted({f.dst for f in flows}):
+            ids = [i for i, f in enumerate(flows) if f.dst == dst]
+            assert coding._plan_destination(topo, flows, ids, params) == (
+                reference_plan_destination(topo, flows, ids, params)
+            ), (topo.links, demand, dst)
+
+
+K6_RATE_70_DIGEST = "f60f48253fee081be494a86d032bac641c7c05e1659d46fbd8347d4e84ba27ae"
+
+
+def test_high_rate_demand_walks_only_the_admitting_thresholds(monkeypatch):
+    # one 0->1 demand of rate 70 on K6 makes 974,050 combinations per
+    # pass over three source tuples, admitted at 2.4 (sizes 4 and 3) and
+    # 2.6 (size 2): the first pass decides them, and only the passes at
+    # those two thresholds follow it (the per-threshold walk drew
+    # 7,792,400 combinations over all eight)
+    ids = list(range(70))
+    drawn = count()
+    real = coding.combinations
+
+    def counted(pool, r):
+        # zip draws one count per combination taken from the id list
+        it = real(pool, r)
+        return map(itemgetter(0), zip(it, drawn)) if pool == ids else it
+
+    calls = []
+    real_group = coding.find_group
+    monkeypatch.setattr(coding, "combinations", counted)
+    monkeypatch.setattr(
+        coding, "find_group", lambda *a, **kw: calls.append(1) or real_group(*a, **kw)
+    )
+    topo = _k6()
+    plan = algorithm_one(topo, [Flow(0, 1, 70)])
+    assert [g.size for g in plan.groups] == [4] * 17 + [2]
+    assert hashlib.sha256(serialize_plan(plan, topo).encode()).hexdigest() == K6_RATE_70_DIGEST
+    assert len(calls) <= 3
+    assert next(drawn) <= 3 * 974_050 == 2_922_150

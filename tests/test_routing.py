@@ -91,7 +91,7 @@ def _walk_fresh_tree(topo, src, dst, excluded=()):
     while nodes[-1] != dst:
         v = nodes[-1]
         nodes.append(min(
-            w for w, lid, mm in topo.neighbors(v)
+            w for w, lid, mm in topo.adj_rows[v]
             if not blocked[lid] and dist[v] == mm + dist[w]
         ))
     return make_path(topo, nodes)
