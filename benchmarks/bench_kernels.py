@@ -3,49 +3,63 @@
 
 Usage: python benchmarks/bench_kernels.py [--repeats N] [--seed S] [--skip-end-to-end]
 
-Dijkstra runs on seeded ring-plus-chord graphs of 20, 60 and 120 nodes,
-building fresh masked trees through ``Topology.distances``: full ones
-(``dijkstra``, no link blocked) and, with a random link blocked, ones
-grown only until one random target is settled (``dijkstra-until``, the
-shape of a backup-path search);
-the rank on random binary matrices from decode-matrix size (5x4) up.
-Cycle enumeration runs on one 16-node, 30-link graph, the shape of the
-benchmark's rings meshes (2,054 cycles of at most 12 hops at the
-default seed).
-The load rows parse and validate the largest bundled fixture (88 lines)
-and the canonical dump of a 40-node, 56-link graph with 48 demands, the
-size of the benchmark's backbone meshes, both in the flow row layout,
-(``load-block``) that same scenario dumped by ``yaml.safe_dump`` in block
-style, which the row reader takes too, and (``load-pyyaml``) the same
-dump with ``indent=4``, a layout the row reader declines, so PyYAML's
-composer builds it.
-``dc-dense`` is a dc plan (``algorithm_one``) of ``dense_instance(0)``:
-14 unit demands into one node, more than the planner's dense-destination
-limit, so its hop guard decides which sources are combined.
-The end-to-end rows time a full dc plan and failure sweep of the largest
-bundled fixture, a dc plan (``algorithm_one``) of a 40-node, 80-link
-graph with 60 unit demands over 5 destinations, ``dc-k6``: a dc plan of
-K6 (unit spans) with one 0->1 demand of rate 70, whose 70 unit flows
-make 974,050 candidate groups per threshold over three source tuples,
-``routes-40n``:
-``disjoint_routes`` on that graph for 200 seeded sets of 2-5 sources
-of one destination's demands (the working sets the dc planner routes),
-with each destination's shared tree grown by the warmup, ``groups-40n``:
-``find_group`` on that graph for 200 seeded sets of 2-4 of one
-destination's demands, each with the ceiling the dc planner would pass
-it (the candidate groups it prices), an sr plan
-(``sr-40n``) of a 40-node, 56-link graph with 48 unit demands to
-distinct random nodes, the size of the benchmark's backbone meshes,
-each on a fresh copy of its topology, so no shared tree or route
-carries over between repeats, a pc plan
-(``pc_design``) of another graph and demand set of that shape, and
-``sweep-100n``: the failure sweeps of the sr and pc plans of a 100-node,
-200-link graph with 150 unit demands over 5 destinations, with both
-plans built before the timer starts, and ``pc-100n``: a pc plan of
-another graph and demand set of that shape, whose 200-link cycle masks
-span four 64-bit words. ``import-cli`` is the time a fresh interpreter
-takes to run ``import divprotect.cli``, less the time it takes to run
-``pass``.
+Prints best and mean milliseconds per row. The kernel rows:
+
+- ``dijkstra``: fresh full trees (no link blocked) through
+  ``Topology.distances`` on seeded ring-plus-chord graphs of 20, 60 and
+  120 nodes.
+- ``dijkstra-until``: trees on the same graphs with a random link
+  blocked, each grown only until one random target is settled (the
+  shape of a backup-path search).
+- ``gf2_rank``: the rank on random binary matrices from decode-matrix
+  size (5x4) up.
+- ``cycles``: cycle enumeration on one 16-node, 30-link graph, the shape
+  of the benchmark's rings meshes (2,054 cycles of at most 12 hops at
+  the default seed).
+- ``load`` and ``load-40n``: ``load_scenario`` on the largest bundled
+  fixture (``uslong-reconstruction``, 88 lines) and on the canonical
+  dump of a 40-node, 56-link graph with 48 demands, the size of the
+  benchmark's backbone meshes, both in the flow row layout.
+- ``load-block``: that same scenario dumped by ``yaml.safe_dump`` in
+  block style, which the row reader takes too.
+- ``load-pyyaml``: the same dump with ``indent=4``, a layout the row
+  reader declines, so PyYAML's composer builds it.
+- ``dc-dense``: a dc plan (``algorithm_one``) of ``dense_instance(0)``,
+  an 18-node, 30-link graph with 14 unit demands into one node, more
+  than the planner's dense-destination limit of 12, so its hop guard
+  decides which sources are combined.
+
+The end-to-end rows, left out with ``--skip-end-to-end``:
+
+- ``import-cli``: the time a fresh interpreter takes to run
+  ``import divprotect.cli``, less the time it takes to run ``pass``.
+- ``plan+sweep``: a full dc plan and failure sweep of the largest
+  bundled fixture.
+- ``dc-40n``: a dc plan of a seeded 40-node, 80-link graph with 60 unit
+  demands over 5 destinations.
+- ``dc-k6``: a dc plan of K6 (unit spans) with one 0->1 demand of rate
+  70, whose 70 unit flows make 974,050 candidate groups per threshold
+  over three source tuples.
+- ``routes-40n``: ``disjoint_routes`` on the ``dc-40n`` graph for 200
+  seeded sets of 2-5 sources of one destination's demands (the working
+  sets the dc planner routes), with each destination's shared tree
+  grown by the warmup.
+- ``groups-40n``: ``find_group`` on that graph for 200 seeded sets of
+  2-4 of one destination's demands, each with the ``max_mm`` ceiling
+  the dc planner would pass it (the candidate groups it prices).
+- ``sr-40n``: an sr plan of a 40-node, 56-link graph with 48 unit
+  demands to distinct random nodes, the size of the benchmark's
+  backbone meshes. This row and ``dc-40n`` run on a fresh copy of the
+  topology in every repeat, so no shared tree or route carries over.
+- ``pc-40n``: a pc plan (``pc_design``) of another graph and demand set
+  of the ``dc-40n`` shape.
+- ``sweep-100n``: the failure sweeps of the sr and pc plans of a
+  100-node, 200-link graph with 150 unit demands over 5 destinations,
+  with both plans built before the timer starts.
+- ``pc-100n``: a pc plan of another graph and demand set of that shape,
+  whose 200-link cycle masks span four 64-bit words.
+
+``dc-k6`` and ``dc-40n`` are by far the slowest rows.
 """
 import argparse
 import os

@@ -40,7 +40,6 @@ from .plan import (
     split_unit_flows,
 )
 from .routing import (
-    disjoint_path_pair,
     disjoint_routes,
     shortest_path,
 )

@@ -240,18 +240,6 @@ def _decompose(topo, orient, sources, dst):
     return [walks[s].pop() for s in sources]
 
 
-def disjoint_path_pair(topo: Topology, src: int, dst: int):
-    """Two link-disjoint src->dst paths of minimum combined length.
-
-    Returns (shorter, longer) or None when the src-dst min-cut is 1.
-    The pair is found by augmentation, so a short greedy first path that
-    blocks every second route gets repaired rather than reported as a
-    failure.
-    """
-    routes = disjoint_routes(topo, [src, src], dst)
-    return None if routes is None else tuple(routes)
-
-
 def protected_pair(topo: Topology, src: int, dst: int):
     """Working path plus a link-disjoint backup, as (working, backup).
 
@@ -268,6 +256,7 @@ def protected_pair(topo: Topology, src: int, dst: int):
         if b is not None:
             pair = w, b
         else:
-            pair = disjoint_path_pair(topo, src, dst) or (w, None)
+            routes = disjoint_routes(topo, [src, src], dst)
+            pair = (w, None) if routes is None else tuple(routes)
         topo.protected_pairs[src, dst] = pair
     return pair

@@ -12,12 +12,13 @@ import warnings
 
 import numpy as np
 
+from divprotect.cli import fixture_names
 from divprotect.coding import SearchParams, algorithm_one, verify_decodable
 from divprotect.failsim import sweep, xor_stream_check
 from divprotect.metrics import FailureGeometry, RtParams, q_rt, q_scp, rt_dc, scp
 from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.plan import shortest_working_capacity_mm, split_unit_flows
-from divprotect.routing import disjoint_path_pair, shortest_path
+from divprotect.routing import disjoint_routes, shortest_path
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Topology
 from helpers import (
@@ -30,13 +31,7 @@ from helpers import (
     rings,
 )
 
-FIXTURES = [
-    "cost239-reconstruction",
-    "example2",
-    "fig1-star",
-    "synthetic-reconstruction",
-    "uslong-reconstruction",
-]
+FIXTURES = fixture_names()  # every bundled fixture, so a new one is checked too
 RECONSTRUCTIONS = [
     "cost239-reconstruction",
     "synthetic-reconstruction",
@@ -150,6 +145,13 @@ def test_1_single_failure_recovery_sweep():
                 _check_dc(topo, plan, rng, failures, tag)
             else:
                 check(topo, plan, failures, tag)
+
+    # the library's own sweep agrees: every flow recovered within capacity
+    for name in FIXTURES:
+        _, runs = _fixture_runs(name)
+        for scheme, (_, _, result) in runs.items():
+            if result.partial:
+                failures.append(f"{name}/{scheme}: sweep reports a partial recovery")
 
     elapsed = time.monotonic() - t0
     if elapsed >= 60.0:
@@ -372,7 +374,7 @@ def _check_graph(topo, failures, tag, pairs=None):
             return
     for s, t in sorted({(min(s, t), max(s, t)) for s, t in pairs}):
         ref = brute_disjoint_pair_total(topo, s, t)
-        got = disjoint_path_pair(topo, s, t)
+        got = disjoint_routes(topo, [s, s], t)
         if (ref is None) != (got is None):
             failures.append(f"{tag}: pair existence {s}<->{t}")
             return
@@ -505,3 +507,15 @@ def test_9_threshold_ladder_degeneration_and_monotonicity():
         if any(a < b for a, b in zip(totals, totals[1:])):
             failures.append(f"seed {seed}: total rises along ladder {totals}")
     _verdict("9 threshold ladder degeneration and monotonicity", failures)
+
+
+def test_10_decode_quality_of_recovery_dominance():
+    # the paper's conclusion: parity groups give the best QoR overall
+    failures = []
+    for name in FIXTURES:
+        _, runs = _fixture_runs(name)
+        for c in SWITCH_GRID:
+            dc, sr, pc = (runs[s][2].qor[c] for s in ("dc", "sr", "pc"))
+            if dc < sr or dc < pc:
+                failures.append(f"{name} C={c}: qor dc={dc:.4f} sr={sr:.4f} pc={pc:.4f}")
+    _verdict("10 decode quality of recovery dominance", failures)

@@ -4,7 +4,6 @@ import pytest
 from divprotect import kernels, routing
 from divprotect.routing import (
     disjoint_flow,
-    disjoint_path_pair,
     disjoint_routes,
     path_from_root,
     shortest_path,
@@ -185,7 +184,7 @@ def test_hop_distances_ignore_lengths():
 
 def test_disjoint_pair_example2():
     topo = load_fixture("example2").topology
-    a, b = disjoint_path_pair(topo, 0, 3)
+    a, b = disjoint_routes(topo, [0, 0], 3)
     assert a.nodes == (0, 1, 3)
     assert b.nodes == (0, 2, 3)
     assert a.length_mm + b.length_mm == 9_000_000
@@ -200,7 +199,7 @@ def test_disjoint_pair_handles_trap():
     sp = shortest_path(topo, 0, 3)
     assert sp.nodes == (0, 1, 2, 3)
     assert shortest_path(topo, 0, 3, excluded=sp.links) is None
-    pair = disjoint_path_pair(topo, 0, 3)
+    pair = disjoint_routes(topo, [0, 0], 3)
     assert pair is not None
     a, b = pair
     assert not set(a.links) & set(b.links)
@@ -211,10 +210,10 @@ def test_disjoint_pair_handles_trap():
 def test_disjoint_pair_none_across_bridge():
     topo = km([(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1)])
     # 0 and 3 sit in different triangles joined at node 2: still fine
-    assert disjoint_path_pair(topo, 0, 3) is not None
+    assert disjoint_routes(topo, [0, 0], 3) is not None
     # but a pendant chain has a true bridge
     topo = km([(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)])
-    assert disjoint_path_pair(topo, 0, 3) is None
+    assert disjoint_routes(topo, [0, 0], 3) is None
 
 
 def test_disjoint_routes_same_source():

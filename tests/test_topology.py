@@ -1,10 +1,12 @@
+import importlib
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from divprotect import topology, yamldoc
-from divprotect.cli import fixture_path
+from divprotect.cli import fixture_names, fixture_path
 from divprotect.kernels import INF_MM
 from divprotect.topology import (
     MM_PER_UNIT,
@@ -225,6 +227,20 @@ def test_scenario_documents_skip_the_composer():
             load_scenario(text)
     assert parsed == []  # the row reader took every one, in either layout
     assert composed == []
+
+
+def test_every_fixture_and_benchmark_instance_is_in_a_row_layout(monkeypatch):
+    # the row reader takes each of them without PyYAML, which would read
+    # one about ten times slower
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "divbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under divbench
+    run = importlib.import_module("run")
+    texts = {name: _fixture_text(name) for name in fixture_names()}
+    for workload in run.WORKLOADS:
+        for inst in run.build_instances(workload, 1, tiny=True):
+            texts[inst.name] = _fixture_text(inst.scenario) if inst.bundled else inst.scenario
+    assert len(texts) > len(fixture_names())
+    assert [name for name, text in texts.items() if topology._read_rows(text) is None] == []
 
 
 # dump_scenario's layout with every optional part: a top-level name, the

@@ -4,7 +4,7 @@ fixture and every divbench instance at the given seeds.
 
 Usage, from the root of a source checkout:
 
-    python3 tools/output_digest.py --seeds 2,3,5 [--list]
+    python3 tools/output_digest.py [--seeds 1,2,3,5] [--list]
 
 For each seed and each divbench workload, the instances come from
 ``divbench/run.py``'s ``build_instances``; the fixtures workload holds
@@ -15,7 +15,9 @@ program imported from this checkout's ``src``. The digest covers each
 output's name, exit code and bytes, in a fixed order, so two checkouts
 that print the same digest wrote the same bytes for every output.
 ``--list`` also prints the sha256 of each output, to find the ones that
-differ. divbench is only read: no file under it is written.
+differ. divbench is only read: no file under it is written. The default
+seeds, 1,2,3,5, give 840 outputs; a change meant to keep every output
+byte must print the same digest before and after.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ def outputs(seeds, workdir: Path):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", default="2,3,5", help="comma list of divbench seeds")
+    ap.add_argument("--seeds", default="1,2,3,5", help="comma list of divbench seeds")
     ap.add_argument("--list", action="store_true", help="print each output's sha256 too")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
