@@ -23,7 +23,7 @@ Prints best and mean milliseconds per row. The kernel rows:
 - ``load-block``: that same scenario dumped by ``yaml.safe_dump`` in
   block style, which the row reader takes too.
 - ``load-pyyaml``: the same dump with ``indent=4``, a layout the row
-  reader declines, so PyYAML's composer builds it.
+  reader declines, so ``yaml.safe_load`` builds it.
 - ``dc-dense``: a dc plan (``algorithm_one``) of ``dense_instance(0)``,
   an 18-node, 30-link graph with 14 unit demands into one node, more
   than the planner's dense-destination limit of 12, so its hop guard

@@ -335,7 +335,7 @@ def _plan_destination(
         # than 1+1 pairs for the same flows (which keeps total capacity
         # monotone in the threshold); admission re-tests the latter itself
         max_mm = min(baseline * top_num // top_den, pairs_mm)
-        g = find_group(topo, [flows[i] for i in combo], flow_ids=combo, max_mm=max_mm)
+        g = find_group(topo, [flows[i] for i in combo], max_mm=max_mm)
         if g is None or (consumed := group_capacity_mm(g)) > pairs_mm:
             return None
         # the first threshold the ratio is within, compared exactly
@@ -360,7 +360,8 @@ def _plan_destination(
                     decided[srcs] = decide(combo, srcs)
                 v = decided[srcs]
                 if v is not None and v[0] == t:
-                    # a decided group may carry another combination's ids
+                    # a decided group numbers its flows 0..size-1: stamp
+                    # this combination's ids
                     accepted.append(((t, -size), v[1]._replace(flow_ids=combo)))
                     alive.difference_update(combo)
     return accepted

@@ -260,16 +260,27 @@ def _parse_yaml(text: str):
 
     ``_read_rows`` here reads the flow rows ``dump_scenario`` writes,
     which every bundled fixture uses, and the block rows of a
-    ``yaml.safe_dump``, without PyYAML. Any other text goes to
-    ``yamldoc.parse``, PyYAML's composer. That module, and with it
-    PyYAML, is imported on the first such text only.
+    ``yaml.safe_dump``, without PyYAML. Any other text, which may hold
+    anchors, tags, several documents or another layout, goes to
+    ``yaml.safe_load``; PyYAML is imported on the first such text only.
     """
     doc = _read_rows(text)
     if doc is not None:
         return doc
-    from . import yamldoc
+    import yaml
 
-    return yamldoc.parse(text)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}" if mark is not None else ""
+        raise ScenarioError(f"scenario is not valid YAML{where}: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario is not valid YAML: it nests too deeply") from None
+    except (ValueError, LookupError, AttributeError) as exc:
+        # the safe constructors' own conversions fail this way, e.g. on a
+        # timestamp with month 13, "!!int many", "!!int ''" or "!!bool maybe"
+        raise ScenarioError(f"scenario is not valid YAML: bad scalar value: {exc}") from None
 
 
 def load_scenario(text: str) -> Scenario:

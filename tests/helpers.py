@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 from yaml.composer import Composer
 
-from divprotect import coding, kernels, routing, topology, yamldoc
+from divprotect import coding, kernels, routing, topology
 from divprotect.cli import fixture_path
 from divprotect.coding import SearchParams, group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
@@ -85,16 +85,18 @@ def counting_compositions():
 
 @contextmanager
 def counting_yaml_parses():
-    """Yield a list that gains an item per text ``yamldoc.parse`` reads,
-    that is per text the row reader declines."""
+    """Yield a list that gains an item per text ``topology._read_rows``
+    declines, that is per text ``yaml.safe_load`` reads."""
     calls = []
-    parse = yamldoc.parse
+    read_rows = topology._read_rows
 
     def counted(text):
-        calls.append(None)
-        return parse(text)
+        doc = read_rows(text)
+        if doc is None:
+            calls.append(None)
+        return doc
 
-    with mock.patch.object(yamldoc, "parse", counted):
+    with mock.patch.object(topology, "_read_rows", counted):
         yield calls
 
 

@@ -85,6 +85,21 @@ def test_compare_example2_golden_bytes(tmp_path):
     assert text2 == text
 
 
+def test_compare_of_a_sorted_keys_dump_prints_the_fixtures_bytes(tmp_path, capsys):
+    # sorted keys leave the row layouts, so yaml.safe_load reads this file
+    with open(fixture_path("example2"), encoding="utf-8") as fh:
+        redump = yaml.safe_dump(yaml.safe_load(fh))
+    assert topology._read_rows(redump) is None
+    path = tmp_path / "sorted.yaml"
+    path.write_text(redump, encoding="utf-8")
+    outs = []
+    for scenario in ("example2", str(path)):
+        assert main(["compare", "--schemes", "dc,sr,pc", "--scenario", scenario]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == EXAMPLE2_COMPARE
+    assert outs[1] == outs[0]
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_compare_all_fixtures_byte_stable(tmp_path, name):
     code, a = run(tmp_path, "compare", "--scenario", name)

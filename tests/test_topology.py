@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from divprotect import topology, yamldoc
-from divprotect.cli import fixture_names, fixture_path
+from divprotect import topology
+from divprotect.cli import fixture_names, fixture_path, main
 from divprotect.kernels import INF_MM
 from divprotect.topology import (
     MM_PER_UNIT,
@@ -193,11 +193,6 @@ def test_scenario_errors_carry_context(mutate, phrase):
     assert phrase in str(err.value)
 
 
-needs_libyaml = pytest.mark.skipif(
-    not yaml.__with_libyaml__, reason="PyYAML built without libyaml"
-)
-
-
 def _row_texts():
     """Each fixture and the dumps of 30 random scenarios: the row layout."""
     texts = [_fixture_text(name) for name in FIXTURES]
@@ -213,8 +208,7 @@ def _block_texts():
             for name in FIXTURES]
 
 
-@needs_libyaml
-def test_libyaml_loader_builds_the_pure_loaders_documents():
+def test_parse_yaml_equals_safe_load_on_row_and_block_texts():
     # unlike ==, repr tells 1, 1.0 and True apart and matches nan with nan
     for text in _row_texts() + _block_texts():
         assert repr(topology._parse_yaml(text)) == repr(yaml.safe_load(text))
@@ -394,11 +388,19 @@ PLAIN = {
 @pytest.mark.parametrize("text", [*PLAIN.values(), *COMPOSED.values()],
                          ids=[*PLAIN, *COMPOSED])
 def test_event_builder_matches_the_composer(text):
-    # none of these is a scenario in a row layout: each goes to the composer
-    with counting_compositions() as calls:
-        outcome = parse_outcome(text)
-    assert outcome == composed_outcome(text)
-    assert calls
+    # the row reader declines each of these, and the outcome is
+    # yaml.safe_load's document or its error
+    assert topology._read_rows(text) is None
+    outcome = parse_outcome(text)
+    try:
+        doc = yaml.safe_load(text)
+    except RecursionError:
+        assert outcome == "ScenarioError: scenario is not valid YAML: it nests too deeply"
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        assert outcome.startswith("ScenarioError: scenario is not valid YAML")
+        assert outcome.endswith(f": {exc}")
+    else:
+        assert outcome == repr(doc)
 
 
 @pytest.mark.parametrize(
@@ -412,24 +414,39 @@ def test_event_builder_matches_the_composer(text):
         ('a: "\ud800"\n', False),
     ],
 )
-def test_yaml_error_text_matches_the_pure_loader(monkeypatch, text, at_line):
-    with pytest.raises(ScenarioError) as default:
+def test_yaml_error_text_matches_the_pure_loader(text, at_line):
+    with pytest.raises(ScenarioError) as err:
         load_scenario(text)
-    monkeypatch.setattr(yamldoc, "_LOADER", yaml.SafeLoader)
-    with pytest.raises(ScenarioError) as pure:
-        load_scenario(text)
-    assert str(default.value) == str(pure.value)
-    assert str(pure.value).startswith("scenario is not valid YAML")
-    assert (" at line " in str(pure.value).splitlines()[0]) == at_line
+    with pytest.raises(yaml.YAMLError) as exc:
+        yaml.safe_load(text)
+    mark = getattr(exc.value, "problem_mark", None)
+    where = f" at line {mark.line + 1}" if mark is not None else ""
+    assert str(err.value) == f"scenario is not valid YAML{where}: {exc.value}"
+    assert (" at line " in str(err.value).splitlines()[0]) == at_line
 
 
-@needs_libyaml
-def test_tab_separation_inside_a_line_is_accepted():
-    # libyaml follows the YAML spec here; the pure scanner rejects a tab
-    # after "key:" with "found character '\t' that cannot start any token"
+def test_tab_separation_inside_a_line_is_refused(tmp_path):
+    # yaml.safe_load's scanner rejects a tab after "key:" on every PyYAML
+    # build
     tabbed = TRIANGLE.replace(": ", ":\t").replace(", ", ",\t")
     assert "\t" in tabbed
-    assert dump_scenario(load_scenario(tabbed)) == dump_scenario(load_scenario(TRIANGLE))
+    with pytest.raises(ScenarioError, match="cannot start any token"):
+        load_scenario(tabbed)
+    path = tmp_path / "tabbed.yaml"
+    path.write_text(tabbed, encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 1
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_safe_dumps_of_every_fixture_load_through_safe_load(name):
+    # dumps with sorted keys or a 4-column indent leave the row layouts:
+    # yaml.safe_load reads them, to the scenario the fixture holds
+    text = _fixture_text(name)
+    doc = yaml.safe_load(text)
+    canonical = dump_scenario(load_scenario(text))
+    for redump in (yaml.safe_dump(doc), yaml.safe_dump(doc, indent=4, sort_keys=False)):
+        assert topology._read_rows(redump) is None
+        assert dump_scenario(load_scenario(redump)) == canonical
 
 
 def test_total_link_length_stays_below_the_sentinels():
