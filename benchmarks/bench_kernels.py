@@ -35,6 +35,9 @@ The end-to-end rows, left out with ``--skip-end-to-end``:
   ``import divprotect.cli``, less the time it takes to run ``pass``.
 - ``plan+sweep``: a full dc plan and failure sweep of the largest
   bundled fixture.
+- ``sr-uslong``: an sr plan (``sr_design``) and its failure sweep of
+  ``uslong-reconstruction``, the bundled fixture with the most links per
+  demand, on a fresh copy of its topology in every repeat.
 - ``dc-40n``: a dc plan of a seeded 40-node, 80-link graph with 60 unit
   demands over 5 destinations.
 - ``dc-k6``: a dc plan of K6 (unit spans) with one 0->1 demand of rate
@@ -213,6 +216,10 @@ def plan_and_sweep(sc) -> None:
     sweep(sc.topology, algorithm_one(sc.topology, sc.demands))
 
 
+def sr_and_sweep(topo, flows) -> None:
+    sweep(topo, sr_design(topo, flows))
+
+
 def sweep_plans(topo, plans) -> None:
     for plan in plans:
         sweep(topo, plan)
@@ -279,6 +286,8 @@ def main(argv=None) -> int:
         rows.append(("import-cli", *import_cli_s(args.repeats)))
         sc = load_scenario(uslong)
         rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
+        rows.append(("sr-uslong", *bench(planned, [(sr_and_sweep, sc.topology, sc.demands)],
+                                         args.repeats)))
         dc40 = dc_instance(rng, 40, 60)
         rows.append(("dc-40n", *bench(planned, [(algorithm_one, *dc40)], args.repeats)))
         k6 = Topology.from_edge_list([(a, b, 1) for a in range(6) for b in range(a + 1, 6)])

@@ -387,6 +387,12 @@ def decode_matrix(
     return tuple(rows)
 
 
+def _decodes(group: CodingGroup, failed_link: int) -> bool:
+    """Whether the group's decode matrix keeps full column rank after
+    the failure, so every one of its streams is recovered."""
+    return kernels.gf2_rank(decode_matrix(group, failed_link)) == group.size
+
+
 def verify_decodable(plan: ProtectionPlan, failed_link: int) -> list[bool]:
     """Per-flow recoverability under a single link failure (XOR plans).
 
@@ -401,7 +407,7 @@ def verify_decodable(plan: ProtectionPlan, failed_link: int) -> list[bool]:
         hit = [i for i, w in enumerate(g.working) if failed_link in w.links]
         if not hit:
             continue
-        full = kernels.gf2_rank(decode_matrix(g, failed_link)) == g.size
+        full = _decodes(g, failed_link)
         for i in hit:
             ok[g.flow_ids[i]] = full
     for pair in plan.pairs:

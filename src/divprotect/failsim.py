@@ -2,7 +2,10 @@
 
 The sweep exercises every link failure in link-id order against a plan
 and aggregates worst-case restoration times, so its output is
-byte-stable for identical inputs.
+byte-stable for identical inputs. A failure costs what it hits: the sr
+capacity check reads only the rerouted flows' backup links, the dc pass
+asks the decode rule only of the groups that hold a hit flow, and each
+distinct geometry is timed once per switch time.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
 
-from .coding import verify_decodable
+from .coding import _decodes
 from .metrics import (
     FailureGeometry,
     RtParams,
@@ -28,9 +31,9 @@ from .plan import (
     SCHEME_SR,
     ProtectionPlan,
     cycle_users,
-    link_load,
     link_users,
     shortest_working_capacity_mm,
+    sparse_link_load,
 )
 from .topology import Topology
 
@@ -55,47 +58,89 @@ def _notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
 
 
 def _sweep_dc(topo, plan, users, p):
-    # a flow's parity skew depends on its own routes, not on the failed link
-    late_mm = {pair.flow_id: pair.backup.length_mm for pair in plan.pairs}
-    for g in plan.groups:
+    # a flow's parity skew, group and 1+1 backup do not depend on the
+    # failed link
+    late_mm = {}
+    backup_of = {}
+    for pair in plan.pairs:
+        late_mm[pair.flow_id] = pair.backup.length_mm
+        backup_of[pair.flow_id] = frozenset(pair.backup.links)
+    group_of = {}
+    for gi, g in enumerate(plan.groups):
         for fid in g.flow_ids:
             # the trail taps a source at its first visit and runs on from there
             tap = g.parity.nodes.index(plan.flows[fid].src)
             late_mm[fid] = g.parity.length_mm - sum(topo.link_mm[l] for l in g.parity.links[:tap])
+            group_of[fid] = gi
     geom = {}
     for fid, mm in late_mm.items():
         skew = max(0, mm - plan.working_paths[fid].length_mm)
         geom[fid] = FailureGeometry(parity_skew_s=_delay(skew, p))
+    lost = set(plan.unprotected)
     for lid, affected in enumerate(users):
-        ok = verify_decodable(plan, lid)
-        yield [geom[fid] if ok[fid] else None for fid in affected], True
+        # verify_decodable's rule on the hit flows alone: an unprotected
+        # flow is lost, a 1+1 pair survives off its backup, and a group
+        # takes one rank test however many of its flows the link hits
+        decodes = {}
+        geoms = []
+        for fid in affected:
+            if fid in lost:
+                ok = False
+            elif fid in backup_of:
+                ok = lid not in backup_of[fid]
+            elif fid in group_of:
+                gi = group_of[fid]
+                if gi not in decodes:
+                    decodes[gi] = _decodes(plan.groups[gi], lid)
+                ok = decodes[gi]
+            else:
+                ok = True
+            geoms.append(geom[fid] if ok else None)
+        yield geoms, True
 
 
 def _sweep_sr(topo, plan, users, p):
-    pair_of = {pair.flow_id: pair for pair in plan.pairs}
+    # per flow, once: where each working link sits and the delay up to
+    # it, and the backup's links, delay and load
+    reroute = {}
+    for pair in plan.pairs:
+        w, b = pair.working, pair.backup
+        prefix_mm = accumulate((topo.link_mm[l] for l in w.links), initial=0)
+        reroute[pair.flow_id] = (
+            {lid: i for i, lid in enumerate(w.links)},
+            [_delay(mm, p) for mm in prefix_mm],
+            frozenset(b.links),
+            b.hops,
+            _delay(b.length_mm, p),
+            (b.links, plan.flows[pair.flow_id].rate),
+        )
+    # a link no backup crosses passes exactly when its spare is not negative
+    spare = plan.spare_cap
+    spare_ok = all(cap >= 0 for cap in spare)
     for lid, affected in enumerate(users):
+        notify_s = _notify_delay(topo, lid, p)
         geoms = []
         rerouted = []
         for fid in affected:
-            pair = pair_of.get(fid)
-            if pair is None or lid in pair.backup.links:
+            r = reroute.get(fid)
+            if r is None or lid in r[2]:  # no backup, or it crosses the failed link
                 geoms.append(None)
                 continue
-            w, b = pair.working, pair.backup
-            i = w.links.index(lid)
-            prefix_mm = sum(topo.link_mm[l] for l in w.links[:i])
+            pos, prefix_s, _, hops, prot_s, load = r
+            i = pos[lid]
             geoms.append(
                 FailureGeometry(
-                    backup_hops=b.hops,
+                    backup_hops=hops,
                     upstream_hops=i,
-                    prot_delay_s=_delay(b.length_mm, p),
-                    upstream_delay_s=_delay(prefix_mm, p),
-                    notify_delay_s=_notify_delay(topo, lid, p),
+                    prot_delay_s=prot_s,
+                    upstream_delay_s=prefix_s[i],
+                    notify_delay_s=notify_s,
                 )
             )
-            rerouted.append((b.links, plan.flows[fid].rate))
-        load = link_load(topo.m, rerouted)
-        yield geoms, all(x <= cap for x, cap in zip(load, plan.spare_cap))
+            rerouted.append(load)
+        yield geoms, spare_ok and all(
+            x <= spare[l] for l, x in sparse_link_load(rerouted).items()
+        )
 
 
 def _sweep_pc(topo, plan, users, p):
@@ -147,7 +192,17 @@ def sweep(
     switch_values_s=(0.5e-3, 1e-3, 5e-3, 10e-3),
 ) -> tuple[list[FailureReport], SchemeResult]:
     """Fail every link once; report per-failure outcomes and the
-    scheme's worst-case restoration times and quality scores."""
+    scheme's worst-case restoration times and quality scores.
+
+    A plan whose capacity tuples do not hold one entry per link is a
+    ValueError.
+    """
+    for name, cap in (("working_cap", plan.working_cap), ("spare_cap", plan.spare_cap)):
+        if len(cap) != topo.m:
+            raise ValueError(
+                f"{plan.scheme} plan's {name} has {len(cap)} entries;"
+                f" the topology has {topo.m} links"
+            )
     p = rt_params or RtParams()
     outcomes, rt_fn = _SCHEMES[plan.scheme]
     users = link_users(plan.working_paths, topo.m)
@@ -164,15 +219,15 @@ def sweep(
 
     swc = shortest_working_capacity_mm(topo, plan.flows)
     scp_pct = scp(plan.total_capacity_mm(topo), swc)
+    # equal geometries give equal times, so each is timed once
+    distinct = dict.fromkeys(g for rep in reports for g in rep.geometries if g is not None)
     rt_map: dict[float, float] = {}
     qor_map: dict[float, float] = {}
     for c in switch_values_s:
         pc = p.with_switch(c)
         worst = 0.0
-        for rep in reports:
-            for g in rep.geometries:
-                if g is not None:
-                    worst = max(worst, rt_fn(g, pc))
+        for g in distinct:
+            worst = max(worst, rt_fn(g, pc))
         rt_map[c] = worst
         qor_map[c] = qor(scp_pct, worst)
     result = SchemeResult(

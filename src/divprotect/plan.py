@@ -98,6 +98,19 @@ def link_load(m: int, loads) -> tuple[int, ...]:
     return tuple(out)
 
 
+def sparse_link_load(loads) -> dict[int, int]:
+    """``link_load`` on only the links the loads cross: {link id: sum}.
+
+    A single failure reroutes a few flows, so their backup load is
+    summed over those flows' backup links, not over every link.
+    """
+    out: dict[int, int] = {}
+    for links, amount in loads:
+        for lid in links:
+            out[lid] = out.get(lid, 0) + amount
+    return out
+
+
 def link_users(paths, m: int) -> list[list[int]]:
     """Per link id, the indices of the non-None paths crossing it, in
     ascending order."""

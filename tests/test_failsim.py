@@ -1,12 +1,14 @@
 import pytest
 
+from divprotect import failsim, plan as plan_module, source_reroute
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep, xor_stream_check
 from divprotect.metrics import RtParams
 from divprotect.pcycle import pc_design
+from divprotect.plan import SCHEME_DC
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow, Topology
-from helpers import load_fixture, make_path
+from helpers import load_fixture, make_path, random_scenario
 
 MS = 1e-3
 CS = (0.5e-3, 1e-3, 5e-3, 10e-3)
@@ -182,3 +184,55 @@ def test_worst_case_is_over_all_failures():
             if g is not None:
                 per_failure.append(rt_sr(g, p))
     assert res.rt_s[0.5e-3] == pytest.approx(max(per_failure), abs=1e-15)
+
+
+@pytest.mark.parametrize("design", [algorithm_one, sr_design, pc_design])
+@pytest.mark.parametrize("field", ["working_cap", "spare_cap"])
+def test_capacity_tuple_of_the_wrong_length_is_refused(design, field):
+    sc = load_fixture("example2")
+    plan = design(sc.topology, sc.demands)
+    m = sc.topology.m
+    for cap in (getattr(plan, field)[:-1], getattr(plan, field) + (0,)):
+        bad = plan._replace(**{field: cap})
+        with pytest.raises(ValueError, match=f"^{plan.scheme} plan's {field} has {len(cap)} "
+                                             f"entries; the topology has {m} links$"):
+            sweep(sc.topology, bad)
+
+
+def test_rt_is_timed_once_per_distinct_geometry(monkeypatch):
+    sc = load_fixture("uslong-reconstruction")
+    plan = algorithm_one(sc.topology, sc.demands)
+    outcomes, rt_fn = failsim._SCHEMES[SCHEME_DC]
+    calls = []
+
+    def counting_rt(g, p):
+        calls.append(g)
+        return rt_fn(g, p)
+
+    monkeypatch.setitem(failsim._SCHEMES, SCHEME_DC, (outcomes, counting_rt))
+    reports, _ = sweep(sc.topology, plan)
+    geoms = [g for rep in reports for g in rep.geometries if g is not None]
+    assert len(calls) <= len(set(geoms)) * len(CS)
+    # one call per recovered (flow, link) would be over twice as many
+    assert len(geoms) > 2 * len(set(geoms))
+
+
+def test_sr_sizing_and_sweep_build_no_link_long_load_per_failure(monkeypatch):
+    dense = plan_module.link_load
+    sizes = []
+
+    def counting_load(m, loads):
+        sizes.append(m)
+        return dense(m, loads)
+
+    for module in (plan_module, source_reroute, failsim):
+        if hasattr(module, "link_load"):
+            monkeypatch.setattr(module, "link_load", counting_load)
+    uslong = load_fixture("uslong-reconstruction")
+    counts = {}
+    for topo, flows in (random_scenario(3), (uslong.topology, uslong.demands)):
+        sizes.clear()
+        sweep(topo, sr_design(topo, flows))
+        counts[topo.m] = len(sizes)
+    assert len(counts) == 2
+    assert set(counts.values()) == {1}  # working_cap only
