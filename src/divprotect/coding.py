@@ -297,9 +297,10 @@ def _plan_destination(
     Returns the accepted groups in acceptance order, each tagged
     (threshold index, -size). More than _MAX_COMBINATIONS combinations
     per threshold is a ScenarioError. Flows are unit rate, so ``decide``
-    settles each source tuple once, as its first admitting threshold and
-    group. The unprotected set only shrinks, so the first pass meets every
-    tuple a later one accepts; a threshold no tuple holds is skipped.
+    settles each source tuple the hop guard passes once, as its first
+    admitting threshold and group. The unprotected set only shrinks, so
+    the first pass meets every tuple a later one accepts; a threshold no
+    tuple holds is skipped.
     """
     dst = flows[ids[0]].dst
     # size link-disjoint working paths enter dst on size distinct links
@@ -327,8 +328,6 @@ def _plan_destination(
         fallback[s] = w.length_mm + b.length_mm if b is not None else 1 << 62
 
     def decide(combo, srcs) -> tuple[int, CodingGroup] | None:
-        if hop and any(hop[a][b] > _SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)):
-            return None
         baseline = sum(floor[s] for s in srcs)
         pairs_mm = sum(fallback[s] for s in srcs)
         # no threshold admits a group dearer than the loosest ratio or
@@ -357,6 +356,12 @@ def _plan_destination(
                     continue
                 srcs = tuple(flows[i].src for i in combo)
                 if srcs not in decided:
+                    # a hop-rejected tuple is tested again, not stored:
+                    # dense destinations reject millions
+                    if hop and any(
+                        hop[a][b] > _SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)
+                    ):
+                        continue
                     decided[srcs] = decide(combo, srcs)
                 v = decided[srcs]
                 if v is not None and v[0] == t:

@@ -77,6 +77,11 @@ def _sweep_dc(topo, plan, users, p):
         skew = max(0, mm - plan.working_paths[fid].length_mm)
         geom[fid] = FailureGeometry(parity_skew_s=_delay(skew, p))
     lost = set(plan.unprotected)
+    for fid, w in enumerate(plan.working_paths):
+        if w is not None and fid not in geom and fid not in lost:
+            raise ValueError(
+                f"dc plan's flow {fid} is routed but in no group, pair or unprotected list"
+            )
     for lid, affected in enumerate(users):
         # verify_decodable's rule on the hit flows alone: an unprotected
         # flow is lost, a 1+1 pair survives off its backup, and a group
@@ -88,13 +93,11 @@ def _sweep_dc(topo, plan, users, p):
                 ok = False
             elif fid in backup_of:
                 ok = lid not in backup_of[fid]
-            elif fid in group_of:
+            else:
                 gi = group_of[fid]
                 if gi not in decodes:
                     decodes[gi] = _decodes(plan.groups[gi], lid)
                 ok = decodes[gi]
-            else:
-                ok = True
             geoms.append(geom[fid] if ok else None)
         yield geoms, True
 
@@ -195,7 +198,8 @@ def sweep(
     scheme's worst-case restoration times and quality scores.
 
     A plan whose capacity tuples do not hold one entry per link is a
-    ValueError.
+    ValueError, as is a dc plan with a routed flow in no group, 1+1 pair
+    or unprotected list.
     """
     for name, cap in (("working_cap", plan.working_cap), ("spare_cap", plan.spare_cap)):
         if len(cap) != topo.m:

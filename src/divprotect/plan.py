@@ -91,11 +91,8 @@ class ProtectionPlan(NamedTuple):
 
 def link_load(m: int, loads) -> tuple[int, ...]:
     """Per-link sums of ``(link ids, amount)`` loads over m links."""
-    out = [0] * m
-    for links, amount in loads:
-        for lid in links:
-            out[lid] += amount
-    return tuple(out)
+    sums = sparse_link_load(loads)
+    return tuple(sums.get(lid, 0) for lid in range(m))
 
 
 def sparse_link_load(loads) -> dict[int, int]:
@@ -189,33 +186,6 @@ def _path_doc(p) -> str:
     return f"{{nodes: [{nodes}], links: [{links}]}}"
 
 
-def recovery_actions(plan: ProtectionPlan, topo: Topology) -> dict[int, list[dict]]:
-    """Per failed link id: what each affected flow does to survive.
-
-    This is exactly the information the failure sweep executes; it is
-    included in serialized plans so an operator can audit recovery
-    without running the simulator.
-    """
-    mech = "switch-dedicated" if plan.scheme == SCHEME_DC else "switch-shared"
-    how = {}
-    for gi, g in enumerate(plan.groups):
-        for fid in g.flow_ids:
-            how[fid] = {"mechanism": "decode", "group": gi}
-    for pi, pair in enumerate(plan.pairs):
-        how[pair.flow_id] = {"mechanism": mech, "pair": pi}
-    by_link = cycle_users(topo, plan.cycles)  # empty lists unless pc
-    actions: dict[int, list[dict]] = {}
-    for lid, fids in enumerate(link_users(plan.working_paths, topo.m)):
-        if plan.scheme == SCHEME_PC and fids:
-            cys = [ci for ci, _ in by_link[lid]]
-            rows = [{"flow": fid, "mechanism": "cycle-detour", "cycles": cys} for fid in fids]
-        else:
-            rows = [{"flow": fid, **how[fid]} for fid in fids if fid in how]
-        if rows:
-            actions[lid] = rows
-    return actions
-
-
 def serialize_plan(plan: ProtectionPlan, topo: Topology) -> str:
     """Canonical byte-stable plan document (YAML subset)."""
     out = []
@@ -255,22 +225,31 @@ def serialize_plan(plan: ProtectionPlan, topo: Topology) -> str:
         out.append(f"unprotected: [{', '.join(str(i) for i in plan.unprotected)}]")
     out.append(f"working_cap: [{', '.join(str(x) for x in plan.working_cap)}]")
     out.append(f"spare_cap: [{', '.join(str(x) for x in plan.spare_cap)}]")
-    acts = recovery_actions(plan, topo)
+    # what the failure sweep executes, to audit recovery without running
+    # it: a dc or sr flow recovers alike whichever of its links fails, a
+    # pc flow over every cycle that offers the failed link a detour
+    mech = "switch-dedicated" if plan.scheme == SCHEME_DC else "switch-shared"
+    how = {}
+    for gi, g in enumerate(plan.groups):
+        for fid in g.flow_ids:
+            how[fid] = f"mechanism: decode, group: {gi}"
+    for pi, pair in enumerate(plan.pairs):
+        how[pair.flow_id] = f"mechanism: {mech}, pair: {pi}"
+    if plan.scheme == SCHEME_PC:
+        detour = [
+            f"mechanism: cycle-detour, cycles: [{', '.join(str(ci) for ci, _ in row)}]"
+            for row in cycle_users(topo, plan.cycles)
+        ]
     out.append("recovery:")
-    for lid in range(topo.m):
-        rows = acts.get(lid, [])
-        if not rows:
+    for lid, fids in enumerate(link_users(plan.working_paths, topo.m)):
+        if plan.scheme == SCHEME_PC:
+            acts = [f"flow: {fid}, {detour[lid]}" for fid in fids]
+        else:
+            acts = [f"flow: {fid}, {how[fid]}" for fid in fids if fid in how]
+        if not acts:
             out.append(f"  - {{link: {lid}, actions: []}}")
             continue
         out.append(f"  - link: {lid}")
         out.append("    actions:")
-        for e in rows:
-            parts = [f"flow: {e['flow']}", f"mechanism: {e['mechanism']}"]
-            if "group" in e:
-                parts.append(f"group: {e['group']}")
-            if "pair" in e:
-                parts.append(f"pair: {e['pair']}")
-            if "cycles" in e:
-                parts.append(f"cycles: [{', '.join(str(c) for c in e['cycles'])}]")
-            out.append(f"      - {{{', '.join(parts)}}}")
+        out.extend(f"      - {{{act}}}" for act in acts)
     return "\n".join(out) + "\n"

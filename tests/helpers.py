@@ -851,3 +851,27 @@ def reference_recovery_actions(plan: ProtectionPlan, topo: Topology) -> dict[int
     for lid in actions:
         actions[lid].sort(key=lambda e: e["flow"])
     return actions
+
+
+def reference_recovery_section(plan: ProtectionPlan, topo: Topology) -> str:
+    """The ``recovery:`` section ``serialize_plan`` ends with, formatted
+    from ``reference_recovery_actions``."""
+    actions = reference_recovery_actions(plan, topo)
+    out = ["recovery:"]
+    for lid in range(topo.m):
+        rows = actions.get(lid, [])
+        if not rows:
+            out.append(f"  - {{link: {lid}, actions: []}}")
+            continue
+        out.append(f"  - link: {lid}")
+        out.append("    actions:")
+        for e in rows:
+            parts = [f"flow: {e['flow']}", f"mechanism: {e['mechanism']}"]
+            if "group" in e:
+                parts.append(f"group: {e['group']}")
+            if "pair" in e:
+                parts.append(f"pair: {e['pair']}")
+            if "cycles" in e:
+                parts.append(f"cycles: [{', '.join(str(c) for c in e['cycles'])}]")
+            out.append(f"      - {{{', '.join(parts)}}}")
+    return "\n".join(out) + "\n"

@@ -1,6 +1,7 @@
 import hashlib
 import time
-from itertools import count
+import tracemalloc
+from itertools import combinations, count
 from math import comb
 from operator import itemgetter
 
@@ -471,6 +472,31 @@ def test_hop_guard_plans_keep_their_bytes(monkeypatch, seed):
     # the guard is live: without it the same demand plans differently
     monkeypatch.setattr(coding, "_DENSE_FLOW_LIMIT", len(flows))
     assert _plan_digest(topo, flows) != DENSE_DIGESTS[seed]
+
+
+def test_hop_rejected_source_tuples_are_not_stored():
+    # 24 unit flows into hub 0, which has six spokes into a 96-node ring
+    # (nodes 1-96); the sources sit 4 ring hops apart and 2 from the
+    # nearest spoke, so the hop guard rejects all 12,926 source tuples
+    # the walk meets. Keeping each one took 1.7 MB.
+    ring = [(1 + i, 1 + (i + 1) % 96, 1) for i in range(96)]
+    topo = Topology.from_edge_list(ring + [(0, 1 + 16 * k, 1) for k in range(6)], unit="km")
+    srcs = [1 + 16 * k + off for k in range(6) for off in (2, 6, 10, 14)]
+    flows = tuple(Flow(s, 0, 1) for s in srcs)
+    assert len(flows) > coding._DENSE_FLOW_LIMIT
+    assert all(
+        topo.hop_distances(a)[b] > coding._SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)
+    )
+    ids = list(range(len(flows)))
+    params = SearchParams()
+    coding._plan_destination(topo, flows, ids, params)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert coding._plan_destination(topo, flows, ids, params) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def _unit_keys(plan) -> list[tuple[int, int]]:

@@ -1,6 +1,6 @@
 """The link -> flows and link -> cycles indexes, and the failure sweep,
-sr spare sizing and recovery actions built on them, agree with the
-per-link scans they replaced (kept in ``helpers``)."""
+sr spare sizing and serialized recovery section built on them, agree
+with the per-link scans they replaced (kept in ``helpers``)."""
 import pytest
 
 from divprotect.cli import fixture_names
@@ -16,7 +16,7 @@ from divprotect.plan import (
     detour_arcs,
     link_load,
     link_users,
-    recovery_actions,
+    serialize_plan,
 )
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow, Topology
@@ -24,7 +24,7 @@ from helpers import (
     load_fixture,
     make_path,
     random_scenario,
-    reference_recovery_actions,
+    reference_recovery_section,
     reference_sr_spare,
     reference_sweep,
     rings,
@@ -49,7 +49,8 @@ def assert_loops_match(topo, flows, pc_flows):
         assert repr(sweep(topo, plan, CUSTOM, (2e-3, 0.1e-3))) == repr(
             reference_sweep(topo, plan, CUSTOM, (2e-3, 0.1e-3))
         )
-        assert recovery_actions(plan, topo) == reference_recovery_actions(plan, topo)
+        doc = serialize_plan(plan, topo)
+        assert doc[doc.index("\nrecovery:\n") + 1 :] == reference_recovery_section(plan, topo)
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -214,13 +215,16 @@ def test_dc_group_two_flows_share_a_link():
 
 
 def test_dc_stray_flow_is_recovered_as_verify_decodable_says():
-    # verify_decodable leaves a flow in no structure recovered, so the
-    # sweep looks for its parity skew and finds none, as the reference does
+    # verify_decodable leaves a flow in no structure recovered; the
+    # reference sweep then looks for its parity skew and finds none,
+    # while the sweep refuses the plan before any failure, naming the flow
     plan = hand_built_dc(stray=[4, 1, 3])
     stray = len(plan.flows) - 1
     hit = DC_TOPO.link_between(4, 1).id
     assert verify_decodable(plan, hit)[stray]
-    assert outcome(sweep, DC_TOPO, plan) == outcome(reference_sweep, DC_TOPO, plan) == "KeyError"
+    assert outcome(reference_sweep, DC_TOPO, plan) == "KeyError"
+    with pytest.raises(ValueError, match=f"flow {stray} is routed but in no group"):
+        sweep(DC_TOPO, plan)
 
 
 def test_repeated_geometries_under_custom_rt_params():

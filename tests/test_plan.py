@@ -145,23 +145,38 @@ def test_serialize_plan_dc_content():
     assert len(recovery) == topo.m
 
 
-def test_recovery_actions_mechanisms():
-    from divprotect.plan import recovery_actions
+def recovery_rows(plan, topo) -> dict[int, list[str]]:
+    """Per link id, the action rows of the plan's serialized ``recovery:``
+    section, braces stripped."""
+    doc = serialize_plan(plan, topo)
+    rows: dict[int, list[str]] = {}
+    for ln in doc[doc.index("\nrecovery:\n") :].splitlines():
+        if ln.startswith("  - "):  # "  - link: L" or "  - {link: L, actions: []}"
+            lid = int(ln.split("link: ")[1].split(",")[0])
+            rows[lid] = []
+        elif ln.startswith("      - {"):
+            rows[lid].append(ln[len("      - {") : -1])
+    assert list(rows) == list(range(topo.m))
+    return rows
 
+
+def test_recovery_actions_mechanisms():
     sc = load_fixture("example2")
     topo = sc.topology
-    acts = recovery_actions(algorithm_one(topo, sc.demands), topo)
+    rows = recovery_rows(algorithm_one(topo, sc.demands), topo)
     # link 1 (1-3) carries flows 0 (group 0) and 2 (group 1)
-    assert acts[1] == [
-        {"flow": 0, "mechanism": "decode", "group": 0},
-        {"flow": 2, "mechanism": "decode", "group": 1},
+    assert rows[1] == [
+        "flow: 0, mechanism: decode, group: 0",
+        "flow: 2, mechanism: decode, group: 1",
     ]
-    acts = recovery_actions(sr_design(topo, sc.demands), topo)
-    assert all(e["mechanism"] == "switch-shared" for rows in acts.values() for e in rows)
-    acts = recovery_actions(pc_design(topo, sc.demands), topo)
-    assert all(e["mechanism"] == "cycle-detour" for rows in acts.values() for e in rows)
+    rows = recovery_rows(sr_design(topo, sc.demands), topo)
+    acts = [a for r in rows.values() for a in r]
+    assert acts and all(", mechanism: switch-shared, pair: " in a for a in acts)
+    rows = recovery_rows(pc_design(topo, sc.demands), topo)
+    acts = [a for r in rows.values() for a in r]
+    assert acts and all(", mechanism: cycle-detour, cycles: [" in a for a in acts)
     # every action names at least one cycle able to cover its link
-    assert all(e["cycles"] for rows in acts.values() for e in rows)
+    assert not any(a.endswith("cycles: []") for a in acts)
 
 
 def test_only_pcycle_imports_numpy():
