@@ -4,8 +4,10 @@ The sweep exercises every link failure in link-id order against a plan
 and aggregates worst-case restoration times, so its output is
 byte-stable for identical inputs. A failure costs what it hits: the sr
 capacity check reads only the rerouted flows' backup links, the dc pass
-asks the decode rule only of the groups that hold a hit flow, and each
-distinct geometry is timed once per switch time.
+asks the decode rule only of the groups that hold a hit flow, and the
+worst-case restoration time at each switch time is the scheme's batch
+formula (``metrics.worst_rt_*``) over the distinct geometries, taken in
+one pass.
 """
 from __future__ import annotations
 
@@ -20,10 +22,10 @@ from .metrics import (
     RtParams,
     SchemeResult,
     qor,
-    rt_dc,
-    rt_pc,
-    rt_sr,
     scp,
+    worst_rt_dc,
+    worst_rt_pc,
+    worst_rt_sr,
 )
 from .plan import (
     SCHEME_DC,
@@ -131,15 +133,9 @@ def _sweep_sr(topo, plan, users, p):
                 continue
             pos, prefix_s, _, hops, prot_s, load = r
             i = pos[lid]
-            geoms.append(
-                FailureGeometry(
-                    backup_hops=hops,
-                    upstream_hops=i,
-                    prot_delay_s=prot_s,
-                    upstream_delay_s=prefix_s[i],
-                    notify_delay_s=notify_s,
-                )
-            )
+            # fields by position, the cheaper call: backup_hops,
+            # upstream_hops, prot, upstream and notify delays
+            geoms.append(FailureGeometry(hops, i, prot_s, prefix_s[i], notify_s))
             rerouted.append(load)
         yield geoms, spare_ok and all(
             x <= spare[l] for l, x in sparse_link_load(rerouted).items()
@@ -149,6 +145,7 @@ def _sweep_sr(topo, plan, users, p):
 def _sweep_pc(topo, plan, users, p):
     by_link = cycle_users(topo, plan.cycles)
     for lid, affected in enumerate(users):
+        notify_s = _notify_delay(topo, lid, p)
         # one detour per unit of rate, shortest first, over every bought
         # copy: the copies of one distinct arc fill a run of positions
         copies = Counter()
@@ -166,25 +163,19 @@ def _sweep_pc(topo, plan, users, p):
                 continue
             worst = arcs[bisect_right(ends, nxt + rate - 1) - 1]
             nxt += rate
-            geoms.append(
-                FailureGeometry(
-                    upstream_hops=worst[1],
-                    prot_delay_s=_delay(worst[0], p),
-                    notify_delay_s=_notify_delay(topo, lid, p),
-                )
-            )
+            geoms.append(FailureGeometry(0, worst[1], _delay(worst[0], p), 0.0, notify_s))
         # a flow left without a detour means the bought copies ran out
         yield geoms, None not in geoms
 
 
-# per scheme: its outcomes pass and its restoration-time formula. A pass
-# does its failure-independent work once per plan, then yields, per link
-# in id order, each affected flow's geometry (None when it is not
-# recovered) and whether the spare capacity sufficed.
+# per scheme: its outcomes pass and its batch restoration-time formula.
+# A pass does its failure-independent work once per plan, then yields,
+# per link in id order, each affected flow's geometry (None when it is
+# not recovered) and whether the spare capacity sufficed.
 _SCHEMES = {
-    SCHEME_DC: (_sweep_dc, rt_dc),
-    SCHEME_SR: (_sweep_sr, rt_sr),
-    SCHEME_PC: (_sweep_pc, rt_pc),
+    SCHEME_DC: (_sweep_dc, worst_rt_dc),
+    SCHEME_SR: (_sweep_sr, worst_rt_sr),
+    SCHEME_PC: (_sweep_pc, worst_rt_pc),
 }
 
 
@@ -208,7 +199,7 @@ def sweep(
                 f" the topology has {topo.m} links"
             )
     p = rt_params or RtParams()
-    outcomes, rt_fn = _SCHEMES[plan.scheme]
+    outcomes, worst_rt = _SCHEMES[plan.scheme]
     users = link_users(plan.working_paths, topo.m)
     reports = [
         FailureReport(
@@ -228,10 +219,7 @@ def sweep(
     rt_map: dict[float, float] = {}
     qor_map: dict[float, float] = {}
     for c in switch_values_s:
-        pc = p.with_switch(c)
-        worst = 0.0
-        for g in distinct:
-            worst = max(worst, rt_fn(g, pc))
+        worst = worst_rt(distinct, p.with_switch(c))
         rt_map[c] = worst
         qor_map[c] = qor(scp_pct, worst)
     result = SchemeResult(

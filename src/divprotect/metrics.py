@@ -1,6 +1,7 @@
 """Spare capacity, restoration time, and quality-of-recovery scoring."""
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 
@@ -40,36 +41,65 @@ class FailureGeometry(NamedTuple):
     parity_skew_s: float = 0.0
 
 
-def rt_sr(g: FailureGeometry, p: RtParams) -> float:
+def worst_rt_sr(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
     """Source rerouting: notify the source, then signal the backup path
-    switches there and back before traffic resumes."""
-    return (
-        p.detect_s
-        + g.upstream_delay_s
-        + (g.upstream_hops + 1) * p.node_proc_s
-        + (g.backup_hops + 1) * p.switch_s
-        + 3 * g.prot_delay_s
-        + 3 * (g.backup_hops + 1) * p.node_proc_s
-        + g.notify_delay_s
+    switches there and back before traffic resumes. The worst time over
+    ``geoms``, or 0.0 for none."""
+    detect, proc, switch = p.detect_s, p.node_proc_s, p.switch_s
+    return max(
+        (
+            detect
+            + g.upstream_delay_s
+            + (g.upstream_hops + 1) * proc
+            + (g.backup_hops + 1) * switch
+            + 3 * g.prot_delay_s
+            + 3 * (g.backup_hops + 1) * proc
+            + g.notify_delay_s
+            for g in geoms
+        ),
+        default=0.0,
     )
+
+
+def worst_rt_pc(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
+    """Protection cycles: the two end nodes of the failed span switch
+    onto the pre-configured detour. The worst time over ``geoms``, or
+    0.0 for none."""
+    detect, proc, switch = p.detect_s, p.node_proc_s, p.switch_s
+    return max(
+        (
+            detect
+            + (g.upstream_hops + 1) * proc
+            + 2 * switch
+            + g.prot_delay_s
+            + g.notify_delay_s
+            for g in geoms
+        ),
+        default=0.0,
+    )
+
+
+def worst_rt_dc(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
+    """Parity decode: no switching, no signalling round trips; the
+    destination just waits out the arrival skew of the parity copy. The
+    worst time over ``geoms``, or 0.0 for none."""
+    base = p.detect_s + 2 * p.node_proc_s
+    return max((base + g.parity_skew_s for g in geoms), default=0.0)
+
+
+def rt_sr(g: FailureGeometry, p: RtParams) -> float:
+    """One flow's source-rerouting restoration time."""
+    return worst_rt_sr((g,), p)
 
 
 def rt_pc(g: FailureGeometry, p: RtParams) -> float:
-    """Protection cycles: the two end nodes of the failed span switch
-    onto the pre-configured detour."""
-    return (
-        p.detect_s
-        + (g.upstream_hops + 1) * p.node_proc_s
-        + 2 * p.switch_s
-        + g.prot_delay_s
-        + g.notify_delay_s
-    )
+    """One flow's protection-cycle restoration time."""
+    return worst_rt_pc((g,), p)
 
 
 def rt_dc(g: FailureGeometry, p: RtParams) -> float:
-    """Parity decode: no switching, no signalling round trips; the
-    destination just waits out the arrival skew of the parity copy."""
-    return p.detect_s + 2 * p.node_proc_s + g.parity_skew_s
+    """One flow's parity-decode restoration time."""
+    return worst_rt_dc((g,), p)
 
 
 def scp(total_capacity_mm: int, shortest_working_mm: int) -> float:

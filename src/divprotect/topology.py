@@ -254,6 +254,18 @@ def _as_int(value, ctx):
     return value
 
 
+def _int_field(row, key, kind, i):
+    """Field ``key`` of row ``i`` of list ``kind``, an int. The row's
+    context for an error, such as ``topology.links[3].b``, is formatted
+    only on the way to ``_req`` and ``_as_int``."""
+    if type(row) is dict:
+        v = row.get(key)
+        if type(v) is int:
+            return v
+    ctx = f"{kind}[{i}]"
+    return _as_int(_req(row, key, ctx), f"{ctx}.{key}")
+
+
 def _parse_yaml(text: str):
     """The one document of ``text``, as ``yaml.safe_load`` reads it, or
     ScenarioError.
@@ -306,10 +318,9 @@ def load_scenario(text: str) -> Scenario:
     ids = set()
     names: dict[int, str] = {}
     for i, nd in enumerate(nodes_doc):
-        ctx = f"topology.nodes[{i}]"
-        nid = _as_int(_req(nd, "id", ctx), ctx + ".id")
+        nid = _int_field(nd, "id", "topology.nodes", i)
         if nid in ids:
-            raise ScenarioError(f"{ctx}: duplicate node id {nid}")
+            raise ScenarioError(f"topology.nodes[{i}]: duplicate node id {nid}")
         ids.add(nid)
         if "name" in nd:
             names[nid] = str(nd["name"])
@@ -319,18 +330,22 @@ def load_scenario(text: str) -> Scenario:
 
     rows = []
     for i, ld in enumerate(links_doc):
-        ctx = f"topology.links[{i}]"
-        a = _as_int(_req(ld, "a", ctx), ctx + ".a")
-        b = _as_int(_req(ld, "b", ctx), ctx + ".b")
-        dist = _req(ld, "distance", ctx)
-        if isinstance(dist, bool) or not isinstance(dist, (int, float)):
-            raise ScenarioError(f"{ctx}.distance: expected a number, got {dist!r}")
+        a = _int_field(ld, "a", "topology.links", i)
+        b = _int_field(ld, "b", "topology.links", i)
+        # ld is a mapping, or reading "a" would have failed
+        dist = ld["distance"] if "distance" in ld else _req(ld, "distance", f"topology.links[{i}]")
+        if type(dist) is not int and type(dist) is not float and (
+            isinstance(dist, bool) or not isinstance(dist, (int, float))
+        ):
+            raise ScenarioError(f"topology.links[{i}].distance: expected a number, got {dist!r}")
         try:
             mm = int(round(float(dist) * mm_per))
         except (OverflowError, ValueError):  # nan, inf, or too large for a float
-            raise ScenarioError(f"{ctx}.distance: must be a finite number, got {dist!r}") from None
+            raise ScenarioError(
+                f"topology.links[{i}].distance: must be a finite number, got {dist!r}"
+            ) from None
         if mm <= 0:
-            raise ScenarioError(f"{ctx}.distance: must be positive, got {dist!r}")
+            raise ScenarioError(f"topology.links[{i}].distance: must be positive, got {dist!r}")
         rows.append((a, b, mm))
 
     try:
@@ -343,16 +358,17 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioError("demands: expected a non-empty list")
     demands = []
     for i, dd in enumerate(demands_doc):
-        ctx = f"demands[{i}]"
-        src = _as_int(_req(dd, "src", ctx), ctx + ".src")
-        dst = _as_int(_req(dd, "dst", ctx), ctx + ".dst")
-        rate = _as_int(dd.get("rate", 1), ctx + ".rate")
+        src = _int_field(dd, "src", "demands", i)
+        dst = _int_field(dd, "dst", "demands", i)
+        rate = dd.get("rate", 1)
+        if type(rate) is not int:
+            rate = _as_int(rate, f"demands[{i}].rate")
         if not (0 <= src < n and 0 <= dst < n):
-            raise ScenarioError(f"{ctx}: endpoint out of range 0..{n - 1}")
+            raise ScenarioError(f"demands[{i}]: endpoint out of range 0..{n - 1}")
         if src == dst:
-            raise ScenarioError(f"{ctx}: src and dst must differ")
+            raise ScenarioError(f"demands[{i}]: src and dst must differ")
         if rate < 1:
-            raise ScenarioError(f"{ctx}: rate must be >= 1")
+            raise ScenarioError(f"demands[{i}]: rate must be >= 1")
         demands.append(Flow(src, dst, rate))
 
     reconstructed = doc.get("reconstructed", False)

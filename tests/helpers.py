@@ -4,9 +4,9 @@ deliberately independent of the library's algorithms (different
 enumeration strategies, no shared code paths), reference copies of the
 p-cycle planner's, the parity-trail search's, the disjoint-route
 search's, the group search's, the dc destination sweep's, the failure
-sweep's, sr spare sizing's and the recovery actions' earlier
-implementations, and the scenario parser with and without its row
-reader."""
+sweep's and its restoration-time formulas', sr spare sizing's and the
+recovery actions' earlier implementations, and the scenario parser with
+and without its row reader."""
 import importlib.util
 from contextlib import contextmanager
 from itertools import combinations, permutations
@@ -22,7 +22,7 @@ from divprotect import coding, kernels, routing, topology
 from divprotect.cli import fixture_path
 from divprotect.coding import SearchParams, group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
-from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, rt_dc, rt_pc, rt_sr, scp
+from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, scp
 from divprotect.pcycle import cycle_ring
 from divprotect.plan import (
     SCHEME_DC,
@@ -764,6 +764,40 @@ def _ref_sweep_pc(topo, plan, lid, affected, p):
     return recovered, geoms, cap_ok
 
 
+def _ref_rt_sr(g, p):
+    # the restoration-time formulas as single-geometry functions, frozen
+    # with their terms in the order metrics.worst_rt_* adds them
+    return (
+        p.detect_s
+        + g.upstream_delay_s
+        + (g.upstream_hops + 1) * p.node_proc_s
+        + (g.backup_hops + 1) * p.switch_s
+        + 3 * g.prot_delay_s
+        + 3 * (g.backup_hops + 1) * p.node_proc_s
+        + g.notify_delay_s
+    )
+
+
+def _ref_rt_pc(g, p):
+    return (
+        p.detect_s
+        + (g.upstream_hops + 1) * p.node_proc_s
+        + 2 * p.switch_s
+        + g.prot_delay_s
+        + g.notify_delay_s
+    )
+
+
+def _ref_rt_dc(g, p):
+    return p.detect_s + 2 * p.node_proc_s + g.parity_skew_s
+
+
+REFERENCE_RT = {SCHEME_DC: _ref_rt_dc, SCHEME_SR: _ref_rt_sr, SCHEME_PC: _ref_rt_pc}
+
+# timing constants other than RtParams' defaults
+CUSTOM_RT = RtParams(detect_s=7e-6, node_proc_s=3e-6, prop_speed_km_s=1.5e5)
+
+
 def reference_sweep(topo, plan, rt_params=None, switch_values_s=(0.5e-3, 1e-3, 5e-3, 10e-3)):
     p = rt_params or RtParams()
     handler = {
@@ -792,7 +826,7 @@ def reference_sweep(topo, plan, rt_params=None, switch_values_s=(0.5e-3, 1e-3, 5
 
     swc = shortest_working_capacity_mm(topo, plan.flows)
     scp_pct = scp(plan.total_capacity_mm(topo), swc)
-    rt_fn = {SCHEME_DC: rt_dc, SCHEME_SR: rt_sr, SCHEME_PC: rt_pc}[plan.scheme]
+    rt_fn = REFERENCE_RT[plan.scheme]
     rt_map = {}
     qor_map = {}
     for c in switch_values_s:

@@ -6,7 +6,6 @@ import pytest
 from divprotect.cli import fixture_names
 from divprotect.coding import algorithm_one, verify_decodable
 from divprotect.failsim import sweep
-from divprotect.metrics import RtParams
 from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.plan import (
     BackupPair,
@@ -21,6 +20,7 @@ from divprotect.plan import (
 from divprotect.source_reroute import sr_design
 from divprotect.topology import Flow, Topology
 from helpers import (
+    CUSTOM_RT,
     load_fixture,
     make_path,
     random_scenario,
@@ -29,8 +29,6 @@ from helpers import (
     reference_sweep,
     rings,
 )
-
-CUSTOM = RtParams(detect_s=7e-6, node_proc_s=3e-6, prop_speed_km_s=1.5e5)
 
 
 def scaled_scenario(seed):
@@ -46,8 +44,8 @@ def assert_loops_match(topo, flows, pc_flows):
     assert sr.spare_cap == reference_sr_spare(topo, sr)
     for plan in (algorithm_one(topo, flows), sr, pc_design(topo, pc_flows)):
         assert repr(sweep(topo, plan)) == repr(reference_sweep(topo, plan))
-        assert repr(sweep(topo, plan, CUSTOM, (2e-3, 0.1e-3))) == repr(
-            reference_sweep(topo, plan, CUSTOM, (2e-3, 0.1e-3))
+        assert repr(sweep(topo, plan, CUSTOM_RT, (2e-3, 0.1e-3))) == repr(
+            reference_sweep(topo, plan, CUSTOM_RT, (2e-3, 0.1e-3))
         )
         doc = serialize_plan(plan, topo)
         assert doc[doc.index("\nrecovery:\n") + 1 :] == reference_recovery_section(plan, topo)
@@ -233,10 +231,10 @@ def test_repeated_geometries_under_custom_rt_params():
     geoms = [g for rep in reports for g in rep.geometries if g is not None]
     assert len(set(geoms)) < len(geoms)
     switch = (7e-3, 0.2e-3, 2e-3)
-    assert repr(sweep(DC_TOPO, plan, CUSTOM, switch)) == repr(
-        reference_sweep(DC_TOPO, plan, CUSTOM, switch)
+    assert repr(sweep(DC_TOPO, plan, CUSTOM_RT, switch)) == repr(
+        reference_sweep(DC_TOPO, plan, CUSTOM_RT, switch)
     )
     ring = hand_built_sr()
-    assert repr(sweep(RING, ring, CUSTOM, switch)) == repr(
-        reference_sweep(RING, ring, CUSTOM, switch)
+    assert repr(sweep(RING, ring, CUSTOM_RT, switch)) == repr(
+        reference_sweep(RING, ring, CUSTOM_RT, switch)
     )

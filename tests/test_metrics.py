@@ -1,5 +1,8 @@
 import pytest
 
+from divprotect.cli import fixture_names
+from divprotect.coding import algorithm_one
+from divprotect.failsim import sweep
 from divprotect.metrics import (
     FailureGeometry,
     RtParams,
@@ -10,7 +13,14 @@ from divprotect.metrics import (
     rt_pc,
     rt_sr,
     scp,
+    worst_rt_dc,
+    worst_rt_pc,
+    worst_rt_sr,
 )
+from divprotect.pcycle import pc_design
+from divprotect.plan import SCHEME_DC, SCHEME_PC, SCHEME_SR
+from divprotect.source_reroute import sr_design
+from helpers import CUSTOM_RT, REFERENCE_RT, load_fixture
 
 P = RtParams()  # 100us detect, 100us proc, 1ms switch, 200000 km/s
 
@@ -96,3 +106,49 @@ def test_with_switch_leaves_rest_alone():
     assert p.detect_s == P.detect_s
     assert p.node_proc_s == P.node_proc_s
     assert p.prop_speed_km_s == P.prop_speed_km_s
+
+
+WORST = {SCHEME_DC: worst_rt_dc, SCHEME_SR: worst_rt_sr, SCHEME_PC: worst_rt_pc}
+SINGLE = {SCHEME_DC: rt_dc, SCHEME_SR: rt_sr, SCHEME_PC: rt_pc}
+G = FailureGeometry(
+    backup_hops=3, upstream_hops=2, prot_delay_s=1.1e-3,
+    upstream_delay_s=0.7e-3, notify_delay_s=0.13e-3, parity_skew_s=0.9e-3,
+)
+
+
+@pytest.mark.parametrize("scheme", sorted(WORST))
+def test_worst_rt_of_no_geometries_is_zero(scheme):
+    assert WORST[scheme]((), P) == 0.0
+    assert WORST[scheme](iter(()), CUSTOM_RT) == 0.0
+
+
+@pytest.mark.parametrize("scheme", sorted(WORST))
+def test_worst_rt_of_equal_geometries_is_their_time(scheme):
+    # per scheme, a field its formula does not read
+    unread = {SCHEME_DC: "backup_hops", SCHEME_SR: "parity_skew_s", SCHEME_PC: "upstream_delay_s"}
+    twin = G._replace(**{unread[scheme]: 2 * getattr(G, unread[scheme])})
+    assert twin != G
+    for p in (P, CUSTOM_RT, P.with_switch(5e-3)):
+        value = REFERENCE_RT[scheme](G, p)
+        assert SINGLE[scheme](G, p) == value
+        assert WORST[scheme]((G, G, G), p) == value
+        assert WORST[scheme]([G, twin], p) == value
+        assert WORST[scheme]({G: None, twin: None}, p) == value
+
+
+@pytest.mark.parametrize("design", [algorithm_one, sr_design, pc_design])
+@pytest.mark.parametrize("name", fixture_names())
+def test_worst_rt_equals_the_frozen_formula_on_every_fixture(name, design):
+    sc = load_fixture(name)
+    plan = design(sc.topology, sc.demands)
+    reports, _ = sweep(sc.topology, plan)
+    geoms = [g for rep in reports for g in rep.geometries if g is not None]
+    assert geoms
+    worst, ref = WORST[plan.scheme], REFERENCE_RT[plan.scheme]
+    for base in (P, CUSTOM_RT):
+        for c in (0.1e-3, 0.5e-3, 1e-3, 5e-3, 10e-3):
+            p = base.with_switch(c)
+            # bit for bit, not approximately
+            expected = max(ref(g, p) for g in geoms)
+            assert worst(geoms, p) == expected
+            assert worst(dict.fromkeys(geoms), p) == expected

@@ -143,6 +143,16 @@ def test_make_path_and_route():
     assert _tail_mm(topo, t, 2) == 4_000_000
 
 
+def _link1(row):
+    """TRIANGLE with its second link row, ``topology.links[1]``, replaced."""
+    return lambda t: t.replace("{a: 1, b: 2, distance: 2}", row)
+
+
+def _demand1(row):
+    """TRIANGLE with ``row`` appended as ``demands[1]``."""
+    return lambda t: t + f"  - {row}\n"
+
+
 @pytest.mark.parametrize(
     "mutate,phrase",
     [
@@ -185,6 +195,33 @@ def test_make_path_and_route():
         (lambda t: t.replace("{src: 0, dst: 2}", "{src: 0, dst: 2, rate: !!int ''}"),
          "bad scalar value"),
         (lambda t: "name: !!timestamp x\n" + t, "bad scalar value"),
+        # the full row-and-field context of each field's error
+        (lambda t: t.replace("{id: 1}", "{name: b}"),
+         "topology.nodes[1]: missing required field 'id'"),
+        (lambda t: t.replace("{id: 1}", "{id: x}"),
+         "topology.nodes[1].id: expected an integer, got 'x'"),
+        (lambda t: t.replace("{id: 1}", "{id: true}"),
+         "topology.nodes[1].id: expected an integer, got True"),
+        (_link1("{b: 2, distance: 2}"), "topology.links[1]: missing required field 'a'"),
+        (_link1("{a: x, b: 2, distance: 2}"), "topology.links[1].a: expected an integer, got 'x'"),
+        (_link1("{a: true, b: 2, distance: 2}"),
+         "topology.links[1].a: expected an integer, got True"),
+        (_link1("{a: 1, distance: 2}"), "topology.links[1]: missing required field 'b'"),
+        (_link1("{a: 1, b: x, distance: 2}"), "topology.links[1].b: expected an integer, got 'x'"),
+        (_link1("{a: 1, b: true, distance: 2}"),
+         "topology.links[1].b: expected an integer, got True"),
+        (_link1("{a: 1, b: 2}"), "topology.links[1]: missing required field 'distance'"),
+        (_link1("{a: 1, b: 2, distance: true}"),
+         "topology.links[1].distance: expected a number, got True"),
+        (_demand1("{dst: 1}"), "demands[1]: missing required field 'src'"),
+        (_demand1("{src: x, dst: 1}"), "demands[1].src: expected an integer, got 'x'"),
+        (_demand1("{src: true, dst: 1}"), "demands[1].src: expected an integer, got True"),
+        (_demand1("{src: 0}"), "demands[1]: missing required field 'dst'"),
+        (_demand1("{src: 0, dst: x}"), "demands[1].dst: expected an integer, got 'x'"),
+        (_demand1("{src: 0, dst: true}"), "demands[1].dst: expected an integer, got True"),
+        (_demand1("{src: 0, dst: 1, rate: x}"), "demands[1].rate: expected an integer, got 'x'"),
+        (_demand1("{src: 0, dst: 1, rate: true}"),
+         "demands[1].rate: expected an integer, got True"),
     ],
 )
 def test_scenario_errors_carry_context(mutate, phrase):
