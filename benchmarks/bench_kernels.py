@@ -78,7 +78,7 @@ import yaml
 
 from divprotect import coding, kernels, routing
 from divprotect.cli import fixture_path
-from divprotect.coding import SearchParams, algorithm_one, find_group
+from divprotect.coding import algorithm_one, find_group
 from divprotect.failsim import sweep
 from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.routing import disjoint_routes
@@ -183,7 +183,7 @@ def group_calls(instance, seed: int, per_dst: int = 40):
     floor, or what 1+1 pairs would cost the set if that is less."""
     topo, flows = instance
     rng = np.random.default_rng([seed, 3])
-    num, den = coding._threshold_fractions(SearchParams())[-1]
+    num, den = coding._THRESHOLDS[-1]
     calls = []
     for dst in sorted({f.dst for f in flows}):
         mine = [f for f in flows if f.dst == dst]
@@ -196,7 +196,7 @@ def group_calls(instance, seed: int, per_dst: int = 40):
                 w, b = routing.protected_pair(topo, f.src, dst)
                 pairs_mm += w.length_mm + b.length_mm if b is not None else 1 << 62
             max_mm = min(sum(floor[f.src] for f in members) * num // den, pairs_mm)
-            calls.append((topo, members, None, max_mm))
+            calls.append((topo, members, max_mm))
     return calls
 
 

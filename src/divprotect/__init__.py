@@ -7,7 +7,6 @@ restoration time, and quality of recovery.
 """
 
 from .coding import (
-    SearchParams,
     algorithm_one,
     decode_matrix,
     find_group,

@@ -11,10 +11,8 @@ that routes is split into paths.
 from __future__ import annotations
 
 from array import array
-from functools import cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from . import kernels, routing
 from .kernels import INF_MM
@@ -29,53 +27,6 @@ from .plan import (
 from .topology import Path, ScenarioError, Topology
 
 
-class _SearchFields(NamedTuple):
-    ratio_low: float = 1.6
-    ratio_high: float = 3.0
-    ratio_step: float = 0.2
-    max_group_size: int = 4
-
-
-class SearchParams(_SearchFields):
-    """Admission sweep controls.
-
-    The sweep accepts a group when its redundancy ratio (consumed
-    capacity-distance over the flows' shortest-path floor) does not
-    exceed the current threshold. Ratios of accepted groups therefore
-    never exceed ``ratio_high``; 1+1 fallback pairs are exempt.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.ratio_low < 1.0:
-            raise ValueError("ratio_low must be >= 1.0")
-        if self.ratio_high < self.ratio_low:
-            raise ValueError("ratio_high must be >= ratio_low")
-        if self.ratio_step <= 0:
-            raise ValueError("ratio_step must be positive")
-        if self.max_group_size < 2:
-            raise ValueError("max_group_size must be >= 2")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through here; keep its result checked too
-        return cls(*iterable)
-
-    def thresholds(self) -> list[float]:
-        out = []
-        i = 0
-        while True:
-            t = round(self.ratio_low + i * self.ratio_step, 9)
-            if t > self.ratio_high + 1e-9:
-                break
-            out.append(t)
-            i += 1
-        return out
-
-
 # Combination guard for dense instances: with more than _DENSE_FLOW_LIMIT
 # flows sharing a destination, only sources within _SOURCE_HOP_RADIUS hops
 # of each other are considered together.
@@ -85,6 +36,15 @@ _SOURCE_HOP_RADIUS = 3
 # Most combinations one destination's sweep walks per threshold, summed
 # over the group sizes it tries; more is refused before the walk.
 _MAX_COMBINATIONS = 1_000_000
+
+# Algorithm 1's admission ladder: the redundancy-ratio thresholds 1.6,
+# 1.8, ..., 3.0 as exact (numerator, denominator) pairs in sweep order,
+# and the largest parity group it tries. A group is admitted at the
+# first threshold its ratio (capacity-distance over the flows'
+# shortest-path floor) is within, so no group's ratio exceeds 3.0;
+# 1+1 fallback pairs are exempt.
+_THRESHOLDS = ((8, 5), (9, 5), (2, 1), (11, 5), (12, 5), (13, 5), (14, 5), (3, 1))
+_MAX_GROUP_SIZE = 4
 
 # Most unit flows algorithm_one splits the demand into. Each unit is its
 # own Flow, so the split takes memory in proportion to the total rate; a
@@ -162,7 +122,7 @@ def _parity_route(
     return best[1] if best else None
 
 
-def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup | None:
+def find_group(topo: Topology, flows, max_mm=None) -> CodingGroup | None:
     """Route a parity group for the given flows, or report infeasibility.
 
     Flows must share a destination and carry equal rates. Working paths
@@ -178,6 +138,7 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
     (lengths are positive and a trail's excluded links only grow).
     The working set is priced and blocked as its flow (``disjoint_flow``),
     whose links are the paths'; only a group that routes gets it split.
+    The group numbers its flows 0..len(flows)-1 in the order given.
     """
     flows = list(flows)
     if len(flows) < 2:
@@ -187,8 +148,6 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
         return None
     if len({f.rate for f in flows}) != 1:
         return None
-    if flow_ids is None:
-        flow_ids = tuple(range(len(flows)))
 
     srcs = [f.src for f in flows]
     orient = routing.disjoint_flow(topo, srcs, dst)
@@ -204,35 +163,25 @@ def find_group(topo: Topology, flows, flow_ids=None, max_mm=None) -> CodingGroup
     if parity is None:
         return None
     return CodingGroup(
-        flow_ids=tuple(flow_ids),
+        flow_ids=tuple(range(len(flows))),
         working=tuple(routing._decompose(topo, orient, srcs, dst)),
         parity=parity,
         decode_node=dst,
     )
 
 
-@cache
-def _threshold_fractions(params: SearchParams) -> tuple[tuple[int, int], ...]:
-    from fractions import Fraction
-
-    return tuple(Fraction(str(t)).as_integer_ratio() for t in params.thresholds())
-
-
-def algorithm_one(
-    topo: Topology, demand, params: SearchParams | None = None
-) -> ProtectionPlan:
+def algorithm_one(topo: Topology, demand) -> ProtectionPlan:
     """Threshold sweep planner.
 
     Demand rows are split into unit-rate subflows, and each destination's
     subflows are planned alone (``_plan_destination``): no group spans
     two destinations. Their groups are merged in sweep order: threshold
-    (loose to tight: ratio_low up to ratio_high), then group size from
-    max_group_size down to 2, then destination, then acceptance.
+    (along _THRESHOLDS, 1.6 up to 3.0), then group size from
+    _MAX_GROUP_SIZE down to 2, then destination, then acceptance.
     Remaining subflows get 1+1 pairs; flows without two disjoint routes
     are left unprotected and the plan is marked partial. A demand of
     more than _MAX_UNIT_FLOWS units in all is a ScenarioError.
     """
-    params = params or SearchParams()
     demand = tuple(demand)
     units = sum(f.rate for f in demand)
     if units > _MAX_UNIT_FLOWS:
@@ -247,7 +196,7 @@ def algorithm_one(
 
     tagged = []
     for dst in sorted(by_dst):
-        tagged += _plan_destination(topo, flows, by_dst[dst], params)
+        tagged += _plan_destination(topo, flows, by_dst[dst])
     # stable: equal tags keep destination order, then acceptance order
     groups = [g for _, g in sorted(tagged, key=lambda t: t[0])]
 
@@ -285,12 +234,12 @@ def algorithm_one(
 
 
 def _plan_destination(
-    topo: Topology, flows, ids: list[int], params: SearchParams
+    topo: Topology, flows, ids: list[int]
 ) -> list[tuple[tuple[int, int], CodingGroup]]:
     """The sweep over the unit flows ``ids``, which share one destination.
 
-    For each admission threshold, and for each group size from
-    max_group_size down to 2, every combination of still-unprotected
+    For each admission threshold in _THRESHOLDS, and for each group size
+    from _MAX_GROUP_SIZE down to 2, every combination of still-unprotected
     flows is considered; a group is accepted when it routes, its
     redundancy ratio is within the threshold, and it does not consume
     more capacity-distance than 1+1 pairs for the same flows would.
@@ -305,7 +254,7 @@ def _plan_destination(
     dst = flows[ids[0]].dst
     # size link-disjoint working paths enter dst on size distinct links
     # and the parity trail needs one more
-    sizes = range(min(params.max_group_size, len(ids), topo.degree(dst) - 1), 1, -1)
+    sizes = range(min(_MAX_GROUP_SIZE, len(ids), topo.degree(dst) - 1), 1, -1)
     if not sizes:
         return []
     walk = sum(comb(len(ids), size) for size in sizes)
@@ -317,15 +266,14 @@ def _plan_destination(
     hop = None
     if len(ids) > _DENSE_FLOW_LIMIT:
         hop = {s: topo.hop_distances(s) for s in {flows[i].src for i in ids}}
-    fracs = _threshold_fractions(params)
-    top_num, top_den = fracs[-1]
+    top_num, top_den = _THRESHOLDS[-1]
     # per source, a unit flow's floor and its 1+1 cost; an unpairable
     # flow counts as unbounded so any group beats it
     floor = topo.distances(dst)
     fallback = {}
     for s in sorted({flows[i].src for i in ids}):
         w, b = routing.protected_pair(topo, s, dst)
-        fallback[s] = w.length_mm + b.length_mm if b is not None else 1 << 62
+        fallback[s] = w.length_mm + b.length_mm if b is not None else INF_MM
 
     def decide(combo, srcs) -> tuple[int, CodingGroup] | None:
         baseline = sum(floor[s] for s in srcs)
@@ -338,7 +286,7 @@ def _plan_destination(
         if g is None or (consumed := group_capacity_mm(g)) > pairs_mm:
             return None
         # the first threshold the ratio is within, compared exactly
-        for t, (num, den) in enumerate(fracs):
+        for t, (num, den) in enumerate(_THRESHOLDS):
             if consumed * den <= baseline * num:
                 return t, g
         return None
@@ -347,7 +295,7 @@ def _plan_destination(
     decided: dict[tuple[int, ...], tuple[int, CodingGroup] | None] = {}
     alive = set(ids)
     accepted = []
-    for t in range(len(fracs)):
+    for t in range(len(_THRESHOLDS)):
         if t and all(v is None or v[0] != t for v in decided.values()):
             continue
         for size in sizes:

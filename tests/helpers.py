@@ -20,7 +20,7 @@ from yaml.composer import Composer
 
 from divprotect import coding, kernels, routing, topology
 from divprotect.cli import fixture_path
-from divprotect.coding import SearchParams, group_capacity_mm, verify_decodable
+from divprotect.coding import group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
 from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, scp
 from divprotect.pcycle import cycle_ring
@@ -467,7 +467,7 @@ def reference_parity_route(topo: Topology, sources, dst: int, blocked: set[int])
     return best[1] if best else None
 
 
-def reference_find_group(topo: Topology, flows, flow_ids=None, max_mm=None):
+def reference_find_group(topo: Topology, flows, max_mm=None):
     """``coding.find_group`` as it was when it split the working flow
     into paths (``routing.disjoint_routes``) before pricing it: the
     ceiling is met by the paths' total length."""
@@ -475,8 +475,6 @@ def reference_find_group(topo: Topology, flows, flow_ids=None, max_mm=None):
     dst = flows[0].dst
     if any(f.dst != dst for f in flows) or len({f.rate for f in flows}) != 1:
         return None
-    if flow_ids is None:
-        flow_ids = tuple(range(len(flows)))
     workings = routing.disjoint_routes(topo, [f.src for f in flows], dst)
     if workings is None:
         return None
@@ -490,23 +488,24 @@ def reference_find_group(topo: Topology, flows, flow_ids=None, max_mm=None):
     if parity is None:
         return None
     return CodingGroup(
-        flow_ids=tuple(flow_ids), working=tuple(workings), parity=parity, decode_node=dst
+        flow_ids=tuple(range(len(flows))), working=tuple(workings), parity=parity, decode_node=dst
     )
 
 
 def reference_plan_destination(
-    topo: Topology, flows, ids: list[int], params: SearchParams
+    topo: Topology, flows, ids: list[int]
 ) -> list[tuple[tuple[int, int], CodingGroup]]:
     """``coding._plan_destination`` as it was when every threshold walked
     every combination, re-running the hop guard and re-testing a cached
     group's four numbers each time. The sweep over the unit flows
     ``ids``, which share one destination.
 
-    For each admission threshold, and for each group size from
-    max_group_size down to 2, every combination of still-unprotected
-    flows is evaluated; a group is accepted when it routes, its
-    redundancy ratio is within the threshold, and it does not consume
-    more capacity-distance than 1+1 pairs for the same flows would.
+    For each admission threshold in ``coding._THRESHOLDS``, and for each
+    group size from ``coding._MAX_GROUP_SIZE`` down to 2, every
+    combination of still-unprotected flows is evaluated; a group is
+    accepted when it routes, its redundancy ratio is within the
+    threshold, and it does not consume more capacity-distance than 1+1
+    pairs for the same flows would.
     Returns the accepted groups in acceptance order, each tagged
     (threshold index, -size). More than _MAX_COMBINATIONS combinations
     per threshold is a ScenarioError. A combination's floor and 1+1 cost
@@ -515,7 +514,7 @@ def reference_plan_destination(
     dst = flows[ids[0]].dst
     # size link-disjoint working paths enter dst on size distinct links
     # and the parity trail needs one more
-    sizes = range(min(params.max_group_size, len(ids), topo.degree(dst) - 1), 1, -1)
+    sizes = range(min(coding._MAX_GROUP_SIZE, len(ids), topo.degree(dst) - 1), 1, -1)
     if not sizes:
         return []
     walk = sum(comb(len(ids), size) for size in sizes)
@@ -527,7 +526,9 @@ def reference_plan_destination(
     hop = None
     if len(ids) > coding._DENSE_FLOW_LIMIT:
         hop = {s: topo.hop_distances(s) for s in {flows[i].src for i in ids}}
-    fracs = coding._threshold_fractions(params)
+    # read at call time, as the planner reads it, so a patched ladder
+    # reaches both sweeps
+    fracs = coding._THRESHOLDS
     top_num, top_den = fracs[-1]
     # per source, a unit flow's floor and its 1+1 cost; an unpairable
     # flow counts as unbounded so any group beats it
@@ -559,7 +560,7 @@ def reference_plan_destination(
                     # than the loosest ratio allows or than 1+1 pairs
                     max_mm = min(baseline * top_num // top_den, pairs_mm)
                     members = [flows[i] for i in combo]
-                    g = coding.find_group(topo, members, flow_ids=combo, max_mm=max_mm)
+                    g = coding.find_group(topo, members, max_mm=max_mm)
                     cache[srcs] = (
                         None if g is None else (g, group_capacity_mm(g), baseline, pairs_mm)
                     )

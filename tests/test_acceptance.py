@@ -12,8 +12,9 @@ import warnings
 
 import numpy as np
 
+from divprotect import coding
 from divprotect.cli import fixture_names
-from divprotect.coding import SearchParams, algorithm_one, verify_decodable
+from divprotect.coding import algorithm_one, verify_decodable
 from divprotect.failsim import sweep, xor_stream_check
 from divprotect.metrics import FailureGeometry, RtParams, q_rt, q_scp, rt_dc, scp
 from divprotect.pcycle import enumerate_cycles, pc_design
@@ -468,13 +469,17 @@ def test_8_reconstruction_capacity_window():
     _verdict("8 reconstruction capacity window", failures)
 
 
-def test_9_threshold_ladder_degeneration_and_monotonicity():
+def test_9_threshold_ladder_degeneration_and_monotonicity(monkeypatch):
     failures = []
-    aps = SearchParams(ratio_low=1.0, ratio_high=1.0)
+    ladder = coding._THRESHOLDS
+
+    def plan_at(topo, flows, thresholds):
+        monkeypatch.setattr(coding, "_THRESHOLDS", thresholds)
+        return algorithm_one(topo, flows)
 
     # equal-length disjoint corridors: pure 1+1 at exactly double capacity
     sc = load_fixture("fig1-star")
-    plan = algorithm_one(sc.topology, sc.demands, aps)
+    plan = plan_at(sc.topology, sc.demands, ((1, 1),))
     if plan.groups:
         failures.append("unit thresholds still built parity groups")
     pct = scp(
@@ -484,10 +489,9 @@ def test_9_threshold_ladder_degeneration_and_monotonicity():
     if pct != 100.0:
         failures.append(f"fig1-star pure 1+1 scp {pct!r}")
 
-    highs = [round(1.6 + 0.2 * i, 1) for i in range(8)]
     for seed in range(50):
         topo, flows = random_scenario(seed)
-        plan = algorithm_one(topo, flows, aps)
+        plan = plan_at(topo, flows, ((1, 1),))
         if plan.groups:
             failures.append(f"seed {seed}: unit thresholds admitted a group")
         if plan.partial:
@@ -498,11 +502,10 @@ def test_9_threshold_ladder_degeneration_and_monotonicity():
         )
         if pct < 100.0 - 1e-9:
             failures.append(f"seed {seed}: pure 1+1 scp {pct:.3f} < 100")
+        # the ladder from 1.6 up to each of its rungs
         totals = [
-            algorithm_one(
-                topo, flows, SearchParams(ratio_low=1.6, ratio_high=h)
-            ).total_capacity_mm(topo)
-            for h in highs
+            plan_at(topo, flows, ladder[: k + 1]).total_capacity_mm(topo)
+            for k in range(len(ladder))
         ]
         if any(a < b for a, b in zip(totals, totals[1:])):
             failures.append(f"seed {seed}: total rises along ladder {totals}")

@@ -354,8 +354,9 @@ def test_cold_start_on_a_row_layout_fixture_needs_only_the_stdlib(capsys, tmp_pa
 
     # python -S leaves site-packages off sys.path: importing the CLI loads
     # none of these, and a dc,sr compare of a bundled fixture (flow rows)
-    # and loading the block dump run without PyYAML, numpy or
-    # importlib.resources, and the compare prints what it prints in-process
+    # and loading the block dump run without PyYAML, numpy,
+    # importlib.resources, fractions or decimal, and the compare prints
+    # what it prints in-process
     lazy = ("yaml", "numpy", "dataclasses", "fractions", "importlib.resources")
     code = "\n".join([
         "import sys",
@@ -365,8 +366,8 @@ def test_cold_start_on_a_row_layout_fixture_needs_only_the_stdlib(capsys, tmp_pa
         f"rc = divprotect.cli.main({argv!r})",
         f"with open({str(block_file)!r}, encoding='utf-8') as fh:",
         "    divprotect.cli.load_scenario(fh.read())",
-        "print([m for m in ('yaml', 'numpy', 'importlib.resources') if m in sys.modules],",
-        "      file=sys.stderr)",
+        "after = ('yaml', 'numpy', 'importlib.resources', 'fractions', 'decimal')",
+        "print([m for m in after if m in sys.modules], file=sys.stderr)",
         "sys.exit(rc)",
     ])
     proc = subprocess.run(

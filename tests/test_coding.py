@@ -1,6 +1,7 @@
 import hashlib
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, count
 from math import comb
 from operator import itemgetter
@@ -11,7 +12,6 @@ import pytest
 from divprotect import coding, kernels, routing
 from divprotect.cli import fixture_names
 from divprotect.coding import (
-    SearchParams,
     algorithm_one,
     decode_matrix,
     find_group,
@@ -34,30 +34,13 @@ from helpers import (
 KM = 1_000_000
 
 
-def test_search_params_validation():
-    with pytest.raises(ValueError):
-        SearchParams(ratio_low=0.9)
-    with pytest.raises(ValueError):
-        SearchParams(ratio_low=2.0, ratio_high=1.5)
-    with pytest.raises(ValueError):
-        SearchParams(ratio_step=0)
-    with pytest.raises(ValueError):
-        SearchParams(max_group_size=1)
-    with pytest.raises(ValueError):
-        SearchParams()._replace(max_group_size=1)
-    assert SearchParams()._replace(ratio_low=1.0) == SearchParams(ratio_low=1.0)
-
-
-def test_threshold_ladder_is_decimal_exact():
-    assert SearchParams().thresholds() == [1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0]
-    assert SearchParams(ratio_low=1.0, ratio_high=1.0).thresholds() == [1.0]
-    assert SearchParams(ratio_low=1.0, ratio_high=2.0, ratio_step=0.5).thresholds() == [
-        1.0, 1.5, 2.0,
+def test_threshold_ladder_and_group_cap():
+    # 1.6 + 0.2 i for i = 0..7, each as its reduced fraction, ascending
+    assert coding._THRESHOLDS == tuple(Fraction(8 + i, 5).as_integer_ratio() for i in range(8))
+    assert [num / den for num, den in coding._THRESHOLDS] == [
+        1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0,
     ]
-    # float drift must not drop the last rung
-    assert SearchParams(ratio_low=1.6, ratio_high=2.2, ratio_step=0.2).thresholds() == [
-        1.6, 1.8, 2.0, 2.2,
-    ]
+    assert coding._MAX_GROUP_SIZE == 4
 
 
 def test_find_group_star():
@@ -88,8 +71,8 @@ def test_find_group_rejects_mismatches():
 def test_find_group_mixed_sources_parity_taps_all():
     sc = load_fixture("example2")
     topo = sc.topology
-    g = find_group(topo, [Flow(1, 3, 1), Flow(2, 3, 1)], flow_ids=(7, 9))
-    assert g.flow_ids == (7, 9)
+    g = find_group(topo, [Flow(1, 3, 1), Flow(2, 3, 1)])
+    assert g.flow_ids == (0, 1)
     assert [p.nodes for p in g.working] == [(1, 3), (2, 3)]
     assert g.parity.nodes == (2, 1, 0, 4, 3)  # taps 2, then 1, then decodes at 3
     assert redundancy_ratio(topo, g) == pytest.approx(2.5, abs=1e-15)
@@ -254,11 +237,10 @@ def test_algorithm_one_single_flow_degenerates_to_aps():
     assert pair.backup.nodes == (0, 2, 3)
 
 
-def test_algorithm_one_tight_threshold_is_pure_aps():
+def test_algorithm_one_tight_threshold_is_pure_aps(monkeypatch):
     sc = load_fixture("example2")
-    plan = algorithm_one(
-        sc.topology, sc.demands, SearchParams(ratio_low=1.0, ratio_high=1.0)
-    )
+    monkeypatch.setattr(coding, "_THRESHOLDS", ((1, 1),))
+    plan = algorithm_one(sc.topology, sc.demands)
     assert plan.groups == ()
     assert len(plan.pairs) == 4
 
@@ -329,9 +311,9 @@ def test_admission_ceiling_prunes_nothing_admissible(monkeypatch):
     real = coding.find_group
     rejected = []
 
-    def checked(topo, flows, flow_ids=None, max_mm=None):
-        g = real(topo, flows, flow_ids=flow_ids, max_mm=max_mm)
-        free = real(topo, flows, flow_ids=flow_ids)
+    def checked(topo, flows, max_mm=None):
+        g = real(topo, flows, max_mm=max_mm)
+        free = real(topo, flows)
         if g is None and free is not None:
             assert group_capacity_mm(free) > max_mm
             rejected.append(1)
@@ -339,8 +321,8 @@ def test_admission_ceiling_prunes_nothing_admissible(monkeypatch):
             assert g == free
         return g
 
-    def unbounded(topo, flows, flow_ids=None, max_mm=None):
-        return real(topo, flows, flow_ids=flow_ids)
+    def unbounded(topo, flows, max_mm=None):
+        return real(topo, flows)
 
     instances = [load_fixture(name) for name in fixture_names()]
     instances = [(sc.topology, sc.demands) for sc in instances]
@@ -488,11 +470,10 @@ def test_hop_rejected_source_tuples_are_not_stored():
         topo.hop_distances(a)[b] > coding._SOURCE_HOP_RADIUS for a, b in combinations(srcs, 2)
     )
     ids = list(range(len(flows)))
-    params = SearchParams()
-    coding._plan_destination(topo, flows, ids, params)  # lazy imports and caches
+    coding._plan_destination(topo, flows, ids)  # lazy imports and caches
     tracemalloc.start()
     try:
-        assert coding._plan_destination(topo, flows, ids, params) == []
+        assert coding._plan_destination(topo, flows, ids) == []
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -567,14 +548,33 @@ def test_plan_destination_matches_the_reference():
     instances += [random_scenario(seed, max_flows=12) for seed in range(30)]
     instances += [load_bench_kernels().dense_instance(seed) for seed in (0, 5, 8)]
     instances += [(_k6(), [Flow(0, 1, rate)]) for rate in (12, 40)]
-    params = SearchParams()
     for topo, demand in instances:
         flows, _ = split_unit_flows(demand)
         for dst in sorted({f.dst for f in flows}):
             ids = [i for i, f in enumerate(flows) if f.dst == dst]
-            assert coding._plan_destination(topo, flows, ids, params) == (
-                reference_plan_destination(topo, flows, ids, params)
+            assert coding._plan_destination(topo, flows, ids) == (
+                reference_plan_destination(topo, flows, ids)
             ), (topo.links, demand, dst)
+
+
+@pytest.mark.parametrize(
+    "thresholds, cap", [(((1, 1), (2, 1)), 2), (((12, 5), (3, 1), (4, 1)), 3)]
+)
+def test_plan_destination_follows_a_patched_ladder_and_cap(monkeypatch, thresholds, cap):
+    # the planner and the reference read the ladder and the cap at call
+    # time, so a patched pair reaches both sweeps alike
+    monkeypatch.setattr(coding, "_THRESHOLDS", thresholds)
+    monkeypatch.setattr(coding, "_MAX_GROUP_SIZE", cap)
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances = [(sc.topology, sc.demands) for sc in instances]
+    instances += [random_scenario(seed, max_flows=12) for seed in range(10)]
+    for topo, demand in instances:
+        flows, _ = split_unit_flows(demand)
+        for dst in sorted({f.dst for f in flows}):
+            ids = [i for i, f in enumerate(flows) if f.dst == dst]
+            got = coding._plan_destination(topo, flows, ids)
+            assert got == reference_plan_destination(topo, flows, ids), (topo.links, demand)
+            assert all(t < len(thresholds) and g.size <= cap for (t, _), g in got)
 
 
 K6_RATE_70_DIGEST = "f60f48253fee081be494a86d032bac641c7c05e1659d46fbd8347d4e84ba27ae"
