@@ -3,7 +3,12 @@
 
 Usage: python benchmarks/bench_kernels.py [--repeats N] [--seed S] [--skip-end-to-end]
 
-Prints best and mean milliseconds per row. The kernel rows:
+Prints best and mean reference milliseconds per row: each repeat is timed
+through ``divbench/run.py``'s ``Clock``, which scales its wall time by
+how fast the host ran a fixed piece of work right before and after it,
+so rows taken on a loaded or a slower host, or at another commit, read
+on one scale. divbench is only read: no file under it is written. The
+kernel rows:
 
 - ``dijkstra``: fresh full trees (no link blocked) through
   ``Topology.distances`` on seeded ring-plus-chord graphs of 20, 60 and
@@ -65,12 +70,12 @@ The end-to-end rows, left out with ``--skip-end-to-end``:
 ``dc-k6`` and ``dc-40n`` are by far the slowest rows.
 """
 import argparse
+import importlib.util
 import os
 import random
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -200,15 +205,17 @@ def group_calls(instance, seed: int, per_dst: int = 40):
     return calls
 
 
-def bench(fn, calls, repeats: int) -> tuple[float, float]:
+def bench(clock, fn, calls, repeats: int) -> tuple[float, float]:
+    """Best and mean reference seconds of ``repeats`` runs of every call,
+    after one warmup run."""
     for args in calls:  # warmup
         fn(*args)
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+
+    def once():
         for args in calls:
             fn(*args)
-        times.append(time.perf_counter() - t0)
+
+    times = [clock.time(once)[1] for _ in range(repeats)]
     return min(times), statistics.mean(times)
 
 
@@ -229,14 +236,14 @@ def run_child(env, code: str) -> None:
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def import_cli_s(repeats: int) -> tuple[float, float]:
-    """Best and mean seconds of ``import divprotect.cli`` in a fresh
-    interpreter, over those of a bare one."""
+def import_cli_s(timed) -> tuple[float, float]:
+    """Best and mean reference seconds of ``import divprotect.cli`` in a
+    fresh interpreter, over those of a bare one, as ``timed`` takes them."""
     src = str(Path(kernels.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    best, mean = bench(run_child, [(env, "import divprotect.cli")], repeats)
-    bare_best, bare_mean = bench(run_child, [(env, "pass")], repeats)
+    best, mean = timed(run_child, [(env, "import divprotect.cli")])
+    bare_best, bare_mean = timed(run_child, [(env, "pass")])
     return best - bare_best, mean - bare_mean
 
 
@@ -246,6 +253,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--skip-end-to-end", action="store_true")
     args = ap.parse_args(argv)
+    sys.dont_write_bytecode = True  # no __pycache__ under divbench
+    script = Path(__file__).resolve().parent.parent / "divbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("divbench_run", script)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    clock = run.Clock()
+
+    def timed(fn, calls):
+        return bench(clock, fn, calls, args.repeats)
+
     rng = np.random.default_rng(args.seed)
 
     graphs = [random_graph(rng, n, extra) for n in (20, 60, 120) for extra in (n,)]
@@ -272,42 +289,37 @@ def main(argv=None) -> int:
     indented40 = yaml.safe_dump(yaml.safe_load(mesh40), sort_keys=False, indent=4)
 
     rows = [
-        ("dijkstra", *bench(Topology.distances, dij_calls, args.repeats)),
-        ("dijkstra-until", *bench(Topology.distances, until_calls, args.repeats)),
-        ("gf2_rank", *bench(kernels.gf2_rank, gf2_calls, args.repeats)),
-        ("cycles", *bench(enumerate_cycles, cycle_calls, args.repeats)),
-        ("load", *bench(load_scenario, [(uslong,)], args.repeats)),
-        ("load-40n", *bench(load_scenario, [(mesh40,)], args.repeats)),
-        ("load-block", *bench(load_scenario, [(block40,)], args.repeats)),
-        ("load-pyyaml", *bench(load_scenario, [(indented40,)], args.repeats)),
-        ("dc-dense", *bench(planned, [(algorithm_one, *dense_instance(0))], args.repeats)),
+        ("dijkstra", *timed(Topology.distances, dij_calls)),
+        ("dijkstra-until", *timed(Topology.distances, until_calls)),
+        ("gf2_rank", *timed(kernels.gf2_rank, gf2_calls)),
+        ("cycles", *timed(enumerate_cycles, cycle_calls)),
+        ("load", *timed(load_scenario, [(uslong,)])),
+        ("load-40n", *timed(load_scenario, [(mesh40,)])),
+        ("load-block", *timed(load_scenario, [(block40,)])),
+        ("load-pyyaml", *timed(load_scenario, [(indented40,)])),
+        ("dc-dense", *timed(planned, [(algorithm_one, *dense_instance(0))])),
     ]
     if not args.skip_end_to_end:
-        rows.append(("import-cli", *import_cli_s(args.repeats)))
+        rows.append(("import-cli", *import_cli_s(timed)))
         sc = load_scenario(uslong)
-        rows.append(("plan+sweep", *bench(plan_and_sweep, [(sc,)], args.repeats)))
-        rows.append(("sr-uslong", *bench(planned, [(sr_and_sweep, sc.topology, sc.demands)],
-                                         args.repeats)))
+        rows.append(("plan+sweep", *timed(plan_and_sweep, [(sc,)])))
+        rows.append(("sr-uslong", *timed(planned, [(sr_and_sweep, sc.topology, sc.demands)])))
         dc40 = dc_instance(rng, 40, 60)
-        rows.append(("dc-40n", *bench(planned, [(algorithm_one, *dc40)], args.repeats)))
+        rows.append(("dc-40n", *timed(planned, [(algorithm_one, *dc40)])))
         k6 = Topology.from_edge_list([(a, b, 1) for a in range(6) for b in range(a + 1, 6)])
-        rows.append(("dc-k6", *bench(planned, [(algorithm_one, k6, [Flow(0, 1, 70)])],
-                                     args.repeats)))
-        rows.append(("routes-40n", *bench(disjoint_routes, route_calls(dc40, args.seed),
-                                          args.repeats)))
-        rows.append(("groups-40n", *bench(find_group, group_calls(dc40, args.seed),
-                                          args.repeats)))
-        rows.append(("sr-40n", *bench(planned, [(sr_design, *sr_instance(late, 40, 56, 48))],
-                                      args.repeats)))
-        rows.append(("pc-40n", *bench(pc_design, [dc_instance(rng, 40, 60)], args.repeats)))
+        rows.append(("dc-k6", *timed(planned, [(algorithm_one, k6, [Flow(0, 1, 70)])])))
+        rows.append(("routes-40n", *timed(disjoint_routes, route_calls(dc40, args.seed))))
+        rows.append(("groups-40n", *timed(find_group, group_calls(dc40, args.seed))))
+        rows.append(("sr-40n", *timed(planned, [(sr_design, *sr_instance(late, 40, 56, 48))])))
+        rows.append(("pc-40n", *timed(pc_design, [dc_instance(rng, 40, 60)])))
         topo, flows = dc_instance(rng, 100, 150)
         plans = [sr_design(topo, flows), pc_design(topo, flows)]
-        rows.append(("sweep-100n", *bench(sweep_plans, [(topo, plans)], args.repeats)))
-        rows.append(("pc-100n", *bench(pc_design, [dc_instance(rng, 100, 150)], args.repeats)))
+        rows.append(("sweep-100n", *timed(sweep_plans, [(topo, plans)])))
+        rows.append(("pc-100n", *timed(pc_design, [dc_instance(rng, 100, 150)])))
 
-    print(f"{'kernel':<16}{'best ms':>10}{'mean ms':>10}")
+    print(f"{'kernel':<16}{'best ref ms':>12}{'mean ref ms':>12}")
     for kernel, best, mean in rows:
-        print(f"{kernel:<16}{best * 1e3:>10.3f}{mean * 1e3:>10.3f}")
+        print(f"{kernel:<16}{best * 1e3:>12.3f}{mean * 1e3:>12.3f}")
     return 0
 
 

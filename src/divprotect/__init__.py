@@ -20,9 +20,6 @@ from .metrics import (
     q_rt,
     q_scp,
     qor,
-    rt_dc,
-    rt_pc,
-    rt_sr,
     scp,
 )
 from .pcycle import Cycle, cycle_ring, enumerate_cycles, pc_design

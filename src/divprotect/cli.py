@@ -9,7 +9,7 @@ import sys
 
 from .coding import algorithm_one
 from .failsim import sweep
-from .metrics import RtParams
+from .metrics import SWITCH_VALUES_S, RtParams
 from .pcycle import pc_design
 from .plan import SCHEME_DC, SCHEME_LABELS, SCHEME_PC, SCHEME_SR, serialize_plan
 from .source_reroute import sr_design
@@ -177,7 +177,7 @@ def cmd_compare(args) -> int:
             for c in cs:
                 out.append(f"    \"{_fmt_ms(c)}\": {r.qor[c]:.6f}")
         _emit("\n".join(out) + "\n", args.out)
-    elif args.format == "human-table":
+    else:  # human-table; argparse's choices refuse any other format
         name_w = max(len(SCHEME_LABELS[r.scheme]) for r in rows)
         head = (
             f"{'scheme':<{name_w}}  {'SCP%':>8}  "
@@ -194,8 +194,6 @@ def cmd_compare(args) -> int:
                 + "  ".join(f"{r.qor[c]:>9.4f}" for c in cs)
             )
         _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise ScenarioError(f"unknown format {args.format!r}")
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -234,7 +232,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="scenario file path or bundled fixture name")
     p.add_argument("--schemes", default=",".join(ALL_SCHEMES),
                    help="comma list out of dc,sr,pc (default: all)")
-    p.add_argument("--switch-time-ms", default="0.5,1,5,10",
+    p.add_argument("--switch-time-ms", default=",".join(map(_fmt_ms, SWITCH_VALUES_S)),
                    help="switch reconfiguration times to evaluate, ms")
     p.add_argument("--detect-us", type=float, default=100.0,
                    help="failure detection time, microseconds")

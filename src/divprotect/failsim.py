@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .coding import _decodes
 from .metrics import (
+    SWITCH_VALUES_S,
     FailureGeometry,
     RtParams,
     SchemeResult,
@@ -37,7 +38,7 @@ from .plan import (
     shortest_working_capacity_mm,
     sparse_link_load,
 )
-from .topology import Topology
+from .topology import KM_PER_MM, Topology
 
 
 class FailureReport(NamedTuple):
@@ -51,7 +52,7 @@ class FailureReport(NamedTuple):
 
 
 def _delay(length_mm: int, p: RtParams) -> float:
-    return length_mm * 1e-6 / p.prop_speed_km_s
+    return length_mm * KM_PER_MM / p.prop_speed_km_s
 
 
 def _notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
@@ -183,7 +184,7 @@ def sweep(
     topo: Topology,
     plan: ProtectionPlan,
     rt_params: RtParams | None = None,
-    switch_values_s=(0.5e-3, 1e-3, 5e-3, 10e-3),
+    switch_values_s=SWITCH_VALUES_S,
 ) -> tuple[list[FailureReport], SchemeResult]:
     """Fail every link once; report per-failure outcomes and the
     scheme's worst-case restoration times and quality scores.
@@ -219,7 +220,7 @@ def sweep(
     rt_map: dict[float, float] = {}
     qor_map: dict[float, float] = {}
     for c in switch_values_s:
-        worst = worst_rt(distinct, p.with_switch(c))
+        worst = worst_rt(distinct, p, c)
         rt_map[c] = worst
         qor_map[c] = qor(scp_pct, worst)
     result = SchemeResult(

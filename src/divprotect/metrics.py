@@ -5,21 +5,21 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 
+# the switch reconfiguration times a sweep scores by default, seconds
+SWITCH_VALUES_S = (0.5e-3, 1e-3, 5e-3, 10e-3)
+
+
 class RtParams(NamedTuple):
     """Timing constants for restoration-time accounting.
 
     Defaults: 100 us failure detection, 100 us per-node message
-    processing, 1 ms switch reconfiguration, and signal propagation at
-    200 km/ms (typical for fibre).
+    processing, and signal propagation at 200 km/ms (typical for fibre).
+    The switch reconfiguration time is an argument of each formula.
     """
 
     detect_s: float = 100e-6
     node_proc_s: float = 100e-6
-    switch_s: float = 1e-3
     prop_speed_km_s: float = 2.0e5
-
-    def with_switch(self, switch_s: float) -> "RtParams":
-        return self._replace(switch_s=switch_s)
 
 
 class FailureGeometry(NamedTuple):
@@ -41,17 +41,17 @@ class FailureGeometry(NamedTuple):
     parity_skew_s: float = 0.0
 
 
-def worst_rt_sr(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
+def worst_rt_sr(geoms: Iterable[FailureGeometry], p: RtParams, switch_s: float) -> float:
     """Source rerouting: notify the source, then signal the backup path
     switches there and back before traffic resumes. The worst time over
-    ``geoms``, or 0.0 for none."""
-    detect, proc, switch = p.detect_s, p.node_proc_s, p.switch_s
+    ``geoms`` at switch time ``switch_s``, or 0.0 for none."""
+    detect, proc = p.detect_s, p.node_proc_s
     return max(
         (
             detect
             + g.upstream_delay_s
             + (g.upstream_hops + 1) * proc
-            + (g.backup_hops + 1) * switch
+            + (g.backup_hops + 1) * switch_s
             + 3 * g.prot_delay_s
             + 3 * (g.backup_hops + 1) * proc
             + g.notify_delay_s
@@ -61,16 +61,16 @@ def worst_rt_sr(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
     )
 
 
-def worst_rt_pc(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
+def worst_rt_pc(geoms: Iterable[FailureGeometry], p: RtParams, switch_s: float) -> float:
     """Protection cycles: the two end nodes of the failed span switch
-    onto the pre-configured detour. The worst time over ``geoms``, or
-    0.0 for none."""
-    detect, proc, switch = p.detect_s, p.node_proc_s, p.switch_s
+    onto the pre-configured detour. The worst time over ``geoms`` at
+    switch time ``switch_s``, or 0.0 for none."""
+    detect, proc = p.detect_s, p.node_proc_s
     return max(
         (
             detect
             + (g.upstream_hops + 1) * proc
-            + 2 * switch
+            + 2 * switch_s
             + g.prot_delay_s
             + g.notify_delay_s
             for g in geoms
@@ -79,27 +79,12 @@ def worst_rt_pc(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
     )
 
 
-def worst_rt_dc(geoms: Iterable[FailureGeometry], p: RtParams) -> float:
+def worst_rt_dc(geoms: Iterable[FailureGeometry], p: RtParams, switch_s: float) -> float:
     """Parity decode: no switching, no signalling round trips; the
     destination just waits out the arrival skew of the parity copy. The
-    worst time over ``geoms``, or 0.0 for none."""
+    worst time over ``geoms``, or 0.0 for none; ``switch_s`` is unread."""
     base = p.detect_s + 2 * p.node_proc_s
     return max((base + g.parity_skew_s for g in geoms), default=0.0)
-
-
-def rt_sr(g: FailureGeometry, p: RtParams) -> float:
-    """One flow's source-rerouting restoration time."""
-    return worst_rt_sr((g,), p)
-
-
-def rt_pc(g: FailureGeometry, p: RtParams) -> float:
-    """One flow's protection-cycle restoration time."""
-    return worst_rt_pc((g,), p)
-
-
-def rt_dc(g: FailureGeometry, p: RtParams) -> float:
-    """One flow's parity-decode restoration time."""
-    return worst_rt_dc((g,), p)
 
 
 def scp(total_capacity_mm: int, shortest_working_mm: int) -> float:

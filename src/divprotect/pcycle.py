@@ -20,6 +20,11 @@ from .topology import ScenarioError, Topology
 
 # largest per-link working load the int64 coverage arithmetic holds
 _MAX_LOAD = 2**63 - 1
+# most cycles enumerate_cycles collects: within the default hop bound
+# K10 has 556,014 and K11 5,488,059
+_MAX_CYCLES = 1_000_000
+# most links x cycles cells of the int8 detour matrix pc_design builds
+_MAX_COVER_CELLS = 250_000_000
 
 
 class Cycle(NamedTuple):
@@ -79,7 +84,8 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     found once, with no deduplication. The search carries each path as
     its running distance and link mask alone, so a ring costs one
     ``Cycle`` and no node or link tuples. The result is sorted by
-    (distance, ring).
+    (distance, ring). More than ``_MAX_CYCLES`` rings is a ScenarioError,
+    raised as the search closes the first one past the limit.
 
     Hop bound: a ring that starts anchor -> s must close through a
     neighbour x of the anchor with x > s. Before searching from s, one
@@ -122,6 +128,11 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
             if h == 1:
                 back_mm, back_bit = close[w]
                 out.append(new(Cycle, (mm + back_mm, bits | back_bit)))
+                if len(out) > _MAX_CYCLES:
+                    raise ScenarioError(
+                        f"the topology has more than {_MAX_CYCLES} cycles of at most"
+                        f" {max_hops} links; p-cycle planning enumerates at most {_MAX_CYCLES}"
+                    )
                 left -= 1
             if room > 1 and left:
                 hop[w] = far
@@ -215,7 +226,9 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
     rows of the links whose terms a step changed.
 
     Links whose working load cannot be covered by any cycle (bridges)
-    leave their flows unprotected and the plan partial.
+    leave their flows unprotected and the plan partial. A topology with
+    more than ``_MAX_CYCLES`` cycles, or more than ``_MAX_COVER_CELLS``
+    links x cycles, is a ScenarioError.
     """
     import numpy as np
 
@@ -233,6 +246,11 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
 
     cycles = enumerate_cycles(topo)
     nc = len(cycles)
+    if topo.m * nc > _MAX_COVER_CELLS:
+        raise ScenarioError(
+            f"{topo.m} links x {nc} cycles make {topo.m * nc} detour cells;"
+            f" p-cycle planning holds at most {_MAX_COVER_CELLS}"
+        )
     cover = _coverage(topo, cycles)
     lengths = np.array([c.length_mm for c in cycles], dtype=np.float64)
 

@@ -765,31 +765,31 @@ def _ref_sweep_pc(topo, plan, lid, affected, p):
     return recovered, geoms, cap_ok
 
 
-def _ref_rt_sr(g, p):
+def _ref_rt_sr(g, p, switch_s):
     # the restoration-time formulas as single-geometry functions, frozen
     # with their terms in the order metrics.worst_rt_* adds them
     return (
         p.detect_s
         + g.upstream_delay_s
         + (g.upstream_hops + 1) * p.node_proc_s
-        + (g.backup_hops + 1) * p.switch_s
+        + (g.backup_hops + 1) * switch_s
         + 3 * g.prot_delay_s
         + 3 * (g.backup_hops + 1) * p.node_proc_s
         + g.notify_delay_s
     )
 
 
-def _ref_rt_pc(g, p):
+def _ref_rt_pc(g, p, switch_s):
     return (
         p.detect_s
         + (g.upstream_hops + 1) * p.node_proc_s
-        + 2 * p.switch_s
+        + 2 * switch_s
         + g.prot_delay_s
         + g.notify_delay_s
     )
 
 
-def _ref_rt_dc(g, p):
+def _ref_rt_dc(g, p, switch_s):
     return p.detect_s + 2 * p.node_proc_s + g.parity_skew_s
 
 
@@ -831,12 +831,11 @@ def reference_sweep(topo, plan, rt_params=None, switch_values_s=(0.5e-3, 1e-3, 5
     rt_map = {}
     qor_map = {}
     for c in switch_values_s:
-        pc = p.with_switch(c)
         worst = 0.0
         for rep in reports:
             for g in rep.geometries:
                 if g is not None:
-                    worst = max(worst, rt_fn(g, pc))
+                    worst = max(worst, rt_fn(g, p, c))
         rt_map[c] = worst
         qor_map[c] = qor(scp_pct, worst)
     result = SchemeResult(

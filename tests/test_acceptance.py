@@ -16,7 +16,7 @@ from divprotect import coding
 from divprotect.cli import fixture_names
 from divprotect.coding import algorithm_one, verify_decodable
 from divprotect.failsim import sweep, xor_stream_check
-from divprotect.metrics import FailureGeometry, RtParams, q_rt, q_scp, rt_dc, scp
+from divprotect.metrics import FailureGeometry, RtParams, q_rt, q_scp, scp, worst_rt_dc
 from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.plan import shortest_working_capacity_mm, split_unit_flows
 from divprotect.routing import disjoint_routes, shortest_path
@@ -171,7 +171,7 @@ def test_2_quality_anchor_points():
 
 def test_3_decode_restoration_time_anchor():
     failures = []
-    rt = rt_dc(FailureGeometry(), RtParams(detect_s=100e-6, node_proc_s=100e-6))
+    rt = worst_rt_dc((FailureGeometry(),), RtParams(detect_s=100e-6, node_proc_s=100e-6), 1e-3)
     if abs(rt - 300e-6) > 1e-6:
         failures.append(f"formula gives {rt * 1e6:.3f}us")
     # equal-length corridors: zero parity skew end to end

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -170,6 +171,20 @@ def test_validate_reports_shape(tmp_path):
     assert "total_rate: 4" in text
 
 
+def test_validate_prints_each_topology_warning(tmp_path):
+    # a triangle plus a pendant node 3 on link 3
+    scenario = tmp_path / "pendant.yaml"
+    scenario.write_text(
+        "topology:\n  unit: km\n  nodes: [{id: 0}, {id: 1}, {id: 2}, {id: 3}]\n  links:\n"
+        + "".join(f"    - {{a: {a}, b: {b}, distance: 1}}\n" for a, b in [(0, 1), (1, 2), (0, 2), (2, 3)])
+        + "demands:\n  - {src: 0, dst: 1}\n",
+        encoding="utf-8",
+    )
+    code, text = run(tmp_path, "validate", "--scenario", str(scenario))
+    assert code == 0
+    assert text.splitlines()[-1] == "warning: node 3 has degree 1; link 3 cannot be protected"
+
+
 def test_exit_partial_on_bridge(tmp_path):
     scenario = tmp_path / "bridge.yaml"
     scenario.write_text(
@@ -325,6 +340,27 @@ def test_dc_refuses_a_destination_past_its_walk_bound(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: the 100 unit flows into node 1 make 4087875 candidate groups;")
+
+
+def test_pc_refuses_k12_past_its_cycle_limit(tmp_path, capsys):
+    # K12 has 59.7M cycles within its 12-hop bound: exit 1 with a
+    # message once the count passes the limit, not a MemoryError
+    k12 = topology.Topology.from_edge_list(
+        [(a, b, 1) for a in range(12) for b in range(a + 1, 12)], unit="km"
+    )
+    path = tmp_path / "k12.yaml"
+    path.write_text(
+        dump_scenario(topology.Scenario(k12, [topology.Flow(0, 1, 1)])), encoding="utf-8"
+    )
+    start = time.perf_counter()
+    assert main(["compare", "--schemes", "pc", "--scenario", str(path)]) == 1
+    assert time.perf_counter() - start < 5.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the topology has more than 1000000 cycles of at most 12 links;"
+        " p-cycle planning enumerates at most 1000000\n"
+    )
 
 
 def test_cli_import_leaves_numpy_unloaded():

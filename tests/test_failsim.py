@@ -175,14 +175,13 @@ def test_worst_case_is_over_all_failures():
     sc = load_fixture("example2")
     plan = sr_design(sc.topology, sc.demands)
     reports, res = sweep(sc.topology, plan)
-    from divprotect.metrics import rt_sr
+    from divprotect.metrics import worst_rt_sr
 
-    p = RtParams().with_switch(0.5e-3)
     per_failure = []
     for rep in reports:
         for g in rep.geometries:
             if g is not None:
-                per_failure.append(rt_sr(g, p))
+                per_failure.append(worst_rt_sr((g,), RtParams(), 0.5e-3))
     assert res.rt_s[0.5e-3] == pytest.approx(max(per_failure), abs=1e-15)
 
 
@@ -205,9 +204,9 @@ def test_rt_is_timed_once_per_distinct_geometry(monkeypatch):
     outcomes, rt_fn = failsim._SCHEMES[SCHEME_DC]
     calls = []
 
-    def counting_rt(g, p):
-        calls.append(g)
-        return rt_fn(g, p)
+    def counting_rt(geoms, p, switch_s):
+        calls.append(geoms)
+        return rt_fn(geoms, p, switch_s)
 
     monkeypatch.setitem(failsim._SCHEMES, SCHEME_DC, (outcomes, counting_rt))
     reports, _ = sweep(sc.topology, plan)

@@ -9,9 +9,6 @@ from divprotect.metrics import (
     q_rt,
     q_scp,
     qor,
-    rt_dc,
-    rt_pc,
-    rt_sr,
     scp,
     worst_rt_dc,
     worst_rt_pc,
@@ -22,7 +19,8 @@ from divprotect.plan import SCHEME_DC, SCHEME_PC, SCHEME_SR
 from divprotect.source_reroute import sr_design
 from helpers import CUSTOM_RT, REFERENCE_RT, load_fixture
 
-P = RtParams()  # 100us detect, 100us proc, 1ms switch, 200000 km/s
+P = RtParams()  # 100us detect, 100us proc, 200000 km/s
+C = 1e-3  # switch time, s
 
 
 def test_quality_anchor_points_exact():
@@ -57,14 +55,19 @@ def test_scp_formula():
     assert scp(14_000_000, 14_000_000) == 0.0
 
 
+def test_rtparams_fields_are_the_switch_independent_timings():
+    # the switch time is an argument of each formula, not a field
+    assert RtParams._fields == ("detect_s", "node_proc_s", "prop_speed_km_s")
+
+
 def test_rt_dc_plug_in():
     # detection + two node visits + parity skew
     g = FailureGeometry(parity_skew_s=0.0)
-    assert rt_dc(g, P) == pytest.approx(300e-6, abs=1e-12)
+    assert worst_rt_dc((g,), P, C) == pytest.approx(300e-6, abs=1e-12)
     g = FailureGeometry(parity_skew_s=1e-3)
-    assert rt_dc(g, P) == pytest.approx(1.3e-3, abs=1e-12)
+    assert worst_rt_dc((g,), P, C) == pytest.approx(1.3e-3, abs=1e-12)
     # switch time never enters
-    assert rt_dc(g, P.with_switch(10e-3)) == rt_dc(g, P)
+    assert worst_rt_dc((g,), P, 10e-3) == worst_rt_dc((g,), P, C)
 
 
 def test_rt_pc_plug_in():
@@ -72,8 +75,8 @@ def test_rt_pc_plug_in():
         upstream_hops=2, prot_delay_s=0.5e-3, notify_delay_s=0.1e-3
     )
     # detect 0.1 + (2+1)*0.1 proc + 2*1 switch + 0.5 prop + 0.1 notify (ms)
-    assert rt_pc(g, P) == pytest.approx(3.0e-3, abs=1e-12)
-    assert rt_pc(g, P.with_switch(5e-3)) == pytest.approx(11.0e-3, abs=1e-12)
+    assert worst_rt_pc((g,), P, C) == pytest.approx(3.0e-3, abs=1e-12)
+    assert worst_rt_pc((g,), P, 5e-3) == pytest.approx(11.0e-3, abs=1e-12)
 
 
 def test_rt_sr_plug_in():
@@ -86,8 +89,8 @@ def test_rt_sr_plug_in():
     )
     # detect .1 + upstream .4 + (1+1)*.1 + (2+1)*1 switch + 3*1 prop
     # + 3*(2+1)*.1 signalling + .1 notify = 7.7 ms
-    assert rt_sr(g, P) == pytest.approx(7.7e-3, abs=1e-12)
-    assert rt_sr(g, P.with_switch(0.5e-3)) == pytest.approx(6.2e-3, abs=1e-12)
+    assert worst_rt_sr((g,), P, C) == pytest.approx(7.7e-3, abs=1e-12)
+    assert worst_rt_sr((g,), P, 0.5e-3) == pytest.approx(6.2e-3, abs=1e-12)
 
 
 def test_rt_ordering_for_same_geometry():
@@ -96,20 +99,10 @@ def test_rt_ordering_for_same_geometry():
         upstream_delay_s=1e-3, notify_delay_s=0.2e-3, parity_skew_s=1e-3,
     )
     for c in (0.5e-3, 1e-3, 5e-3, 10e-3):
-        p = P.with_switch(c)
-        assert rt_dc(g, p) < rt_pc(g, p) < rt_sr(g, p)
-
-
-def test_with_switch_leaves_rest_alone():
-    p = P.with_switch(42e-3)
-    assert p.switch_s == 42e-3
-    assert p.detect_s == P.detect_s
-    assert p.node_proc_s == P.node_proc_s
-    assert p.prop_speed_km_s == P.prop_speed_km_s
+        assert worst_rt_dc((g,), P, c) < worst_rt_pc((g,), P, c) < worst_rt_sr((g,), P, c)
 
 
 WORST = {SCHEME_DC: worst_rt_dc, SCHEME_SR: worst_rt_sr, SCHEME_PC: worst_rt_pc}
-SINGLE = {SCHEME_DC: rt_dc, SCHEME_SR: rt_sr, SCHEME_PC: rt_pc}
 G = FailureGeometry(
     backup_hops=3, upstream_hops=2, prot_delay_s=1.1e-3,
     upstream_delay_s=0.7e-3, notify_delay_s=0.13e-3, parity_skew_s=0.9e-3,
@@ -118,8 +111,8 @@ G = FailureGeometry(
 
 @pytest.mark.parametrize("scheme", sorted(WORST))
 def test_worst_rt_of_no_geometries_is_zero(scheme):
-    assert WORST[scheme]((), P) == 0.0
-    assert WORST[scheme](iter(()), CUSTOM_RT) == 0.0
+    assert WORST[scheme]((), P, C) == 0.0
+    assert WORST[scheme](iter(()), CUSTOM_RT, C) == 0.0
 
 
 @pytest.mark.parametrize("scheme", sorted(WORST))
@@ -128,12 +121,12 @@ def test_worst_rt_of_equal_geometries_is_their_time(scheme):
     unread = {SCHEME_DC: "backup_hops", SCHEME_SR: "parity_skew_s", SCHEME_PC: "upstream_delay_s"}
     twin = G._replace(**{unread[scheme]: 2 * getattr(G, unread[scheme])})
     assert twin != G
-    for p in (P, CUSTOM_RT, P.with_switch(5e-3)):
-        value = REFERENCE_RT[scheme](G, p)
-        assert SINGLE[scheme](G, p) == value
-        assert WORST[scheme]((G, G, G), p) == value
-        assert WORST[scheme]([G, twin], p) == value
-        assert WORST[scheme]({G: None, twin: None}, p) == value
+    for p, c in ((P, C), (CUSTOM_RT, C), (P, 5e-3)):
+        value = REFERENCE_RT[scheme](G, p, c)
+        assert WORST[scheme]((G,), p, c) == value
+        assert WORST[scheme]((G, G, G), p, c) == value
+        assert WORST[scheme]([G, twin], p, c) == value
+        assert WORST[scheme]({G: None, twin: None}, p, c) == value
 
 
 @pytest.mark.parametrize("design", [algorithm_one, sr_design, pc_design])
@@ -145,10 +138,9 @@ def test_worst_rt_equals_the_frozen_formula_on_every_fixture(name, design):
     geoms = [g for rep in reports for g in rep.geometries if g is not None]
     assert geoms
     worst, ref = WORST[plan.scheme], REFERENCE_RT[plan.scheme]
-    for base in (P, CUSTOM_RT):
+    for p in (P, CUSTOM_RT):
         for c in (0.1e-3, 0.5e-3, 1e-3, 5e-3, 10e-3):
-            p = base.with_switch(c)
             # bit for bit, not approximately
-            expected = max(ref(g, p) for g in geoms)
-            assert worst(geoms, p) == expected
-            assert worst(dict.fromkeys(geoms), p) == expected
+            expected = max(ref(g, p, c) for g in geoms)
+            assert worst(geoms, p, c) == expected
+            assert worst(dict.fromkeys(geoms), p, c) == expected

@@ -7,7 +7,7 @@ from divprotect.cli import fixture_names
 from divprotect import cli, pcycle
 from divprotect.pcycle import cycle_ring, enumerate_cycles, pc_design
 from divprotect.plan import detour_arcs, serialize_plan
-from divprotect.topology import Flow, Topology
+from divprotect.topology import Flow, ScenarioError, Topology
 from helpers import (
     all_links_coverage,
     apriori_efficiency,
@@ -107,6 +107,33 @@ def test_max_hops_bound():
     topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
     assert len(enumerate_cycles(topo)) == 3
     assert len(enumerate_cycles(topo, max_hops=3)) == 2  # 4-ring dropped
+
+
+def test_k10_stays_within_the_cycle_limit():
+    # every cycle of K10: sum over k = 3..10 of C(10, k) (k - 1)! / 2
+    k10 = km([(a, b, 1) for a in range(10) for b in range(a + 1, 10)])
+    assert len(enumerate_cycles(k10)) == 556_014 < pcycle._MAX_CYCLES
+
+
+def test_cycle_limit_refuses_the_first_cycle_past_it(monkeypatch):
+    k4 = km([(a, b, 1) for a in range(4) for b in range(a + 1, 4)])
+    monkeypatch.setattr(pcycle, "_MAX_CYCLES", 7)
+    assert len(enumerate_cycles(k4)) == 7
+    monkeypatch.setattr(pcycle, "_MAX_CYCLES", 6)
+    with pytest.raises(ScenarioError, match="^the topology has more than 6 cycles of at most 4 links;"):
+        enumerate_cycles(k4)
+
+
+def test_cover_budget_refuses_before_the_matrix(monkeypatch):
+    # example2: 7 links x 7 cycles
+    sc = load_fixture("example2")
+    monkeypatch.setattr(pcycle, "_MAX_COVER_CELLS", 49)
+    pc_design(sc.topology, sc.demands)
+    monkeypatch.setattr(pcycle, "_MAX_COVER_CELLS", 48)
+    monkeypatch.setattr(pcycle, "_coverage", None)
+    with pytest.raises(ScenarioError, match="^7 links x 7 cycles make 49 detour cells;"
+                                            " p-cycle planning holds at most 48$"):
+        pc_design(sc.topology, sc.demands)
 
 
 @pytest.mark.parametrize("max_hops", [0, 1, 2])

@@ -180,6 +180,12 @@ def _demand1(row):
         (lambda t: t.replace("{src: 0, dst: 2}", "{dst: 2}"), "missing required field 'src'"),
         (lambda t: t + "  - {src: 0, dst: 1, rate: 1.5}\n", "expected an integer"),
         (lambda t: t.replace("demands:\n  - {src: 0, dst: 2}\n", "demands: []\n"), "non-empty list"),
+        (lambda t: t.replace("nodes:\n    - {id: 0}\n    - {id: 1}\n    - {id: 2}\n", "nodes: []\n"),
+         "topology.nodes: expected a non-empty list"),
+        (lambda t: t.replace("    - {id: 1}\n    - {id: 2}\n", ""),
+         "topology: topology needs at least two nodes"),
+        (lambda t: t[:t.index("  links:")] + "  links: []\n" + t[t.index("demands:"):],
+         "topology.links: expected a non-empty list"),
         (lambda t: "topology: 3\ndemands: []\n", "missing required field 'unit'"),
         (lambda t: "- just\n- a list\n", "must be a mapping"),
         (lambda t: "a: [unclosed\n", "not valid YAML"),
@@ -516,6 +522,18 @@ def test_adj_rows_are_the_one_adjacency():
                 assert topo.link_between(w, v) is link
                 seen[lid] += 1
         assert seen == [2] * topo.m
+
+
+@pytest.mark.parametrize(
+    "n, links, message",
+    [
+        (1, [], "topology needs at least two nodes"),
+        (3, [], "topology has no links"),
+    ],
+)
+def test_topology_needs_two_nodes_and_a_link(n, links, message):
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        Topology(n, links)
 
 
 @pytest.mark.parametrize("unit", [["km"], {"a": 1}])
