@@ -96,33 +96,38 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_common(args) -> None:
-    """Validate the options every command shares and leave the parsed
-    schemes, switch times and RtParams on args."""
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+def _schemes(text: str) -> tuple[str, ...]:
+    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
     if not schemes:
-        raise ScenarioError("--schemes needs at least one of dc,sr,pc")
-    for s in schemes:
-        if s not in ALL_SCHEMES:
-            raise ScenarioError(
-                f"unknown scheme {s!r} (expected a subset of {','.join(ALL_SCHEMES)})"
-            )
+        raise argparse.ArgumentTypeError("needs at least one of dc,sr,pc")
+    for i, s in enumerate(schemes):
+        if s not in ALL_SCHEMES or s in schemes[:i]:
+            what = "repeated" if s in ALL_SCHEMES else "unknown"
+            raise argparse.ArgumentTypeError(f"{what} scheme {s!r} (expected a subset of dc,sr,pc)")
+    return schemes
+
+
+def _switch_times(text: str) -> tuple[float, ...]:
     try:
-        switch = tuple(
-            float(x) * 1e-3 for x in args.switch_time_ms.split(",") if x.strip()
-        )
+        switch = tuple(float(x) * 1e-3 for x in text.split(",") if x.strip())
     except ValueError:
-        raise ScenarioError(f"bad --switch-time-ms value {args.switch_time_ms!r}")
+        raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
     if not switch or not all(math.isfinite(c) and c > 0 for c in switch):
-        raise ScenarioError(
-            "--switch-time-ms needs finite positive comma-separated values"
-        )
-    for flag, value in (("--detect-us", args.detect_us), ("--proc-us", args.proc_us)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ScenarioError(f"{flag} needs a finite non-negative value, got {value:g}")
-    args.schemes = schemes
-    args.switch_values_s = switch
-    args.rt_params = RtParams(detect_s=args.detect_us * 1e-6, node_proc_s=args.proc_us * 1e-6)
+        raise argparse.ArgumentTypeError("needs finite positive comma-separated values")
+    labels = [_fmt_ms(c) for c in switch]
+    if len(set(labels)) < len(labels):
+        raise argparse.ArgumentTypeError(f"{text!r} prints two values alike: {','.join(labels)}")
+    return switch
+
+
+def _us(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"needs a finite non-negative value, got {value:g}")
+    return value / 1e6
 
 
 def cmd_plan(args) -> int:
@@ -138,11 +143,12 @@ def cmd_plan(args) -> int:
 
 
 def _compare_rows(args, sc: Scenario):
+    rt = RtParams(detect_s=args.detect_s, node_proc_s=args.node_proc_s)
     rows = []
     partial = False
     for scheme in args.schemes:
         plan = build_plan(scheme, sc)
-        _, result = sweep(sc.topology, plan, args.rt_params, args.switch_values_s)
+        _, result = sweep(sc.topology, plan, rt, args.switch_values_s)
         partial = partial or result.partial
         rows.append(result)
     return rows, partial
@@ -227,23 +233,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", required=True,
-                   help="scenario file path or bundled fixture name")
-    p.add_argument("--schemes", default=",".join(ALL_SCHEMES),
-                   help="comma list out of dc,sr,pc (default: all)")
-    p.add_argument("--switch-time-ms", default=",".join(map(_fmt_ms, SWITCH_VALUES_S)),
-                   help="switch reconfiguration times to evaluate, ms")
-    p.add_argument("--detect-us", type=float, default=100.0,
-                   help="failure detection time, microseconds")
-    p.add_argument("--proc-us", type=float, default=100.0,
-                   help="per-node message processing time, microseconds")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", default="csv",
-                   choices=["csv", "structured", "human-table"],
-                   help="output format for tabular commands")
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -252,24 +241,39 @@ def _parser() -> argparse.ArgumentParser:
                     "XOR parity groups (dc), shared-backup source "
                     "rerouting (sr), and protection cycles (pc).",
     )
+    options = {  # the defaults are the library's own, which argparse does not convert
+        "--scenario": dict(required=True, help="scenario file path or bundled fixture name"),
+        "--schemes": dict(type=_schemes, default=ALL_SCHEMES,
+                          help="comma list out of dc,sr,pc (default: all)"),
+        "--switch-time-ms": dict(type=_switch_times, default=SWITCH_VALUES_S,
+                                 dest="switch_values_s", metavar="MS,...", help="switch times"),
+        "--detect-us": dict(type=_us, default=RtParams().detect_s, dest="detect_s",
+                            metavar="US", help="failure detection time, microseconds"),
+        "--proc-us": dict(type=_us, default=RtParams().node_proc_s, dest="node_proc_s",
+                          metavar="US", help="per-node message processing time, microseconds"),
+        "--out": dict(help="output path (default: stdout)"),
+        "--format": dict(default="csv", choices=["csv", "structured", "human-table"]),
+    }
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in [
-        ("plan", cmd_plan),
-        ("compare", cmd_compare),
-        ("qor-curve", cmd_qor_curve),
-        ("validate", cmd_validate),
+    for name, fn, flags in [  # each command takes only the options it reads
+        ("plan", cmd_plan, ("--scenario", "--schemes", "--out")),
+        ("compare", cmd_compare, tuple(options)),
+        ("qor-curve", cmd_qor_curve, tuple(options)[:-1]),
+        ("validate", cmd_validate, ("--scenario", "--out")),
     ]:
         p = sub.add_parser(name)
-        _add_common(p)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        _parse_common(args)
+        args = _parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 after a usage error
+        return EXIT_OK if not exc.code else EXIT_ERROR
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -254,6 +254,12 @@ def _as_int(value, ctx):
     return value
 
 
+def _as_name(value, ctx):
+    if not isinstance(value, str):
+        raise ScenarioError(f"{ctx}: expected a string, got {value!r}; quote the name in YAML")
+    return value
+
+
 def _int_field(row, key, kind, i):
     """Field ``key`` of row ``i`` of list ``kind``, an int. The row's
     context for an error, such as ``topology.links[3].b``, is formatted
@@ -323,7 +329,7 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(f"topology.nodes[{i}]: duplicate node id {nid}")
         ids.add(nid)
         if "name" in nd:
-            names[nid] = str(nd["name"])
+            names[nid] = _as_name(nd["name"], f"topology.nodes[{i}].name")
     n = len(ids)
     if ids != set(range(n)):
         raise ScenarioError(f"topology.nodes: ids must be exactly 0..{n - 1}")
@@ -377,7 +383,7 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(
         topology=topo,
         demands=demands,
-        name=str(doc.get("name", "")),
+        name=_as_name(doc.get("name", ""), "name"),
         reconstructed=reconstructed,
     )
 

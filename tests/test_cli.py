@@ -1,3 +1,4 @@
+import argparse
 import glob
 import os
 import shutil
@@ -11,8 +12,9 @@ import pytest
 import yaml
 
 import divprotect
-from divprotect import topology
-from divprotect.cli import FIXTURES_ENV, fixture_names, fixture_path, main
+from divprotect import cli, topology
+from divprotect.cli import ALL_SCHEMES, FIXTURES_ENV, fixture_names, fixture_path, main
+from divprotect.metrics import SWITCH_VALUES_S, RtParams
 from divprotect.topology import dump_scenario, load_scenario
 from helpers import load_fixture
 
@@ -456,6 +458,97 @@ def test_switch_time_ms_must_be_finite_positive(value, capsys):
     argv = ["compare", "--scenario", "example2", f"--switch-time-ms={value}"]
     assert main(argv) == 1
     assert "--switch-time-ms" in capsys.readouterr().err
+
+
+def _subparser(command):
+    ap = cli._parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+ALL_OPTIONS = ["--scenario", "--schemes", "--switch-time-ms", "--detect-us", "--proc-us",
+               "--out", "--format"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("plan", ["--scenario", "--schemes", "--out"]),
+    ("compare", ALL_OPTIONS),
+    ("qor-curve", ALL_OPTIONS[:-1]),
+    ("validate", ["--scenario", "--out"]),
+])
+def test_each_command_takes_only_the_options_it_reads(command, options):
+    actions = _subparser(command)._actions
+    assert [s for a in actions for s in a.option_strings if s not in ("-h", "--help")] == options
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--format", "csv"],
+    ["plan", "--switch-time-ms", "1"],
+    ["qor-curve", "--format", "csv"],
+    ["validate", "--schemes", "dc"],
+])
+def test_an_option_the_command_does_not_read_is_refused(argv, capsys):
+    assert main([*argv, "--scenario", "example2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    assert main(["compare", "--scenario", "example2", "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["compare"]) == 1
+    assert "required: --scenario" in capsys.readouterr().err
+    assert main([]) == 1
+    capsys.readouterr()
+    assert main(["compare", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: divprotect compare")
+
+
+def test_option_errors_name_the_option_after_a_usage_line(capsys):
+    assert main(["compare", "--scenario", "example2", "--schemes", "dc,xx"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: divprotect compare")
+    assert err.endswith("divprotect compare: error: argument --schemes: "
+                        "unknown scheme 'xx' (expected a subset of dc,sr,pc)\n")
+
+
+@pytest.mark.parametrize("option, value, phrase", [
+    ("--schemes", "dc,dc", "repeated scheme 'dc'"),
+    ("--schemes", "sr, pc,sr", "repeated scheme 'sr'"),
+    ("--switch-time-ms", "1,1.0000001", "prints two values alike: 1,1"),
+    ("--switch-time-ms", "0.5,5,0.5", "prints two values alike: 0.5,5,0.5"),
+])
+def test_repeated_schemes_and_switch_labels_are_refused(option, value, phrase, capsys):
+    for command in ("compare", "qor-curve"):
+        assert main([command, "--scenario", "example2", option, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument {option}: " in err and phrase in err
+
+
+def test_defaults_are_the_library_constants(monkeypatch):
+    args = cli._parser().parse_args(["compare", "--scenario", "example2"])
+    assert args.schemes is ALL_SCHEMES
+    assert args.switch_values_s is SWITCH_VALUES_S
+    # the RtParams each sweep gets equals RtParams(), float for float, with
+    # no timing flags and with the default values spelled out
+    seen = []
+    orig = cli.sweep
+
+    def recording_sweep(topo, plan, rt_params, switch_values_s):
+        seen.append((rt_params, switch_values_s))
+        return orig(topo, plan, rt_params, switch_values_s)
+
+    monkeypatch.setattr(cli, "sweep", recording_sweep)
+    timing = ["--detect-us", "100", "--proc-us", "100", "--switch-time-ms", "0.5,1,5,10"]
+    for extra in ([], timing):
+        assert main(["compare", "--scenario", "example2", "--schemes", "dc",
+                     "--out", os.devnull, *extra]) == 0
+    assert len(seen) == 2
+    for rt_params, switch_values_s in seen:
+        assert rt_params == RtParams()
+        assert switch_values_s == SWITCH_VALUES_S
 
 
 def _validate_example2_bytes(tmp_path, monkeypatch) -> bytes:

@@ -228,6 +228,17 @@ def _demand1(row):
         (_demand1("{src: 0, dst: 1, rate: x}"), "demands[1].rate: expected an integer, got 'x'"),
         (_demand1("{src: 0, dst: 1, rate: true}"),
          "demands[1].rate: expected an integer, got True"),
+        # a name YAML reads as another type is refused, not turned into text
+        (lambda t: t.replace("{id: 0}", "{id: 0, name: no}"),
+         "topology.nodes[0].name: expected a string, got False; quote the name"),
+        (lambda t: t.replace("{id: 1}", "{id: 1, name: yes}"),
+         "topology.nodes[1].name: expected a string, got True"),
+        (lambda t: t.replace("{id: 2}", "{id: 2, name: 017}"),
+         "topology.nodes[2].name: expected a string, got 15"),
+        (lambda t: t.replace("{id: 0}", "{id: 0, name: null}"),
+         "topology.nodes[0].name: expected a string, got None"),
+        (lambda t: "name: 017\n" + t, "name: expected a string, got 15; quote the name"),
+        (lambda t: "name: no\n" + t, "name: expected a string, got False"),
     ],
 )
 def test_scenario_errors_carry_context(mutate, phrase):
