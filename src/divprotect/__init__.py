@@ -22,7 +22,7 @@ from .metrics import (
     qor,
     scp,
 )
-from .pcycle import Cycle, cycle_ring, enumerate_cycles, pc_design
+from .pcycle import Cycle, Cycles, cycle_ring, enumerate_cycles, pc_design
 from .plan import (
     SCHEME_DC,
     SCHEME_PC,

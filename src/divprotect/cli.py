@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -22,6 +21,9 @@ EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
 FIXTURES_ENV = "DIVPROTECT_FIXTURES"
+
+# longest time any timing option takes, in seconds: 1e6 ms, 1e9 us
+_MAX_TIME_S = 1e3
 
 
 def _fixture_dir() -> str:
@@ -109,11 +111,14 @@ def _schemes(text: str) -> tuple[str, ...]:
 
 def _switch_times(text: str) -> tuple[float, ...]:
     try:
-        switch = tuple(float(x) * 1e-3 for x in text.split(",") if x.strip())
+        ms = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
-    if not switch or not all(math.isfinite(c) and c > 0 for c in switch):
-        raise argparse.ArgumentTypeError("needs finite positive comma-separated values")
+    if not ms or not all(0 < c <= _MAX_TIME_S * 1e3 for c in ms):
+        raise argparse.ArgumentTypeError(
+            f"needs positive comma-separated values of at most {_MAX_TIME_S * 1e3:g}"
+        )
+    switch = tuple(c * 1e-3 for c in ms)
     labels = [_fmt_ms(c) for c in switch]
     if len(set(labels)) < len(labels):
         raise argparse.ArgumentTypeError(f"{text!r} prints two values alike: {','.join(labels)}")
@@ -125,8 +130,10 @@ def _us(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"needs a finite non-negative value, got {value:g}")
+    if not 0 <= value <= _MAX_TIME_S * 1e6:
+        raise argparse.ArgumentTypeError(
+            f"needs a non-negative value of at most {_MAX_TIME_S * 1e6:g}, got {value:g}"
+        )
     return value / 1e6
 
 

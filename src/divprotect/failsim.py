@@ -12,7 +12,6 @@ one pass.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -149,10 +148,11 @@ def _sweep_pc(topo, plan, users, p):
         notify_s = _notify_delay(topo, lid, p)
         # one detour per unit of rate, shortest first, over every bought
         # copy: the copies of one distinct arc fill a run of positions
-        copies = Counter()
+        copies = {}
         for ci, detours in by_link[lid]:
+            k = plan.cycles[ci].copies
             for arc in detours:
-                copies[arc] += plan.cycles[ci].copies
+                copies[arc] = copies.get(arc, 0) + k
         arcs = sorted(copies)
         ends = list(accumulate((copies[arc] for arc in arcs), initial=0))
         geoms = []

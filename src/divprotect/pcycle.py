@@ -11,7 +11,6 @@ CLI) does not load it.
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import routing
@@ -34,8 +33,8 @@ class Cycle(NamedTuple):
     reads nothing else; ``cycle_ring`` rebuilds the node and link
     sequence, which pc_design does only for the cycles it buys.
     enumerate_cycles returns cycles in (distance, ring) order, the ring
-    being that canonical node sequence; comparing two Cycles compares
-    their masks after the distance, which is not the same order.
+    being that canonical node sequence; comparing two Cycle tuples
+    compares their masks after the distance, which is not the same order.
     """
 
     length_mm: int
@@ -44,6 +43,28 @@ class Cycle(NamedTuple):
     @property
     def hops(self) -> int:
         return self.mask.bit_count()
+
+
+class Cycles:
+    """enumerate_cycles' result: two parallel lists, ``lengths`` (each
+    cycle's distance) and ``masks`` (its link mask), in (distance, ring)
+    order. Indexing and iteration build each ``Cycle`` only when asked;
+    pc_design reads the lists and builds none."""
+
+    __slots__ = ("lengths", "masks")
+
+    def __init__(self, lengths: list[int], masks: list[int]):
+        self.lengths = lengths
+        self.masks = masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i: int) -> Cycle:
+        return Cycle(self.lengths[i], self.masks[i])
+
+    def __iter__(self):
+        return map(Cycle, self.lengths, self.masks)
 
 
 def cycle_ring(topo: Topology, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -74,7 +95,7 @@ def cycle_ring(topo: Topology, mask: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(nodes), tuple(links)
 
 
-def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]:
+def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> Cycles:
     """All simple cycles with at most max_hops links.
 
     Default bound is min(n, 12); the cap keeps dense instances tractable
@@ -82,10 +103,11 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     each cycle's smallest node (the anchor) walks only larger nodes and
     closes a ring only in its canonical orientation, so each cycle is
     found once, with no deduplication. The search carries each path as
-    its running distance and link mask alone, so a ring costs one
-    ``Cycle`` and no node or link tuples. The result is sorted by
-    (distance, ring). More than ``_MAX_CYCLES`` rings is a ScenarioError,
-    raised as the search closes the first one past the limit.
+    its running distance and link mask alone, and a ring costs one entry
+    in each of two int lists, with no tuple of any kind. The result is
+    sorted by (distance, ring). More than ``_MAX_CYCLES`` rings is a
+    ScenarioError, raised as the search closes the first one past the
+    limit.
 
     Hop bound: a ring that starts anchor -> s must close through a
     neighbour x of the anchor with x > s. Before searching from s, one
@@ -102,7 +124,7 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     if max_hops is None:
         max_hops = min(topo.n, 12)
     if max_hops < 3:
-        return []
+        return Cycles([], [])
     n = topo.n
     # up[v]: (w, distance, link bit) for v's neighbours w >= anchor;
     # adj_rows is sorted, so raising the anchor past a node drops at
@@ -112,8 +134,8 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     # the nodes on the path are put
     far = max_hops + 1
     close = [None] * n  # (distance, link bit) from each neighbour of the anchor back to it
-    new = tuple.__new__  # builds a Cycle without NamedTuple's Python __new__
-    out = []
+    lengths, masks = [], []
+    add_length, add_mask = lengths.append, masks.append
 
     def dfs(v: int, total: int, mask: int, depth: int, free: int):
         # free: closing neighbours not on the path (depth nodes, at v)
@@ -127,8 +149,9 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
             left = free
             if h == 1:
                 back_mm, back_bit = close[w]
-                out.append(new(Cycle, (mm + back_mm, bits | back_bit)))
-                if len(out) > _MAX_CYCLES:
+                add_length(mm + back_mm)
+                add_mask(bits | back_bit)
+                if len(masks) > _MAX_CYCLES:
                     raise ScenarioError(
                         f"the topology has more than {_MAX_CYCLES} cycles of at most"
                         f" {max_hops} links; p-cycle planning enumerates at most {_MAX_CYCLES}"
@@ -172,11 +195,11 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> list[Cycle]
     # rings come out in node order (anchors, then each step's neighbours
     # ascending, a ring before its extensions), so a stable sort on
     # distance alone leaves them in (distance, ring) order
-    out.sort(key=itemgetter(0))
-    return out
+    order = sorted(range(len(masks)), key=lengths.__getitem__)
+    return Cycles([lengths[i] for i in order], [masks[i] for i in order])
 
 
-def _coverage(topo: Topology, cycles):
+def _coverage(topo: Topology, cycles: Cycles):
     """Detours per copy, int8 links x cycles: cover[l, c] is 1 when link l
     is on cycle c, 2 when l straddles c (both endpoints on c, l not on it)
     and 0 otherwise, the count ``plan.detour_arcs`` gives. The masks are
@@ -186,7 +209,7 @@ def _coverage(topo: Topology, cycles):
 
     nc = len(cycles)
     nb = (topo.m + 7) // 8
-    packed = np.frombuffer(b"".join([c.mask.to_bytes(nb, "little") for c in cycles]), np.uint8)
+    packed = np.frombuffer(b"".join([m.to_bytes(nb, "little") for m in cycles.masks]), np.uint8)
     packed = np.ascontiguousarray(packed.reshape(nc, nb).T)
     cover = np.unpackbits(packed, axis=0, count=topo.m, bitorder="little").view(np.int8)
     del packed
@@ -252,7 +275,7 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
             f" p-cycle planning holds at most {_MAX_COVER_CELLS}"
         )
     cover = _coverage(topo, cycles)
-    lengths = np.array([c.length_mm for c in cycles], dtype=np.float64)
+    lengths = np.array(cycles.lengths, dtype=np.float64)
 
     def change(rows, old, new):
         """How ``protected`` moves when the need of links ``rows`` goes
@@ -294,7 +317,7 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
                 unprotected.append(fid)
 
     selections = tuple(
-        CycleSelection(*cycle_ring(topo, cycles[ci].mask), cycles[ci].length_mm, int(k))
+        CycleSelection(*cycle_ring(topo, cycles.masks[ci]), cycles.lengths[ci], int(k))
         for ci, k in enumerate(copies.tolist())
         if k > 0
     )

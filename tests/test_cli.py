@@ -1,5 +1,6 @@
 import argparse
 import glob
+import math
 import os
 import shutil
 import subprocess
@@ -439,25 +440,39 @@ def test_out_into_missing_dir_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["-1000000", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-1000000", "nan", "inf", "1e308"])
 def test_detect_us_must_be_finite_non_negative(value, capsys):
     argv = ["compare", "--scenario", "example2", f"--detect-us={value}"]
     assert main(argv) == 1
     assert "--detect-us" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-100", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-100", "nan", "inf", "1e308"])
 def test_proc_us_must_be_finite_non_negative(value, capsys):
     argv = ["compare", "--scenario", "example2", f"--proc-us={value}"]
     assert main(argv) == 1
     assert "--proc-us" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1,nan", "1e308"])
 def test_switch_time_ms_must_be_finite_positive(value, capsys):
     argv = ["compare", "--scenario", "example2", f"--switch-time-ms={value}"]
     assert main(argv) == 1
     assert "--switch-time-ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, top", [
+    ("--switch-time-ms", "1000000"), ("--detect-us", "1000000000"), ("--proc-us", "1000000000"),
+])
+def test_timing_options_stop_at_a_thousand_seconds(option, top, capsys):
+    # a thousand seconds is taken; the next float above it, and 1e308
+    # (whose RT cells printed inf or 300 digits), are usage errors
+    assert main(["qor-curve", "--scenario", "example2", f"{option}={top}"]) == 0
+    capsys.readouterr()
+    for value in (repr(math.nextafter(float(top), math.inf)), "1e308"):
+        assert main(["qor-curve", "--scenario", "example2", f"{option}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: needs " in err and "of at most" in err
 
 
 def _subparser(command):

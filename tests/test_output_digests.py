@@ -4,7 +4,8 @@ The example2 goldens spell out their bytes; these digests pin the other
 fixtures too, so a change to routing, tie-breaking or formatting that
 moves any output byte shows here. One seeded 40-node benchmark instance,
 larger than any fixture, pins the dc plan where its candidate search
-does most of its work.
+does most of its work; a 200-node one pins the pc plan where cycle
+enumeration and selection handle 222,730 cycles.
 """
 import hashlib
 
@@ -13,6 +14,7 @@ import pytest
 
 from divprotect.cli import main
 from divprotect.coding import algorithm_one
+from divprotect.pcycle import pc_design
 from divprotect.plan import serialize_plan
 from helpers import load_bench_kernels
 
@@ -61,3 +63,12 @@ def test_dc_plan_of_a_40_node_mesh_matches_the_recorded_digest():
     topo, flows = load_bench_kernels().dc_instance(np.random.default_rng(1), 40, 60)
     plan = serialize_plan(algorithm_one(topo, flows), topo)
     assert hashlib.sha256(plan.encode()).hexdigest() == DC_40N_DIGEST
+
+
+PC_200N_DIGEST = "fdec484122af4b5f58a284e11b851ec8de1eb2860b3a14793234e889be3df09c"
+
+
+def test_pc_plan_of_a_200_node_mesh_matches_the_recorded_digest():
+    topo, flows = load_bench_kernels().dc_instance(np.random.default_rng(1), 200, 300)
+    plan = serialize_plan(pc_design(topo, flows), topo)
+    assert hashlib.sha256(plan.encode()).hexdigest() == PC_200N_DIGEST

@@ -46,7 +46,7 @@ def test_k4_has_seven_cycles():
 
 def test_tree_has_no_cycles():
     topo = km([(0, 1, 1), (1, 2, 1), (1, 3, 1)])
-    assert enumerate_cycles(topo) == []
+    assert len(enumerate_cycles(topo)) == 0
 
 
 def test_example2_cycles_golden():
@@ -79,6 +79,55 @@ def test_canonical_ring_is_rotation_and_reflection_free():
 def test_enumeration_matches_reference_on_fixtures(name):
     topo = load_fixture(name).topology
     assert rings(topo, enumerate_cycles(topo)) == _ref_enumerate_cycles(topo)
+
+
+def enumeration_cases():
+    for name in fixture_names():
+        yield load_fixture(name).topology
+    for seed in range(5):
+        yield random_scenario(seed)[0]
+    yield load_bench_kernels().random_graph(np.random.default_rng(7), 16, 14)
+
+
+def test_cycles_is_two_lists_read_as_a_sequence_of_cycle():
+    for topo in enumeration_cases():
+        cycles = enumerate_cycles(topo)
+        assert isinstance(cycles, pcycle.Cycles)
+        lengths, masks = cycles.lengths, cycles.masks
+        assert type(lengths) is type(masks) is list
+        want = list(map(pcycle.Cycle, lengths, masks))
+        assert len(cycles) == len(lengths) == len(masks) == len(want)
+        assert list(cycles) == want
+        assert [cycles[i] for i in range(len(cycles))] == want
+        assert [cycles[i] for i in range(-len(cycles), 0)] == want
+        assert all(type(c) is pcycle.Cycle for c in cycles)
+        assert lengths == sorted(lengths)
+        assert len(set(masks)) == len(masks)
+
+
+def test_pc_design_builds_no_cycle(monkeypatch):
+    # pc_design reads the two lists of Cycles and never asks for a Cycle:
+    # a counting subclass patched over pcycle.Cycle sees no construction,
+    # and the plans are the same bytes as with the real class
+    want = {}
+    for name in fixture_names():
+        sc = load_fixture(name)
+        want[name] = serialize_plan(pc_design(sc.topology, sc.demands), sc.topology)
+    built = []
+
+    class Counting(pcycle.Cycle):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(pcycle, "Cycle", Counting)
+    assert list(enumerate_cycles(load_fixture("example2").topology))  # the patch is seen
+    assert len(built) == 7
+    built.clear()
+    for name in fixture_names():
+        sc = load_fixture(name)
+        assert serialize_plan(pc_design(sc.topology, sc.demands), sc.topology) == want[name]
+    assert built == []
 
 
 def test_pc_design_enumerates_once_through_the_module(monkeypatch):
@@ -139,7 +188,7 @@ def test_cover_budget_refuses_before_the_matrix(monkeypatch):
 @pytest.mark.parametrize("max_hops", [0, 1, 2])
 def test_fewer_than_three_hops_close_no_cycle(max_hops):
     topo = km([(a, b, 1) for a in range(4) for b in range(a + 1, 4)])
-    assert enumerate_cycles(topo, max_hops=max_hops) == []
+    assert len(enumerate_cycles(topo, max_hops=max_hops)) == 0
 
 
 @pytest.mark.parametrize("seed", range(15))
