@@ -59,6 +59,10 @@ The end-to-end rows, left out with ``--skip-end-to-end``:
   demands to distinct random nodes, the size of the benchmark's
   backbone meshes. This row and ``dc-40n`` run on a fresh copy of the
   topology in every repeat, so no shared tree or route carries over.
+- ``pc-40n-sparse``: a pc plan of another graph and demand set of the
+  ``sr-40n`` shape, drawn after it: a sparse mesh (322 cycles at the
+  default seed) whose plan buys 34 copies, so the greedy's purchases
+  weigh about as much as the cycle enumeration.
 - ``pc-40n``: a pc plan (``pc_design``) of another graph and demand set
   of the ``dc-40n`` shape.
 - ``sweep-100n``: the failure sweeps of the sr and pc plans of a
@@ -311,6 +315,7 @@ def main(argv=None) -> int:
         rows.append(("routes-40n", *timed(disjoint_routes, route_calls(dc40, args.seed))))
         rows.append(("groups-40n", *timed(find_group, group_calls(dc40, args.seed))))
         rows.append(("sr-40n", *timed(planned, [(sr_design, *sr_instance(late, 40, 56, 48))])))
+        rows.append(("pc-40n-sparse", *timed(pc_design, [sr_instance(late, 40, 56, 48)])))
         rows.append(("pc-40n", *timed(pc_design, [dc_instance(rng, 40, 60)])))
         topo, flows = dc_instance(rng, 100, 150)
         plans = [sr_design(topo, flows), pc_design(topo, flows)]

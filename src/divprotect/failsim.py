@@ -5,9 +5,9 @@ and aggregates worst-case restoration times, so its output is
 byte-stable for identical inputs. A failure costs what it hits: the sr
 capacity check reads only the rerouted flows' backup links, the dc pass
 asks the decode rule only of the groups that hold a hit flow, and the
-worst-case restoration time at each switch time is the scheme's batch
-formula (``metrics.worst_rt_*``) over the distinct geometries, taken in
-one pass.
+worst-case restoration times are the scheme's batch formula
+(``metrics.worst_rt_*``) over the distinct geometries, which sums each
+geometry's switch-free terms once for all the switch times.
 """
 from __future__ import annotations
 
@@ -217,12 +217,8 @@ def sweep(
     scp_pct = scp(plan.total_capacity_mm(topo), swc)
     # equal geometries give equal times, so each is timed once
     distinct = dict.fromkeys(g for rep in reports for g in rep.geometries if g is not None)
-    rt_map: dict[float, float] = {}
-    qor_map: dict[float, float] = {}
-    for c in switch_values_s:
-        worst = worst_rt(distinct, p, c)
-        rt_map[c] = worst
-        qor_map[c] = qor(scp_pct, worst)
+    rt_map = dict(zip(switch_values_s, worst_rt(distinct, p, switch_values_s)))
+    qor_map = {c: qor(scp_pct, worst) for c, worst in rt_map.items()}
     result = SchemeResult(
         scheme=plan.scheme,
         scp_pct=scp_pct,

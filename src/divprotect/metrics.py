@@ -1,7 +1,7 @@
 """Spare capacity, restoration time, and quality-of-recovery scoring."""
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 
@@ -41,50 +41,63 @@ class FailureGeometry(NamedTuple):
     parity_skew_s: float = 0.0
 
 
-def worst_rt_sr(geoms: Iterable[FailureGeometry], p: RtParams, switch_s: float) -> float:
+def worst_rt_sr(
+    geoms: Iterable[FailureGeometry], p: RtParams, switch_values_s: Sequence[float]
+) -> tuple[float, ...]:
     """Source rerouting: notify the source, then signal the backup path
     switches there and back before traffic resumes. The worst time over
-    ``geoms`` at switch time ``switch_s``, or 0.0 for none."""
+    ``geoms`` at each switch time of ``switch_values_s``, 0.0 for none.
+    A geometry's terms are summed once; per switch time only
+    ``(backup_hops + 1) * switch`` and what follows it are added, in
+    the formula's left-to-right order, so the times are the same floats."""
     detect, proc = p.detect_s, p.node_proc_s
-    return max(
+    terms = [
         (
-            detect
-            + g.upstream_delay_s
-            + (g.upstream_hops + 1) * proc
-            + (g.backup_hops + 1) * switch_s
-            + 3 * g.prot_delay_s
-            + 3 * (g.backup_hops + 1) * proc
-            + g.notify_delay_s
-            for g in geoms
-        ),
-        default=0.0,
+            detect + g.upstream_delay_s + (g.upstream_hops + 1) * proc,
+            g.backup_hops + 1,
+            3 * g.prot_delay_s,
+            3 * (g.backup_hops + 1) * proc,
+            g.notify_delay_s,
+        )
+        for g in geoms
+    ]
+    return tuple(
+        max(
+            (head + hops * c + prot + signal + notify for head, hops, prot, signal, notify in terms),
+            default=0.0,
+        )
+        for c in switch_values_s
     )
 
 
-def worst_rt_pc(geoms: Iterable[FailureGeometry], p: RtParams, switch_s: float) -> float:
+def worst_rt_pc(
+    geoms: Iterable[FailureGeometry], p: RtParams, switch_values_s: Sequence[float]
+) -> tuple[float, ...]:
     """Protection cycles: the two end nodes of the failed span switch
     onto the pre-configured detour. The worst time over ``geoms`` at
-    switch time ``switch_s``, or 0.0 for none."""
+    each switch time of ``switch_values_s``, 0.0 for none, with the
+    switch-free head of the sum taken once per geometry."""
     detect, proc = p.detect_s, p.node_proc_s
-    return max(
-        (
-            detect
-            + (g.upstream_hops + 1) * proc
-            + 2 * switch_s
-            + g.prot_delay_s
-            + g.notify_delay_s
-            for g in geoms
-        ),
-        default=0.0,
+    terms = [
+        (detect + (g.upstream_hops + 1) * proc, g.prot_delay_s, g.notify_delay_s)
+        for g in geoms
+    ]
+    return tuple(
+        max((head + 2 * c + prot + notify for head, prot, notify in terms), default=0.0)
+        for c in switch_values_s
     )
 
 
-def worst_rt_dc(geoms: Iterable[FailureGeometry], p: RtParams, switch_s: float) -> float:
+def worst_rt_dc(
+    geoms: Iterable[FailureGeometry], p: RtParams, switch_values_s: Sequence[float]
+) -> tuple[float, ...]:
     """Parity decode: no switching, no signalling round trips; the
     destination just waits out the arrival skew of the parity copy. The
-    worst time over ``geoms``, or 0.0 for none; ``switch_s`` is unread."""
+    worst time over ``geoms``, 0.0 for none, once per switch time of
+    ``switch_values_s``, which it does not depend on."""
     base = p.detect_s + 2 * p.node_proc_s
-    return max((base + g.parity_skew_s for g in geoms), default=0.0)
+    worst = max((base + g.parity_skew_s for g in geoms), default=0.0)
+    return (worst,) * len(switch_values_s)
 
 
 def scp(total_capacity_mm: int, shortest_working_mm: int) -> float:

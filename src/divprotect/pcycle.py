@@ -5,7 +5,8 @@ bitmask of its links, and bought greedily by a-priori efficiency:
 protected working units per unit of cycle distance. A copy
 protects a link once per detour ``plan.detour_arcs`` gives it; pc_design
 holds the same rule as one matrix of detours per copy, scores every cycle
-once and then rescores through the rows of the links each purchase changes.
+once and then, after each purchase, rescores through the rows of only
+those links whose need falls below 2.
 numpy is imported by pc_design itself, so importing this module (and the
 CLI) does not load it.
 """
@@ -17,7 +18,9 @@ from . import routing
 from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, link_load
 from .topology import ScenarioError, Topology
 
-# largest per-link working load the int64 coverage arithmetic holds
+# largest per-link working load: a cycle's copies never exceed the
+# working load of a link it still protects at its last purchase, so
+# pc_design's int64 ``copies`` counter holds them
 _MAX_LOAD = 2**63 - 1
 # most cycles enumerate_cycles collects: within the default hop bound
 # K10 has 556,014 and K11 5,488,059
@@ -242,11 +245,12 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
     fewest purchases that change one of the cycle's terms. Copies before
     the k-th change no term anywhere, so ``protected`` and hence the
     argmax would pick the same cycle again: buying them one at a time
-    gives the same copies. k * cover <= need wherever need >= cover, so
-    no product leaves the int64 range, however large the rates.
+    gives the same copies.
 
-    ``protected`` is computed once and then updated only through the
-    rows of the links whose terms a step changed.
+    The needs are Python ints, so no rate is too large for them.
+    ``protected`` (int64) is computed once; as cover <= 2, a link's
+    terms move only when its need, clipped at 2, falls, and each
+    purchase subtracts the row of just those links.
 
     Links whose working load cannot be covered by any cycle (bridges)
     leave their flows unprotected and the plan partial. A topology with
@@ -277,22 +281,11 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
     cover = _coverage(topo, cycles)
     lengths = np.array(cycles.lengths, dtype=np.float64)
 
-    def change(rows, old, new):
-        """How ``protected`` moves when the need of links ``rows`` goes
-        from old to new, summed 16 rows at a time: d1 and d2 lie in
-        -2..2, so a block's products stay within int8."""
-        d1 = np.minimum(new, 1) - np.minimum(old, 1)
-        d2 = np.minimum(new, 2) - np.minimum(old, 2)
-        keep = (d1 != 0) | (d2 != 0)
-        rows, d1, d2 = rows[keep], d1[keep].astype(np.int8), d2[keep].astype(np.int8)
-        out = np.zeros(nc, dtype=np.int64)
-        for i in range(0, len(rows), 16):
-            part = cover[rows[i:i + 16]]
-            out += d1[i:i + 16] @ (part & 1) + d2[i:i + 16] @ (part >> 1)
-        return out
-
-    need = np.array(working_cap, dtype=np.int64)
-    protected = change(np.arange(topo.m), np.zeros_like(need), need)
+    need = list(working_cap)
+    protected = np.zeros(nc, dtype=np.int64)
+    for l, w in enumerate(need):
+        if w:
+            protected += np.minimum(cover[l], min(w, 2))
     copies = np.zeros(nc, dtype=np.int64)
     while nc:
         # cycles are pre-sorted by (distance, ring); argmax takes the
@@ -301,17 +294,20 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
         if protected[best] == 0:
             break
         per = cover[:, best]
-        rows = np.flatnonzero((per > 0) & (need > 0))
-        per = per[rows].astype(np.int64)
-        old = need[rows]
-        k = int(np.maximum(old // per, 1).min())
+        rows = [l for l in np.flatnonzero(per).tolist() if need[l]]
+        per = per[rows].tolist()
+        k = max(min(need[l] // c for l, c in zip(rows, per)), 1)
         copies[best] += k
-        need[rows] = np.maximum(old - k * per, 0)
-        protected += change(rows, old, need[rows])
+        for l, c in zip(rows, per):
+            old = need[l]
+            need[l] = new = max(old - k * c, 0)
+            # k * c >= 1, so the clipped need falls exactly when new < 2
+            if new < 2:
+                protected -= np.minimum(cover[l], min(old, 2)) - np.minimum(cover[l], new)
 
     unprotected = []
-    if need.any():
-        bad = set(np.flatnonzero(need).tolist())
+    if any(need):
+        bad = {l for l, w in enumerate(need) if w}
         for fid, w in enumerate(working_paths):
             if bad & set(w.links):
                 unprotected.append(fid)

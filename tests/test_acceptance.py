@@ -171,7 +171,7 @@ def test_2_quality_anchor_points():
 
 def test_3_decode_restoration_time_anchor():
     failures = []
-    rt = worst_rt_dc((FailureGeometry(),), RtParams(detect_s=100e-6, node_proc_s=100e-6), 1e-3)
+    (rt,) = worst_rt_dc((FailureGeometry(),), RtParams(detect_s=100e-6, node_proc_s=100e-6), (1e-3,))
     if abs(rt - 300e-6) > 1e-6:
         failures.append(f"formula gives {rt * 1e6:.3f}us")
     # equal-length corridors: zero parity skew end to end

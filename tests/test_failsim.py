@@ -181,7 +181,7 @@ def test_worst_case_is_over_all_failures():
     for rep in reports:
         for g in rep.geometries:
             if g is not None:
-                per_failure.append(worst_rt_sr((g,), RtParams(), 0.5e-3))
+                per_failure.append(worst_rt_sr((g,), RtParams(), (0.5e-3,))[0])
     assert res.rt_s[0.5e-3] == pytest.approx(max(per_failure), abs=1e-15)
 
 

@@ -63,11 +63,12 @@ def test_rtparams_fields_are_the_switch_independent_timings():
 def test_rt_dc_plug_in():
     # detection + two node visits + parity skew
     g = FailureGeometry(parity_skew_s=0.0)
-    assert worst_rt_dc((g,), P, C) == pytest.approx(300e-6, abs=1e-12)
+    assert worst_rt_dc((g,), P, (C,))[0] == pytest.approx(300e-6, abs=1e-12)
     g = FailureGeometry(parity_skew_s=1e-3)
-    assert worst_rt_dc((g,), P, C) == pytest.approx(1.3e-3, abs=1e-12)
+    assert worst_rt_dc((g,), P, (C,))[0] == pytest.approx(1.3e-3, abs=1e-12)
     # switch time never enters
-    assert worst_rt_dc((g,), P, 10e-3) == worst_rt_dc((g,), P, C)
+    assert worst_rt_dc((g,), P, (10e-3,)) == worst_rt_dc((g,), P, (C,))
+    assert worst_rt_dc((g,), P, (C, 10e-3)) == worst_rt_dc((g,), P, (C,)) * 2
 
 
 def test_rt_pc_plug_in():
@@ -75,8 +76,8 @@ def test_rt_pc_plug_in():
         upstream_hops=2, prot_delay_s=0.5e-3, notify_delay_s=0.1e-3
     )
     # detect 0.1 + (2+1)*0.1 proc + 2*1 switch + 0.5 prop + 0.1 notify (ms)
-    assert worst_rt_pc((g,), P, C) == pytest.approx(3.0e-3, abs=1e-12)
-    assert worst_rt_pc((g,), P, 5e-3) == pytest.approx(11.0e-3, abs=1e-12)
+    assert worst_rt_pc((g,), P, (C,))[0] == pytest.approx(3.0e-3, abs=1e-12)
+    assert worst_rt_pc((g,), P, (5e-3,))[0] == pytest.approx(11.0e-3, abs=1e-12)
 
 
 def test_rt_sr_plug_in():
@@ -89,8 +90,8 @@ def test_rt_sr_plug_in():
     )
     # detect .1 + upstream .4 + (1+1)*.1 + (2+1)*1 switch + 3*1 prop
     # + 3*(2+1)*.1 signalling + .1 notify = 7.7 ms
-    assert worst_rt_sr((g,), P, C) == pytest.approx(7.7e-3, abs=1e-12)
-    assert worst_rt_sr((g,), P, 0.5e-3) == pytest.approx(6.2e-3, abs=1e-12)
+    assert worst_rt_sr((g,), P, (C,))[0] == pytest.approx(7.7e-3, abs=1e-12)
+    assert worst_rt_sr((g,), P, (0.5e-3,))[0] == pytest.approx(6.2e-3, abs=1e-12)
 
 
 def test_rt_ordering_for_same_geometry():
@@ -98,8 +99,10 @@ def test_rt_ordering_for_same_geometry():
         backup_hops=3, upstream_hops=2, prot_delay_s=1e-3,
         upstream_delay_s=1e-3, notify_delay_s=0.2e-3, parity_skew_s=1e-3,
     )
-    for c in (0.5e-3, 1e-3, 5e-3, 10e-3):
-        assert worst_rt_dc((g,), P, c) < worst_rt_pc((g,), P, c) < worst_rt_sr((g,), P, c)
+    cs = (0.5e-3, 1e-3, 5e-3, 10e-3)
+    times = zip(worst_rt_dc((g,), P, cs), worst_rt_pc((g,), P, cs), worst_rt_sr((g,), P, cs))
+    for dc, pc, sr in times:
+        assert dc < pc < sr
 
 
 WORST = {SCHEME_DC: worst_rt_dc, SCHEME_SR: worst_rt_sr, SCHEME_PC: worst_rt_pc}
@@ -111,8 +114,9 @@ G = FailureGeometry(
 
 @pytest.mark.parametrize("scheme", sorted(WORST))
 def test_worst_rt_of_no_geometries_is_zero(scheme):
-    assert WORST[scheme]((), P, C) == 0.0
-    assert WORST[scheme](iter(()), CUSTOM_RT, C) == 0.0
+    assert WORST[scheme]((), P, (C,)) == (0.0,)
+    assert WORST[scheme](iter(()), CUSTOM_RT, (C, 5e-3)) == (0.0, 0.0)
+    assert WORST[scheme]([G], P, ()) == ()
 
 
 @pytest.mark.parametrize("scheme", sorted(WORST))
@@ -123,10 +127,10 @@ def test_worst_rt_of_equal_geometries_is_their_time(scheme):
     assert twin != G
     for p, c in ((P, C), (CUSTOM_RT, C), (P, 5e-3)):
         value = REFERENCE_RT[scheme](G, p, c)
-        assert WORST[scheme]((G,), p, c) == value
-        assert WORST[scheme]((G, G, G), p, c) == value
-        assert WORST[scheme]([G, twin], p, c) == value
-        assert WORST[scheme]({G: None, twin: None}, p, c) == value
+        assert WORST[scheme]((G,), p, (c,))[0] == value
+        assert WORST[scheme]((G, G, G), p, (c,))[0] == value
+        assert WORST[scheme]([G, twin], p, (c,))[0] == value
+        assert WORST[scheme]({G: None, twin: None}, p, (c,))[0] == value
 
 
 @pytest.mark.parametrize("design", [algorithm_one, sr_design, pc_design])
@@ -138,9 +142,10 @@ def test_worst_rt_equals_the_frozen_formula_on_every_fixture(name, design):
     geoms = [g for rep in reports for g in rep.geometries if g is not None]
     assert geoms
     worst, ref = WORST[plan.scheme], REFERENCE_RT[plan.scheme]
+    cs = (0.1e-3, 0.5e-3, 1e-3, 5e-3, 10e-3)
     for p in (P, CUSTOM_RT):
-        for c in (0.1e-3, 0.5e-3, 1e-3, 5e-3, 10e-3):
-            # bit for bit, not approximately
-            expected = max(ref(g, p, c) for g in geoms)
-            assert worst(geoms, p, c) == expected
-            assert worst(dict.fromkeys(geoms), p, c) == expected
+        # bit for bit, not approximately, at each switch time in turn
+        expected = tuple(max(ref(g, p, c) for g in geoms) for c in cs)
+        assert worst(geoms, p, cs) == expected
+        assert worst(dict.fromkeys(geoms), p, cs) == expected
+        assert worst(iter(geoms), p, cs[::-1]) == expected[::-1]

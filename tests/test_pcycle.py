@@ -360,17 +360,35 @@ def test_pc_design_matches_dense_reference_past_one_and_two_mask_words(seed, n, 
     assert serialize_plan(plan, topo) == serialize_plan(dense_pc_reference(topo, flows), topo)
 
 
-def scaled_rates(seed):
-    """random_scenario with every rate multiplied by 2-50, so selection
-    buys several copies per step and straddlers carry needs of 4 and up."""
-    topo, flows = random_scenario(seed)
+def scaled(flows, seed):
+    """flows with every rate multiplied by 2-50, so selection buys
+    several copies per step and straddlers carry needs of 4 and up."""
     rng = np.random.default_rng(1000 + seed)
-    return topo, [f._replace(rate=f.rate * int(rng.integers(2, 51))) for f in flows]
+    return [f._replace(rate=f.rate * int(rng.integers(2, 51))) for f in flows]
+
+
+def scaled_rates(seed):
+    """random_scenario with every rate scaled."""
+    topo, flows = random_scenario(seed)
+    return topo, scaled(flows, seed)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_pc_design_matches_dense_reference_on_scaled_rates(seed):
     topo, flows = scaled_rates(seed)
+    want = serialize_plan(dense_pc_reference(topo, flows), topo)
+    assert serialize_plan(pc_design(topo, flows), topo) == want
+
+
+@pytest.mark.parametrize("rates_scaled", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_pc_design_matches_dense_reference_on_backbone_meshes(seed, rates_scaled):
+    # the shape of divbench's backbone meshes (40 nodes, 56 links, 48
+    # flows), where each plan buys 27-46 copies over 15-21 cycles, so
+    # needs of 2 fall to 1 and to 0 across purchases
+    topo, flows = load_bench_kernels().sr_instance(np.random.default_rng(seed), 40, 56, 48)
+    if rates_scaled:
+        flows = scaled(flows, seed)
     want = serialize_plan(dense_pc_reference(topo, flows), topo)
     assert serialize_plan(pc_design(topo, flows), topo) == want
 
@@ -401,3 +419,16 @@ def test_pc_design_buys_huge_rates_in_batches(rate):
     chord = topo.link_between(0, 2).id
     assert plan.working_cap[chord] == rate
     assert plan.spare_cap[chord] == 1
+
+
+@pytest.mark.parametrize("rate", range(1, 7))
+def test_pc_design_matches_dense_reference_as_needs_cross_two(rate):
+    # the square with its chord 0-2, which carries ``rate``; the 0-1 and
+    # 2-3 spans carry 1 and 3. Across the rates the greedy buys one copy
+    # at a time and two at once, and takes links from 1, 2 and 3 down to
+    # 0 or 1 as well as from 3 and 4 down to 2, where no term moves
+    topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
+    flows = [Flow(0, 2, rate), Flow(0, 1, 1), Flow(2, 3, 3)]
+    plan = pc_design(topo, flows)
+    assert not plan.partial
+    assert serialize_plan(plan, topo) == serialize_plan(dense_pc_reference(topo, flows), topo)
