@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .coding import _decodes
 from .metrics import (
+    PROP_SPEED_KM_S,
     SWITCH_VALUES_S,
     FailureGeometry,
     RtParams,
@@ -50,16 +51,16 @@ class FailureReport(NamedTuple):
     capacity_feasible: bool
 
 
-def _delay(length_mm: int, p: RtParams) -> float:
-    return length_mm * KM_PER_MM / p.prop_speed_km_s
+def _delay(length_mm: int) -> float:
+    return length_mm * KM_PER_MM / PROP_SPEED_KM_S
 
 
-def _notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
+def _notify_delay(topo: Topology, lid: int) -> float:
     # worst case: break at mid-span, detected at the nearer end
-    return _delay(topo.link_mm[lid] // 2, p)
+    return _delay(topo.link_mm[lid] // 2)
 
 
-def _sweep_dc(topo, plan, users, p):
+def _sweep_dc(topo, plan, users):
     # a flow's parity skew, group and 1+1 backup do not depend on the
     # failed link
     late_mm = {}
@@ -77,7 +78,7 @@ def _sweep_dc(topo, plan, users, p):
     geom = {}
     for fid, mm in late_mm.items():
         skew = max(0, mm - plan.working_paths[fid].length_mm)
-        geom[fid] = FailureGeometry(parity_skew_s=_delay(skew, p))
+        geom[fid] = FailureGeometry(parity_skew_s=_delay(skew))
     lost = set(plan.unprotected)
     for fid, w in enumerate(plan.working_paths):
         if w is not None and fid not in geom and fid not in lost:
@@ -104,7 +105,7 @@ def _sweep_dc(topo, plan, users, p):
         yield geoms, True
 
 
-def _sweep_sr(topo, plan, users, p):
+def _sweep_sr(topo, plan, users):
     # per flow, once: where each working link sits and the delay up to
     # it, and the backup's links, delay and load
     reroute = {}
@@ -113,17 +114,17 @@ def _sweep_sr(topo, plan, users, p):
         prefix_mm = accumulate((topo.link_mm[l] for l in w.links), initial=0)
         reroute[pair.flow_id] = (
             {lid: i for i, lid in enumerate(w.links)},
-            [_delay(mm, p) for mm in prefix_mm],
+            [_delay(mm) for mm in prefix_mm],
             frozenset(b.links),
             b.hops,
-            _delay(b.length_mm, p),
+            _delay(b.length_mm),
             (b.links, plan.flows[pair.flow_id].rate),
         )
     # a link no backup crosses passes exactly when its spare is not negative
     spare = plan.spare_cap
     spare_ok = all(cap >= 0 for cap in spare)
     for lid, affected in enumerate(users):
-        notify_s = _notify_delay(topo, lid, p)
+        notify_s = _notify_delay(topo, lid)
         geoms = []
         rerouted = []
         for fid in affected:
@@ -142,10 +143,10 @@ def _sweep_sr(topo, plan, users, p):
         )
 
 
-def _sweep_pc(topo, plan, users, p):
+def _sweep_pc(topo, plan, users):
     by_link = cycle_users(topo, plan.cycles)
     for lid, affected in enumerate(users):
-        notify_s = _notify_delay(topo, lid, p)
+        notify_s = _notify_delay(topo, lid)
         # one detour per unit of rate, shortest first, over every bought
         # copy: the copies of one distinct arc fill a run of positions
         copies = {}
@@ -164,7 +165,7 @@ def _sweep_pc(topo, plan, users, p):
                 continue
             worst = arcs[bisect_right(ends, nxt + rate - 1) - 1]
             nxt += rate
-            geoms.append(FailureGeometry(0, worst[1], _delay(worst[0], p), 0.0, notify_s))
+            geoms.append(FailureGeometry(0, worst[1], _delay(worst[0]), 0.0, notify_s))
         # a flow left without a detour means the bought copies ran out
         yield geoms, None not in geoms
 
@@ -210,7 +211,7 @@ def sweep(
             geometries=tuple(geoms),
             capacity_feasible=cap_ok,
         )
-        for lid, (geoms, cap_ok) in enumerate(outcomes(topo, plan, users, p))
+        for lid, (geoms, cap_ok) in enumerate(outcomes(topo, plan, users))
     ]
 
     swc = shortest_working_capacity_mm(topo, plan.flows)

@@ -7,19 +7,20 @@ from typing import NamedTuple
 
 # the switch reconfiguration times a sweep scores by default, seconds
 SWITCH_VALUES_S = (0.5e-3, 1e-3, 5e-3, 10e-3)
+# signal propagation speed, km/s: 200 km/ms, typical for fibre
+PROP_SPEED_KM_S = 2.0e5
 
 
 class RtParams(NamedTuple):
     """Timing constants for restoration-time accounting.
 
-    Defaults: 100 us failure detection, 100 us per-node message
-    processing, and signal propagation at 200 km/ms (typical for fibre).
-    The switch reconfiguration time is an argument of each formula.
+    Defaults: 100 us failure detection and 100 us per-node message
+    processing. The switch reconfiguration time is an argument of each
+    formula; signals propagate at ``PROP_SPEED_KM_S``.
     """
 
     detect_s: float = 100e-6
     node_proc_s: float = 100e-6
-    prop_speed_km_s: float = 2.0e5
 
 
 class FailureGeometry(NamedTuple):
@@ -102,7 +103,8 @@ def worst_rt_dc(
 
 def scp(total_capacity_mm: int, shortest_working_mm: int) -> float:
     """Spare capacity percentage over the shortest-path working floor."""
-    return 100.0 * (total_capacity_mm - shortest_working_mm) / shortest_working_mm
+    # exact int division, rounded once: no capacity is too large
+    return 100 * (total_capacity_mm - shortest_working_mm) / shortest_working_mm
 
 
 def q_rt(rt_s: float) -> float:

@@ -6,9 +6,9 @@ protected working units per unit of cycle distance. A copy
 protects a link once per detour ``plan.detour_arcs`` gives it; pc_design
 holds the same rule as one matrix of detours per copy, scores every cycle
 once and then, after each purchase, rescores through the rows of only
-those links whose need falls below 2.
-numpy is imported by pc_design itself, so importing this module (and the
-CLI) does not load it.
+those links whose need falls below 2. Copies are Python ints, like every
+capacity. numpy is imported by pc_design itself, so importing this module
+(and the CLI) does not load it.
 """
 from __future__ import annotations
 
@@ -18,10 +18,6 @@ from . import routing
 from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, link_load
 from .topology import ScenarioError, Topology
 
-# largest per-link working load: a cycle's copies never exceed the
-# working load of a link it still protects at its last purchase, so
-# pc_design's int64 ``copies`` counter holds them
-_MAX_LOAD = 2**63 - 1
 # most cycles enumerate_cycles collects: within the default hop bound
 # K10 has 556,014 and K11 5,488,059
 _MAX_CYCLES = 1_000_000
@@ -247,8 +243,8 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
     argmax would pick the same cycle again: buying them one at a time
     gives the same copies.
 
-    The needs are Python ints, so no rate is too large for them.
-    ``protected`` (int64) is computed once; as cover <= 2, a link's
+    The needs and copies are Python ints, so no rate is too large for
+    them. ``protected`` (int64) is computed once; as cover <= 2, a link's
     terms move only when its need, clipped at 2, falls, and each
     purchase subtracts the row of just those links.
 
@@ -263,13 +259,6 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
     demand_idx = tuple(range(len(flows)))
     working_paths = [routing.shortest_path(topo, f.src, f.dst) for f in flows]
     working_cap = link_load(topo.m, ((w.links, f.rate) for f, w in zip(flows, working_paths)))
-
-    for lid, load in enumerate(working_cap):
-        if load > _MAX_LOAD:
-            raise ScenarioError(
-                f"link {lid} carries a working load of {load} units; "
-                f"p-cycle planning counts at most {_MAX_LOAD} per link"
-            )
 
     cycles = enumerate_cycles(topo)
     nc = len(cycles)
@@ -286,7 +275,7 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
     for l, w in enumerate(need):
         if w:
             protected += np.minimum(cover[l], min(w, 2))
-    copies = np.zeros(nc, dtype=np.int64)
+    copies = {}
     while nc:
         # cycles are pre-sorted by (distance, ring); argmax takes the
         # first maximum, which realises the tie-break
@@ -297,13 +286,14 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
         rows = [l for l in np.flatnonzero(per).tolist() if need[l]]
         per = per[rows].tolist()
         k = max(min(need[l] // c for l, c in zip(rows, per)), 1)
-        copies[best] += k
+        copies[best] = copies.get(best, 0) + k
         for l, c in zip(rows, per):
             old = need[l]
             need[l] = new = max(old - k * c, 0)
-            # k * c >= 1, so the clipped need falls exactly when new < 2
+            # k * c >= 1, so the clipped need falls exactly when new < 2; as
+            # cover <= 2, its terms fall by cover >> new, or by cover != 0 from 1
             if new < 2:
-                protected -= np.minimum(cover[l], min(old, 2)) - np.minimum(cover[l], new)
+                protected -= cover[l] >> new if old > 1 else cover[l] != 0
 
     unprotected = []
     if any(need):
@@ -313,9 +303,8 @@ def pc_design(topo: Topology, demand) -> ProtectionPlan:
                 unprotected.append(fid)
 
     selections = tuple(
-        CycleSelection(*cycle_ring(topo, cycles.masks[ci]), cycles.lengths[ci], int(k))
-        for ci, k in enumerate(copies.tolist())
-        if k > 0
+        CycleSelection(*cycle_ring(topo, cycles.masks[ci]), cycles.lengths[ci], k)
+        for ci, k in sorted(copies.items())
     )
     spare_cap = link_load(topo.m, ((sel.links, sel.copies) for sel in selections))
     return ProtectionPlan(

@@ -25,6 +25,10 @@ MM_PER_UNIT = {
 
 KM_PER_MM = 1e-6
 
+# the largest int the CLI prints, a p-cycle spare entry, is at most 10**6
+# cycles times the rates' sum: below this, within str()'s 4,300 digits
+_RATE_SUM_LIMIT = 10**4000
+
 
 def _known_unit(unit) -> bool:
     # a list or mapping read from a file is unhashable: no dict lookup
@@ -376,6 +380,8 @@ def load_scenario(text: str) -> Scenario:
         if rate < 1:
             raise ScenarioError(f"demands[{i}]: rate must be >= 1")
         demands.append(Flow(src, dst, rate))
+    if sum(f.rate for f in demands) >= _RATE_SUM_LIMIT:
+        raise ScenarioError("demands: the rates sum to 4,001 digits or more")
 
     reconstructed = doc.get("reconstructed", False)
     if not isinstance(reconstructed, bool):

@@ -22,7 +22,7 @@ from divprotect import coding, kernels, routing, topology
 from divprotect.cli import fixture_path
 from divprotect.coding import group_capacity_mm, verify_decodable
 from divprotect.failsim import FailureReport
-from divprotect.metrics import FailureGeometry, RtParams, SchemeResult, qor, scp
+from divprotect.metrics import PROP_SPEED_KM_S, FailureGeometry, RtParams, SchemeResult, qor, scp
 from divprotect.pcycle import cycle_ring
 from divprotect.plan import (
     SCHEME_DC,
@@ -663,13 +663,13 @@ def _ref_augment(n, arcs, orient, supply, dst):
 # before they shared one link -> flows index: every failure rescans every
 # path, and each (flow, link) pair recomputes its p-cycle list.
 
-def _ref_delay(length_mm: int, p: RtParams) -> float:
-    return length_mm * 1e-6 / p.prop_speed_km_s
+def _ref_delay(length_mm: int) -> float:
+    return length_mm * 1e-6 / PROP_SPEED_KM_S
 
 
-def _ref_notify_delay(topo: Topology, lid: int, p: RtParams) -> float:
+def _ref_notify_delay(topo: Topology, lid: int) -> float:
     # worst case: break at mid-span, detected at the nearer end
-    return _ref_delay(topo.link_mm[lid] // 2, p)
+    return _ref_delay(topo.link_mm[lid] // 2)
 
 
 def _ref_tail_mm(topo, trail, node):
@@ -682,7 +682,7 @@ def _ref_tail_mm(topo, trail, node):
     raise ValueError(f"node {node} not on trail")
 
 
-def _ref_sweep_dc(topo, plan, lid, affected, p):
+def _ref_sweep_dc(topo, plan, lid, affected):
     ok = verify_decodable(plan, lid)
     group_of = {}
     for g in plan.groups:
@@ -704,11 +704,11 @@ def _ref_sweep_dc(topo, plan, lid, affected, p):
         else:
             pair = pair_of[fid]
             skew = max(0, pair.backup.length_mm - w.length_mm)
-        geoms.append(FailureGeometry(parity_skew_s=_ref_delay(skew, p)))
+        geoms.append(FailureGeometry(parity_skew_s=_ref_delay(skew)))
     return recovered, geoms, True
 
 
-def _ref_sweep_sr(topo, plan, lid, affected, p):
+def _ref_sweep_sr(topo, plan, lid, affected):
     pair_of = {pair.flow_id: pair for pair in plan.pairs}
     recovered = []
     geoms = []
@@ -726,9 +726,9 @@ def _ref_sweep_sr(topo, plan, lid, affected, p):
             FailureGeometry(
                 backup_hops=b.hops,
                 upstream_hops=i,
-                prot_delay_s=_ref_delay(b.length_mm, p),
-                upstream_delay_s=_ref_delay(prefix_mm, p),
-                notify_delay_s=_ref_notify_delay(topo, lid, p),
+                prot_delay_s=_ref_delay(b.length_mm),
+                upstream_delay_s=_ref_delay(prefix_mm),
+                notify_delay_s=_ref_notify_delay(topo, lid),
             )
         )
         recovered.append(True)
@@ -738,7 +738,7 @@ def _ref_sweep_sr(topo, plan, lid, affected, p):
     return recovered, geoms, cap_ok
 
 
-def _ref_sweep_pc(topo, plan, lid, affected, p):
+def _ref_sweep_pc(topo, plan, lid, affected):
     # one detour per unit of rate, shortest first, over every bought copy
     arcs = sorted(arc for sel in plan.cycles for arc in detour_arcs(topo, sel, lid) * sel.copies)
     recovered = []
@@ -758,8 +758,8 @@ def _ref_sweep_pc(topo, plan, lid, affected, p):
         geoms.append(
             FailureGeometry(
                 upstream_hops=worst[1],
-                prot_delay_s=_ref_delay(worst[0], p),
-                notify_delay_s=_ref_notify_delay(topo, lid, p),
+                prot_delay_s=_ref_delay(worst[0]),
+                notify_delay_s=_ref_notify_delay(topo, lid),
             )
         )
     return recovered, geoms, cap_ok
@@ -796,7 +796,7 @@ def _ref_rt_dc(g, p, switch_s):
 REFERENCE_RT = {SCHEME_DC: _ref_rt_dc, SCHEME_SR: _ref_rt_sr, SCHEME_PC: _ref_rt_pc}
 
 # timing constants other than RtParams' defaults
-CUSTOM_RT = RtParams(detect_s=7e-6, node_proc_s=3e-6, prop_speed_km_s=1.5e5)
+CUSTOM_RT = RtParams(detect_s=7e-6, node_proc_s=3e-6)
 
 
 def reference_sweep(topo, plan, rt_params=None, switch_values_s=(0.5e-3, 1e-3, 5e-3, 10e-3)):
@@ -814,7 +814,7 @@ def reference_sweep(topo, plan, rt_params=None, switch_values_s=(0.5e-3, 1e-3, 5
             for fid, w in enumerate(plan.working_paths)
             if w is not None and lid in w.links
         )
-        recovered, geoms, cap_ok = handler(topo, plan, lid, affected, p)
+        recovered, geoms, cap_ok = handler(topo, plan, lid, affected)
         reports.append(
             FailureReport(
                 link=lid,

@@ -174,6 +174,24 @@ def test_validate_reports_shape(tmp_path):
     assert "total_rate: 4" in text
 
 
+def test_rate_sum_past_4000_digits_exits_1_at_load(tmp_path, capsys):
+    # the largest int printed, a pc spare entry, is at most 10^6 times
+    # the rate sum, so a sum below 10^4000 stays within str()'s 4,300 digits
+    at = write_ring(tmp_path / "at.yaml", 1, 10**4000)
+    for argv in (["validate"], ["plan", "--schemes", "sr,pc"]):
+        assert main(argv + ["--scenario", str(at)]) == 1
+        assert capsys.readouterr().err == (
+            "error: demands: the rates sum to 4,001 digits or more\n"
+        )
+    below = write_ring(tmp_path / "below.yaml", 1, 10**4000 - 1)
+    code, text = run(tmp_path, "validate", "--scenario", str(below))
+    assert code == 0
+    assert f"total_rate: {10**4000 - 1}" in text
+    code, text = run(tmp_path, "plan", "--scenario", str(below), "--schemes", "sr,pc")
+    assert code == 0
+    assert f"{10**4000 - 1}" in text
+
+
 def test_validate_prints_each_topology_warning(tmp_path):
     # a triangle plus a pendant node 3 on link 3
     scenario = tmp_path / "pendant.yaml"
@@ -218,7 +236,9 @@ demands:
         # 100 units over 1e17 mm links: capacity-distance passes 2^63
         (100_000_000_000, 100, "sr,pc", ["300.0000", "400.0000"]),
         # a rate that no 64-bit integer holds
-        (1, 2**64, "sr", ["300.0000"]),
+        (1, 2**64, "sr,pc", ["300.0000", "400.0000"]),
+        # a rate past float range: the SCP divides exact ints
+        pytest.param(1, 10**400, "sr,pc", ["300.0000", "400.0000"], id="1-10**400-sr,pc"),
     ],
 )
 def test_compare_capacity_sums_are_exact(tmp_path, distance, rate, schemes, scps):
@@ -252,11 +272,6 @@ def test_exit_error_cases(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["validate", "--scenario", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: topology.unit: unknown unit ['km']")
-    # a link load past the p-cycle planner's int64 counts
-    huge = write_ring(tmp_path / "huge.yaml", 1, 2**63)
-    assert main(["compare", "--scenario", str(huge), "--schemes", "pc"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: link 0 carries a working load of 9223372036854775808")
 
 
 def test_deeply_nested_yaml_fails_cleanly(tmp_path):

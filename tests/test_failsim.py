@@ -3,7 +3,7 @@ import pytest
 from divprotect import failsim, plan as plan_module, source_reroute
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep, xor_stream_check
-from divprotect.metrics import RtParams
+from divprotect.metrics import PROP_SPEED_KM_S, RtParams
 from divprotect.pcycle import pc_design
 from divprotect.plan import SCHEME_DC
 from divprotect.source_reroute import sr_design
@@ -98,9 +98,8 @@ def test_dc_parity_skew_counts_from_a_sources_first_visit():
         groups=(group,),
     )
     reports, _ = sweep(topo, plan)
-    speed = RtParams().prop_speed_km_s
     (g0,) = reports[topo.link_between(0, 3).id].geometries
-    assert g0.parity_skew_s == pytest.approx(15 / speed, abs=1e-15)
+    assert g0.parity_skew_s == pytest.approx(15 / PROP_SPEED_KM_S, abs=1e-15)
     # source 1 is tapped 2 km from the end, before its 3 km working path ends
     (g1,) = reports[topo.link_between(1, 3).id].geometries
     assert g1.parity_skew_s == 0

@@ -4,6 +4,7 @@ from divprotect.cli import fixture_names
 from divprotect.coding import algorithm_one
 from divprotect.failsim import sweep
 from divprotect.metrics import (
+    PROP_SPEED_KM_S,
     FailureGeometry,
     RtParams,
     q_rt,
@@ -19,7 +20,7 @@ from divprotect.plan import SCHEME_DC, SCHEME_PC, SCHEME_SR
 from divprotect.source_reroute import sr_design
 from helpers import CUSTOM_RT, REFERENCE_RT, load_fixture
 
-P = RtParams()  # 100us detect, 100us proc, 200000 km/s
+P = RtParams()  # 100us detect, 100us proc
 C = 1e-3  # switch time, s
 
 
@@ -53,11 +54,16 @@ def test_qor_weighting():
 def test_scp_formula():
     assert scp(30_000_000, 14_000_000) == pytest.approx(100.0 * 16 / 14, abs=1e-9)
     assert scp(14_000_000, 14_000_000) == 0.0
+    # exact ints past float range divide without overflow
+    assert scp(3 * 10**400 + 3, 10**400 + 1) == 200.0
+    assert scp(10**400 + 10**385, 10**400) == 1e-13
 
 
 def test_rtparams_fields_are_the_switch_independent_timings():
-    # the switch time is an argument of each formula, not a field
-    assert RtParams._fields == ("detect_s", "node_proc_s", "prop_speed_km_s")
+    # the switch time is an argument of each formula and the signal
+    # speed a module constant, not fields
+    assert RtParams._fields == ("detect_s", "node_proc_s")
+    assert PROP_SPEED_KM_S == 2.0e5
 
 
 def test_rt_dc_plug_in():

@@ -401,7 +401,9 @@ def test_pc_design_matches_dense_reference_across_a_bridge():
     assert serialize_plan(plan, topo) == serialize_plan(dense_pc_reference(topo, flows), topo)
 
 
-@pytest.mark.parametrize("rate", [10**12 + 1, 2**62 - 1])
+@pytest.mark.parametrize(
+    "rate", [10**12 + 1, 2**62 - 1, 2**64 + 1, pytest.param(10**400 + 1, id="10**400+1")]
+)
 def test_pc_design_buys_huge_rates_in_batches(rate):
     # a square 0-1-2-3 with the chord 0-2, which carries the one demand:
     # the square protects the straddling chord twice per copy (2 units

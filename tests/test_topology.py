@@ -228,6 +228,9 @@ def _demand1(row):
         (_demand1("{src: 0, dst: 1, rate: x}"), "demands[1].rate: expected an integer, got 'x'"),
         (_demand1("{src: 0, dst: 1, rate: true}"),
          "demands[1].rate: expected an integer, got True"),
+        # with demands[0]'s rate 1, the rates sum to exactly 10^4000
+        (_demand1(f"{{src: 0, dst: 1, rate: {10**4000 - 1}}}"),
+         "demands: the rates sum to 4,001 digits or more"),
         # a name YAML reads as another type is refused, not turned into text
         (lambda t: t.replace("{id: 0}", "{id: 0, name: no}"),
          "topology.nodes[0].name: expected a string, got False; quote the name"),
