@@ -186,8 +186,8 @@ def algorithm_one(topo: Topology, demand) -> ProtectionPlan:
     units = sum(f.rate for f in demand)
     if units > _MAX_UNIT_FLOWS:
         raise ScenarioError(
-            f"demand splits into {units} unit flows; "
-            f"parity planning handles at most {_MAX_UNIT_FLOWS}"
+            f"demand splits into more than {_MAX_UNIT_FLOWS} unit flows,"
+            " the most parity planning handles"
         )
     flows, demand_idx = split_unit_flows(demand)
     by_dst: dict[int, list[int]] = {}

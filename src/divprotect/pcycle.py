@@ -1,7 +1,8 @@
 """Pre-configured protection cycles baseline.
 
-Cycles are enumerated up to a hop bound, each as its distance and a
-bitmask of its links, and bought greedily by a-priori efficiency:
+Cycles of at most ``_MAX_HOPS`` links are enumerated into two parallel
+int lists (``Cycles``), each cycle's distance and the bitmask of its
+links, and bought greedily by a-priori efficiency:
 protected working units per unit of cycle distance. A copy
 protects a link once per detour ``plan.detour_arcs`` gives it; pc_design
 holds the same rule as one matrix of detours per copy, scores every cycle
@@ -12,43 +13,27 @@ capacity. numpy is imported by pc_design itself, so importing this module
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import routing
 from .plan import SCHEME_PC, CycleSelection, ProtectionPlan, link_load
 from .topology import ScenarioError, Topology
 
-# most cycles enumerate_cycles collects: within the default hop bound
-# K10 has 556,014 and K11 5,488,059
+# most links on a cycle enumerate_cycles collects (fewer on networks of
+# fewer nodes): the cap keeps dense instances tractable while small
+# networks still get every cycle
+_MAX_HOPS = 12
+# most cycles enumerate_cycles collects: within the hop bound K10 has
+# 556,014 and K11 5,488,059
 _MAX_CYCLES = 1_000_000
 # most links x cycles cells of the int8 detour matrix pc_design builds
 _MAX_COVER_CELLS = 250_000_000
 
 
-class Cycle(NamedTuple):
-    """Simple cycle as its distance and its link set.
-
-    ``mask`` has bit lid set for each link lid on the ring. Selection
-    reads nothing else; ``cycle_ring`` rebuilds the node and link
-    sequence, which pc_design does only for the cycles it buys.
-    enumerate_cycles returns cycles in (distance, ring) order, the ring
-    being that canonical node sequence; comparing two Cycle tuples
-    compares their masks after the distance, which is not the same order.
-    """
-
-    length_mm: int
-    mask: int
-
-    @property
-    def hops(self) -> int:
-        return self.mask.bit_count()
-
-
 class Cycles:
     """enumerate_cycles' result: two parallel lists, ``lengths`` (each
-    cycle's distance) and ``masks`` (its link mask), in (distance, ring)
-    order. Indexing and iteration build each ``Cycle`` only when asked;
-    pc_design reads the lists and builds none."""
+    cycle's distance) and ``masks`` (its link mask, bit lid set for each
+    link lid on the ring), in (distance, ring) order, the ring being the
+    canonical node sequence ``cycle_ring`` rebuilds. len() is the number
+    of cycles."""
 
     __slots__ = ("lengths", "masks")
 
@@ -58,12 +43,6 @@ class Cycles:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __getitem__(self, i: int) -> Cycle:
-        return Cycle(self.lengths[i], self.masks[i])
-
-    def __iter__(self):
-        return map(Cycle, self.lengths, self.masks)
 
 
 def cycle_ring(topo: Topology, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -94,19 +73,17 @@ def cycle_ring(topo: Topology, mask: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(nodes), tuple(links)
 
 
-def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> Cycles:
-    """All simple cycles with at most max_hops links.
+def enumerate_cycles(topo: Topology) -> Cycles:
+    """All simple cycles with at most max_hops = min(n, ``_MAX_HOPS``) links.
 
-    Default bound is min(n, 12); the cap keeps dense instances tractable
-    while small networks still get every cycle. A depth-first search from
-    each cycle's smallest node (the anchor) walks only larger nodes and
-    closes a ring only in its canonical orientation, so each cycle is
-    found once, with no deduplication. The search carries each path as
-    its running distance and link mask alone, and a ring costs one entry
-    in each of two int lists, with no tuple of any kind. The result is
-    sorted by (distance, ring). More than ``_MAX_CYCLES`` rings is a
-    ScenarioError, raised as the search closes the first one past the
-    limit.
+    A depth-first search from each cycle's smallest node (the anchor)
+    walks only larger nodes and closes a ring only in its canonical
+    orientation, so each cycle is found once, with no deduplication. The
+    search carries each path as its running distance and link mask
+    alone, and a ring costs one entry in each of two int lists, with no
+    tuple of any kind. The result is sorted by (distance, ring). More
+    than ``_MAX_CYCLES`` rings is a ScenarioError, raised as the search
+    closes the first one past the limit.
 
     Hop bound: a ring that starts anchor -> s must close through a
     neighbour x of the anchor with x > s. Before searching from s, one
@@ -120,11 +97,8 @@ def enumerate_cycles(topo: Topology, max_hops: int | None = None) -> Cycles:
     cut holds no ring within the bound, and the result is the same as
     without the cuts.
     """
-    if max_hops is None:
-        max_hops = min(topo.n, 12)
-    if max_hops < 3:
-        return Cycles([], [])
     n = topo.n
+    max_hops = min(n, _MAX_HOPS)
     # up[v]: (w, distance, link bit) for v's neighbours w >= anchor;
     # adj_rows is sorted, so raising the anchor past a node drops at
     # most the first entry of each list

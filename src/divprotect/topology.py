@@ -186,10 +186,9 @@ class Topology:
         return dist
 
     def blocked_mask(self, excluded=()) -> array:
-        """Per-link bytes, 1 for each excluded link id or Link."""
+        """Per-link bytes, 1 for each excluded link id."""
         mask = array("B", bytes(self.m))
-        for e in excluded:
-            lid = e.id if isinstance(e, Link) else int(e)
+        for lid in excluded:
             mask[lid] = 1
         return mask
 

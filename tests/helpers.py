@@ -283,13 +283,13 @@ class Ring(NamedTuple):
 
 
 def rings(topo: Topology, cycles) -> list[Ring]:
-    """pcycle.Cycle masks mapped through ``cycle_ring``, checking on the
+    """pcycle.Cycles masks mapped through ``cycle_ring``, checking on the
     way that each ring's links are exactly its mask's set bits."""
     out = []
-    for c in cycles:
-        ring = Ring(c.length_mm, *cycle_ring(topo, c.mask))
-        assert sum(1 << lid for lid in set(ring.links)) == c.mask
-        assert len(ring.links) == len(ring.nodes) == c.hops
+    for length_mm, mask in zip(cycles.lengths, cycles.masks):
+        ring = Ring(length_mm, *cycle_ring(topo, mask))
+        assert sum(1 << lid for lid in set(ring.links)) == mask
+        assert len(ring.links) == len(ring.nodes) == mask.bit_count()
         out.append(ring)
     return out
 
@@ -345,9 +345,7 @@ def all_links_coverage(topo: Topology, cycle: Ring):
     return sorted(on), straddle
 
 
-def dense_pc_reference(
-    topo: Topology, demand, max_hops: int | None = None
-) -> ProtectionPlan:
+def dense_pc_reference(topo: Topology, demand) -> ProtectionPlan:
     flows = tuple(demand)
     demand_idx = tuple(range(len(flows)))
     working_paths = []
@@ -360,7 +358,7 @@ def dense_pc_reference(
         for lid in w.links:
             working_cap[lid] += f.rate
 
-    cycles = _ref_enumerate_cycles(topo, max_hops)
+    cycles = _ref_enumerate_cycles(topo)
     nc = len(cycles)
     on_mat = np.zeros((nc, topo.m), dtype=bool)
     str_mat = np.zeros((nc, topo.m), dtype=bool)

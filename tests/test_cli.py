@@ -340,8 +340,25 @@ def test_dc_refuses_a_demand_past_its_unit_flow_limit(tmp_path):
             env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.startswith("error: demand splits into 100000000 unit flows;")
+        assert proc.stderr.startswith(
+            "error: demand splits into more than 100000 unit flows, the most parity planning handles"
+        )
         assert proc.stdout == ""
+
+
+def test_dc_refusal_names_the_limit_not_the_huge_rate(tmp_path, capsys):
+    # the refusal prints the limit, so a 401-digit demand gives a short line
+    sc = load_fixture("example2")
+    first, *rest = sc.demands
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        dump_scenario(sc._replace(demands=[first._replace(rate=10**400), *rest])), encoding="utf-8"
+    )
+    assert main(["compare", "--scenario", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: demand splits into more than 100000 unit flows,")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_dc_refuses_a_destination_past_its_walk_bound(tmp_path, capsys):

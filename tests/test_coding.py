@@ -427,7 +427,9 @@ def test_verify_decodable_flags_unprotected():
 def test_algorithm_one_counts_the_unit_flow_limit_over_all_rows():
     topo = Topology.from_edge_list([(a, b, 1) for a in range(4) for b in range(a + 1, 4)])
     half = coding._MAX_UNIT_FLOWS // 2
-    with pytest.raises(ScenarioError, match=f"at most {coding._MAX_UNIT_FLOWS}$"):
+    with pytest.raises(
+        ScenarioError, match=f"^demand splits into more than {coding._MAX_UNIT_FLOWS} unit flows,"
+    ):
         algorithm_one(topo, [Flow(0, 3, half), Flow(1, 3, coding._MAX_UNIT_FLOWS - half + 1)])
 
 

@@ -6,6 +6,7 @@ import pytest
 from divprotect.cli import fixture_names
 from divprotect.coding import algorithm_one, verify_decodable
 from divprotect.failsim import sweep
+from divprotect import pcycle
 from divprotect.pcycle import enumerate_cycles, pc_design
 from divprotect.plan import (
     BackupPair,
@@ -82,9 +83,10 @@ def test_link_users_matches_a_scan(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_cycle_users_matches_a_scan(seed):
+def test_cycle_users_matches_a_scan(monkeypatch, seed):
     topo, _ = random_scenario(seed)
-    cycles = rings(topo, enumerate_cycles(topo, 6))
+    monkeypatch.setattr(pcycle, "_MAX_HOPS", 6)
+    cycles = rings(topo, enumerate_cycles(topo))
     assert cycle_users(topo, cycles) == [
         [(ci, detour_arcs(topo, c, lid)) for ci, c in enumerate(cycles) if detour_arcs(topo, c, lid)]
         for lid in range(topo.m)

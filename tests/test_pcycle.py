@@ -31,17 +31,17 @@ def test_triangle_has_one_cycle():
     topo = km([(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     cycles = enumerate_cycles(topo)
     assert len(cycles) == 1
-    c = cycles[0]
-    assert cycle_ring(topo, c.mask) == ((0, 1, 2), (0, 1, 2))
-    assert c.hops == 3
-    assert c.length_mm == 6 * KM
+    (mask,) = cycles.masks
+    assert cycle_ring(topo, mask) == ((0, 1, 2), (0, 1, 2))
+    assert mask.bit_count() == 3
+    assert cycles.lengths == [6 * KM]
 
 
 def test_k4_has_seven_cycles():
     topo = km([(a, b, 1) for a in range(4) for b in range(a + 1, 4)])
     cycles = enumerate_cycles(topo)
     assert len(cycles) == 7  # four triangles and three 4-rings
-    assert sorted(c.hops for c in cycles) == [3, 3, 3, 3, 4, 4, 4]
+    assert sorted(mask.bit_count() for mask in cycles.masks) == [3, 3, 3, 3, 4, 4, 4]
 
 
 def test_tree_has_no_cycles():
@@ -89,45 +89,15 @@ def enumeration_cases():
     yield load_bench_kernels().random_graph(np.random.default_rng(7), 16, 14)
 
 
-def test_cycles_is_two_lists_read_as_a_sequence_of_cycle():
+def test_cycles_is_two_lists():
     for topo in enumeration_cases():
         cycles = enumerate_cycles(topo)
         assert isinstance(cycles, pcycle.Cycles)
         lengths, masks = cycles.lengths, cycles.masks
         assert type(lengths) is type(masks) is list
-        want = list(map(pcycle.Cycle, lengths, masks))
-        assert len(cycles) == len(lengths) == len(masks) == len(want)
-        assert list(cycles) == want
-        assert [cycles[i] for i in range(len(cycles))] == want
-        assert [cycles[i] for i in range(-len(cycles), 0)] == want
-        assert all(type(c) is pcycle.Cycle for c in cycles)
+        assert len(cycles) == len(lengths) == len(masks)
         assert lengths == sorted(lengths)
         assert len(set(masks)) == len(masks)
-
-
-def test_pc_design_builds_no_cycle(monkeypatch):
-    # pc_design reads the two lists of Cycles and never asks for a Cycle:
-    # a counting subclass patched over pcycle.Cycle sees no construction,
-    # and the plans are the same bytes as with the real class
-    want = {}
-    for name in fixture_names():
-        sc = load_fixture(name)
-        want[name] = serialize_plan(pc_design(sc.topology, sc.demands), sc.topology)
-    built = []
-
-    class Counting(pcycle.Cycle):
-        def __new__(cls, *args):
-            built.append(args)
-            return super().__new__(cls, *args)
-
-    monkeypatch.setattr(pcycle, "Cycle", Counting)
-    assert list(enumerate_cycles(load_fixture("example2").topology))  # the patch is seen
-    assert len(built) == 7
-    built.clear()
-    for name in fixture_names():
-        sc = load_fixture(name)
-        assert serialize_plan(pc_design(sc.topology, sc.demands), sc.topology) == want[name]
-    assert built == []
 
 
 def test_pc_design_enumerates_once_through_the_module(monkeypatch):
@@ -152,10 +122,12 @@ def test_pc_design_enumerates_once_through_the_module(monkeypatch):
     assert seen == [7]
 
 
-def test_max_hops_bound():
+def test_max_hops_bound(monkeypatch):
+    assert pcycle._MAX_HOPS == 12
     topo = km([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
     assert len(enumerate_cycles(topo)) == 3
-    assert len(enumerate_cycles(topo, max_hops=3)) == 2  # 4-ring dropped
+    monkeypatch.setattr(pcycle, "_MAX_HOPS", 3)
+    assert len(enumerate_cycles(topo)) == 2  # 4-ring dropped
 
 
 def test_k10_stays_within_the_cycle_limit():
@@ -186,42 +158,50 @@ def test_cover_budget_refuses_before_the_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("max_hops", [0, 1, 2])
-def test_fewer_than_three_hops_close_no_cycle(max_hops):
+def test_fewer_than_three_hops_close_no_cycle(monkeypatch, max_hops):
+    # below three links the search has no room to step, so it needs no
+    # guard: two nodes and one link bound it at min(n, _MAX_HOPS) = 2
+    assert len(enumerate_cycles(km([(0, 1, 1)]))) == 0
+    monkeypatch.setattr(pcycle, "_MAX_HOPS", max_hops)
     topo = km([(a, b, 1) for a in range(4) for b in range(a + 1, 4)])
-    assert len(enumerate_cycles(topo, max_hops=max_hops)) == 0
+    assert len(enumerate_cycles(topo)) == 0
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_hop_pruned_enumeration_matches_reference_at_every_bound(seed):
+def test_hop_pruned_enumeration_matches_reference_at_every_bound(monkeypatch, seed):
     topo, _ = random_scenario(seed)
     for h in range(3, topo.n + 1):
-        assert rings(topo, enumerate_cycles(topo, max_hops=h)) == _ref_enumerate_cycles(topo, h)
+        monkeypatch.setattr(pcycle, "_MAX_HOPS", h)
+        assert rings(topo, enumerate_cycles(topo)) == _ref_enumerate_cycles(topo, h)
 
 
-def test_hop_pruned_enumeration_matches_reference_on_bench_graph():
+def test_hop_pruned_enumeration_matches_reference_on_bench_graph(monkeypatch):
     # the shape of bench_kernels' cycles row: 16 nodes, 30 links
     topo = load_bench_kernels().random_graph(np.random.default_rng(7), 16, 14)
     assert topo.m == 30
     for h in range(3, topo.n + 1):
-        assert rings(topo, enumerate_cycles(topo, max_hops=h)) == _ref_enumerate_cycles(topo, h)
+        monkeypatch.setattr(pcycle, "_MAX_HOPS", h)
+        assert rings(topo, enumerate_cycles(topo)) == _ref_enumerate_cycles(topo, h)
 
 
-def test_enumeration_matches_bruteforce_on_fixtures():
+def test_enumeration_matches_bruteforce_on_fixtures(monkeypatch):
     for name in ["example2", "fig1-star", "synthetic-reconstruction"]:
         topo = load_fixture(name).topology
         want = brute_cycles(topo)
-        got = rings(topo, enumerate_cycles(topo, max_hops=topo.n))
+        monkeypatch.setattr(pcycle, "_MAX_HOPS", topo.n)
+        got = rings(topo, enumerate_cycles(topo))
         assert {c.nodes for c in got} == set(want)
         for c in got:
             assert c.length_mm == want[c.nodes]
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_enumeration_matches_bruteforce_within_hop_bound(seed):
+def test_enumeration_matches_bruteforce_within_hop_bound(monkeypatch, seed):
     topo, _ = random_scenario(seed, max_nodes=8)
     want = brute_cycles(topo)
     for h in (3, 4, topo.n):
-        got = rings(topo, enumerate_cycles(topo, max_hops=h))
+        monkeypatch.setattr(pcycle, "_MAX_HOPS", h)
+        got = rings(topo, enumerate_cycles(topo))
         assert [(c.nodes, c.length_mm) for c in got] == sorted(
             ((ring, mm) for ring, mm in want.items() if len(ring) <= h),
             key=lambda r: (r[1], r[0]),
