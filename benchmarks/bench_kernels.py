@@ -17,7 +17,7 @@ kernel rows:
   blocked, each grown only until one random target is settled (the
   shape of a backup-path search).
 - ``gf2_rank``: the rank on random binary matrices from decode-matrix
-  size (5x4) up.
+  size (5x4) up, each row passed as an int bitmask.
 - ``cycles``: cycle enumeration on one 16-node, 30-link graph, the shape
   of the benchmark's rings meshes (2,054 cycles of at most 12 hops at
   the default seed).
@@ -108,6 +108,11 @@ def random_graph(rng, n: int, extra: int) -> Topology:
             edges.add((min(a, b), max(a, b)))
     rows = [(a, b, int(rng.integers(1, 50))) for a, b in sorted(edges)]
     return Topology.from_edge_list(rows)
+
+
+def bit_rows(matrix) -> list[int]:
+    """A 0/1 matrix's rows as int bitmasks, bit j for column j."""
+    return [sum(x << j for j, x in enumerate(row)) for row in matrix.tolist()]
 
 
 def random_scenario_text(rng, n: int, extra: int, demands: int) -> str:
@@ -281,7 +286,7 @@ def main(argv=None) -> int:
         for _ in range(10)
     ]
     gf2_calls = [
-        (rng.integers(0, 2, size=(r, c), dtype=np.uint8).tolist(),)
+        (bit_rows(rng.integers(0, 2, size=(r, c), dtype=np.uint8)),)
         for r, c in ((5, 4), (24, 32), (64, 96))
         for _ in range(10)
     ]

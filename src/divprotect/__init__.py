@@ -8,7 +8,6 @@ restoration time, and quality of recovery.
 
 from .coding import (
     algorithm_one,
-    decode_matrix,
     find_group,
     verify_decodable,
 )

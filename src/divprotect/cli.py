@@ -20,32 +20,25 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
-FIXTURES_ENV = "DIVPROTECT_FIXTURES"
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # longest time any timing option takes, in seconds: 1e6 ms, 1e9 us
 _MAX_TIME_S = 1e3
 
 
-def _fixture_dir() -> str:
-    return os.environ.get(FIXTURES_ENV) or os.path.join(os.path.dirname(__file__), "fixtures")
-
-
 def fixture_path(name: str) -> str | None:
-    """Resolve a bundled scenario by name; DIVPROTECT_FIXTURES overrides
-    the packaged directory."""
+    """Resolve a bundled scenario by name in the package's fixtures
+    directory."""
     fname = name if name.endswith(".yaml") else name + ".yaml"
-    cand = os.path.join(_fixture_dir(), fname)
+    cand = os.path.join(FIXTURE_DIR, fname)
     return cand if os.path.isfile(cand) else None
 
 
 def fixture_names() -> list[str]:
-    folder = _fixture_dir()
     try:
-        names = os.listdir(folder)
+        names = os.listdir(FIXTURE_DIR)
     except OSError as exc:
-        raise ScenarioError(
-            f"cannot list fixtures in {FIXTURES_ENV}={folder!r}: {exc.strerror}"
-        )
+        raise ScenarioError(f"cannot list fixtures in {FIXTURE_DIR!r}: {exc.strerror}")
     return sorted(f[:-5] for f in names if f.endswith(".yaml"))
 
 

@@ -320,30 +320,16 @@ def _plan_destination(
     return accepted
 
 
-def decode_matrix(
-    group: CodingGroup, failed_link: int | None
-) -> tuple[tuple[int, ...], ...]:
-    """Binary rows received at the decode node after a link failure.
-
-    Surviving working path i contributes unit row e_i; a surviving
-    parity trail contributes the all-ones row. Full column rank over
-    GF(2) means every stream is recoverable by XOR combination.
-    """
-    n = group.size
-    rows = [
-        tuple(int(j == i) for j in range(n))
-        for i, w in enumerate(group.working)
-        if failed_link is None or failed_link not in w.links
-    ]
-    if failed_link is None or failed_link not in group.parity.links:
-        rows.append((1,) * n)
-    return tuple(rows)
-
-
 def _decodes(group: CodingGroup, failed_link: int) -> bool:
-    """Whether the group's decode matrix keeps full column rank after
-    the failure, so every one of its streams is recovered."""
-    return kernels.gf2_rank(decode_matrix(group, failed_link)) == group.size
+    """Whether the group's decode rows keep full column rank over GF(2)
+    after the failure, so every stream is recovered by XOR combination:
+    a surviving working path i gives the unit row ``1 << i``, a
+    surviving parity trail the all-ones row."""
+    n = group.size
+    rows = [1 << i for i, w in enumerate(group.working) if failed_link not in w.links]
+    if failed_link not in group.parity.links:
+        rows.append((1 << n) - 1)
+    return kernels.gf2_rank(rows) == n
 
 
 def verify_decodable(plan: ProtectionPlan, failed_link: int) -> list[bool]:

@@ -2,7 +2,7 @@
 
 Both are plain Python. Dijkstra is a binary-heap scan over the per-node
 rows of a ``Topology`` that can stop once given nodes are settled and
-resume later; the rank is elimination over rows packed into int
+resume later; the rank is elimination over rows given as int
 bitmasks, which suits the small decode matrices (at most a handful of
 rows and columns) the planners and the failure sweep check.
 """
@@ -66,19 +66,15 @@ def dijkstra_distances(rows, dist, heap, settled, root, blocked, until=None) -> 
 
 
 def gf2_rank(rows) -> int:
-    """Rank over GF(2) of a binary matrix given as a sequence of rows.
+    """Rank over GF(2) of a binary matrix given as int bitmask rows, bit
+    j of a row standing for column j.
 
-    Accepts nested sequences or a 2-D integer array; entries are reduced
-    mod 2. Each row becomes an int bitmask and is reduced against the
-    rows kept so far, keyed by their highest set bit; a row that does
-    not reduce to zero adds one to the rank.
+    Each row is reduced against the rows kept so far, keyed by their
+    highest set bit; a row that does not reduce to zero adds one to the
+    rank.
     """
     pivots: dict[int, int] = {}
-    for row in rows:
-        mask = 0
-        for j, x in enumerate(row):
-            if int(x) & 1:
-                mask |= 1 << j
+    for mask in rows:
         while mask:
             top = mask.bit_length() - 1
             if top not in pivots:

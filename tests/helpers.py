@@ -28,6 +28,7 @@ from divprotect.plan import (
     SCHEME_DC,
     SCHEME_PC,
     SCHEME_SR,
+    BackupPair,
     CodingGroup,
     CycleSelection,
     ProtectionPlan,
@@ -120,6 +121,39 @@ def make_path(topo: Topology, nodes) -> topology.Path:
     if len(set(links)) != len(links):
         raise ValueError("walk reuses a link")
     return topology.Path(tuple(nodes), tuple(links), total)
+
+
+# flows 0 and 1 into node 3 share their last link, 1-3; the parity trail
+# 0-4-1-5-3 taps both sources
+DC_TOPO = Topology.from_edge_list(
+    [(0, 1, 2), (1, 3, 4), (0, 4, 3), (4, 1, 3), (1, 5, 1), (5, 3, 1), (0, 2, 5), (2, 3, 5)],
+    unit="km",
+)
+
+
+def hand_built_dc(stray=None):
+    """A dc plan on DC_TOPO: flows 0 and 1 in one group, flow 2 on a 1+1
+    pair, flow 3 unprotected; ``stray``, a node walk into 3, adds a flow
+    in no group, pair or unprotected list."""
+    w0, w1 = make_path(DC_TOPO, [0, 1, 3]), make_path(DC_TOPO, [1, 3])
+    parity = make_path(DC_TOPO, [0, 4, 1, 5, 3])
+    w2, b2 = make_path(DC_TOPO, [0, 2, 3]), make_path(DC_TOPO, [0, 1, 5, 3])
+    w3 = make_path(DC_TOPO, [2, 3])
+    working = [w0, w1, w2, w3]
+    if stray is not None:
+        working.append(make_path(DC_TOPO, stray))
+    flows = tuple(Flow(w.src, w.dst, 1) for w in working)
+    return ProtectionPlan(
+        scheme="dc",
+        flows=flows,
+        demand_idx=tuple(range(len(flows))),
+        working_paths=tuple(working),
+        working_cap=link_load(DC_TOPO.m, ((w.links, 1) for w in working)),
+        spare_cap=link_load(DC_TOPO.m, [(parity.links, 1), (b2.links, 1)]),
+        groups=(CodingGroup(flow_ids=(0, 1), working=(w0, w1), parity=parity, decode_node=3),),
+        pairs=(BackupPair(flow_id=2, working=w2, backup=b2),),
+        unprotected=(3,),
+    )
 
 
 def redundancy_ratio(topo: Topology, group: CodingGroup) -> float:

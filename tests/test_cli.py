@@ -14,7 +14,7 @@ import yaml
 
 import divprotect
 from divprotect import cli, topology
-from divprotect.cli import ALL_SCHEMES, FIXTURES_ENV, fixture_names, fixture_path, main
+from divprotect.cli import ALL_SCHEMES, fixture_names, fixture_path, main
 from divprotect.metrics import SWITCH_VALUES_S, RtParams
 from divprotect.topology import dump_scenario, load_scenario
 from helpers import load_fixture
@@ -71,13 +71,16 @@ def test_bundled_fixture_discovery():
     assert fixture_path("no-such-fixture") is None
 
 
-def test_fixture_dir_override(tmp_path, monkeypatch):
-    src = Path(fixture_path("example2")).read_text(encoding="utf-8")
-    (tmp_path / "mine.yaml").write_text(src, encoding="utf-8")
+def test_fixtures_env_var_is_not_read(tmp_path, monkeypatch):
+    # bundled fixtures resolve from the package only; --scenario PATH
+    # runs any other file
+    (tmp_path / "mine.yaml").write_text(
+        Path(fixture_path("example2")).read_text(encoding="utf-8"), encoding="utf-8"
+    )
     monkeypatch.setenv("DIVPROTECT_FIXTURES", str(tmp_path))
-    assert fixture_names() == ["mine"]
-    assert fixture_path("mine") == str(tmp_path / "mine.yaml")
-    assert fixture_path("example2") is None
+    assert fixture_names() == FIXTURES
+    assert fixture_path("mine") is None
+    assert fixture_path("example2") == os.path.join(cli.FIXTURE_DIR, "example2.yaml")
 
 
 def test_compare_example2_golden_bytes(tmp_path):
@@ -346,19 +349,25 @@ def test_dc_refuses_a_demand_past_its_unit_flow_limit(tmp_path):
         assert proc.stdout == ""
 
 
-def test_dc_refusal_names_the_limit_not_the_huge_rate(tmp_path, capsys):
-    # the refusal prints the limit, so a 401-digit demand gives a short line
+@pytest.mark.parametrize("command", ["compare", "plan", "qor-curve"])
+def test_dc_refusal_names_the_limit_not_the_huge_rate(tmp_path, capsys, command):
+    # the refusal prints the limit, so a 401-digit demand gives a short
+    # line; a refused scheme fails the whole command, and --schemes runs
+    # the schemes that plan it
     sc = load_fixture("example2")
     first, *rest = sc.demands
     path = tmp_path / "huge.yaml"
     path.write_text(
         dump_scenario(sc._replace(demands=[first._replace(rate=10**400), *rest])), encoding="utf-8"
     )
-    assert main(["compare", "--scenario", str(path)]) == 1
+    assert main([command, "--scenario", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: demand splits into more than 100000 unit flows,")
     assert err.count("\n") == 1 and len(err) < 200
+    assert main([command, "--scenario", str(path), "--schemes", "sr,pc"]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 def test_dc_refuses_a_destination_past_its_walk_bound(tmp_path, capsys):
@@ -452,10 +461,11 @@ def test_cold_start_on_a_row_layout_fixture_needs_only_the_stdlib(capsys, tmp_pa
 
 
 def test_missing_fixture_dir_is_an_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(FIXTURES_ENV, str(tmp_path / "missing"))
+    missing = str(tmp_path / "missing")
+    monkeypatch.setattr(cli, "FIXTURE_DIR", missing)
     assert main(["validate", "--scenario", "example2"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and FIXTURES_ENV in err
+    assert err.startswith("error: ") and repr(missing) in err
 
 
 def test_non_utf8_scenario_is_an_error(tmp_path, capsys):
@@ -600,7 +610,6 @@ def test_defaults_are_the_library_constants(monkeypatch):
 
 def _validate_example2_bytes(tmp_path, monkeypatch) -> bytes:
     """What in-process `main` writes for `validate --scenario example2`."""
-    monkeypatch.delenv(FIXTURES_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "in-process.txt"
     assert main(["validate", "--scenario", "example2", "--out", str(out)]) == 0
@@ -609,8 +618,7 @@ def _validate_example2_bytes(tmp_path, monkeypatch) -> bytes:
 
 def _run_console(argv, tmp_path, env):
     """Run a console command as its own process, away from the caller's
-    working directory and fixture override."""
-    env = {k: v for k, v in env.items() if k != FIXTURES_ENV}
+    working directory."""
     # --out files are written as UTF-8; make stdout match so bytes compare.
     env["PYTHONIOENCODING"] = "utf-8"
     return subprocess.run(
@@ -649,7 +657,6 @@ def test_console_entry_point_installed(tmp_path, monkeypatch):
         for pattern in project["tool"]["setuptools"]["package-data"]["divprotect"]
         for f in glob.glob(str(pkg_dir / pattern), recursive=True)
     }
-    monkeypatch.delenv(FIXTURES_ENV, raising=False)
     names = fixture_names()
     assert names
     assert {f"fixtures/{n}.yaml" for n in names} <= shipped

@@ -9,11 +9,10 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
-from divprotect import coding, kernels, routing
+from divprotect import coding, routing
 from divprotect.cli import fixture_names
 from divprotect.coding import (
     algorithm_one,
-    decode_matrix,
     find_group,
     group_capacity_mm,
     verify_decodable,
@@ -21,6 +20,8 @@ from divprotect.coding import (
 from divprotect.plan import serialize_plan, shortest_working_capacity_mm, split_unit_flows
 from divprotect.topology import Flow, ScenarioError, Topology
 from helpers import (
+    DC_TOPO,
+    hand_built_dc,
     load_bench_kernels,
     load_fixture,
     random_scenario,
@@ -385,21 +386,28 @@ def test_cached_groups_keep_each_flow_on_its_own_route():
             assert all(plan.working_paths[i] == w for i, w in zip(g.flow_ids, g.working))
 
 
-def test_decode_matrix_cases():
-    sc = load_fixture("example2")
-    plan = algorithm_one(sc.topology, sc.demands)
-    g = plan.groups[0]  # workings (0,1,3) and (0,2,3), parity (0,4,3)
-    m = decode_matrix(g, None)
-    assert m == ((1, 0), (0, 1), (1, 1))
-    assert kernels.gf2_rank(m) == 2
-    # failing link 1 (1-3) kills working 0; parity covers it
-    m = decode_matrix(g, 1)
-    assert m == ((0, 1), (1, 1))
-    assert kernels.gf2_rank(m) == 2
-    # failing the parity link leaves plain unit rows
-    m = decode_matrix(g, 4)
-    assert m == ((1, 0), (0, 1))
-    assert kernels.gf2_rank(m) == 2
+def test_decodes_matches_the_closed_form():
+    # the rows left after a failure have full GF(2) rank exactly when no
+    # working path is lost, or one is and the parity trail is intact
+    def closed_form(g, lid):
+        lost = sum(lid in w.links for w in g.working)
+        return lost == 0 or (lost == 1 and lid not in g.parity.links)
+
+    scenarios = [(sc.topology, sc.demands) for sc in map(load_fixture, fixture_names())]
+    scenarios += [random_scenario(seed) for seed in range(30)]
+    plans = [(topo, algorithm_one(topo, flows)) for topo, flows in scenarios]
+    # planned groups are link-disjoint, so no one link breaks them; the
+    # hand-built group's two flows share link 1-3
+    plans.append((DC_TOPO, hand_built_dc()))
+    verdicts = set()
+    for topo, plan in plans:
+        for g in plan.groups:
+            for lid in range(topo.m):
+                want = closed_form(g, lid)
+                assert coding._decodes(g, lid) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+    assert not coding._decodes(hand_built_dc().groups[0], DC_TOPO.link_between(1, 3).id)
 
 
 def test_verify_decodable_example2_all_failures():

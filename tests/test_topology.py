@@ -444,7 +444,7 @@ PLAIN = {
 
 @pytest.mark.parametrize("text", [*PLAIN.values(), *COMPOSED.values()],
                          ids=[*PLAIN, *COMPOSED])
-def test_event_builder_matches_the_composer(text):
+def test_declined_text_parses_as_yaml_safe_load(text):
     # the row reader declines each of these, and the outcome is
     # yaml.safe_load's document or its error
     assert topology._read_rows(text) is None
